@@ -9,12 +9,10 @@ parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from . import _jsonio
 from .errors import ContractViolation, FormatError, UsageError
 from .model import forward, gen_network, load_network, save_network
 from .prune import (
@@ -72,23 +70,6 @@ def _parse_thresholds(text: str) -> list[float]:
     return taus
 
 
-def _load_vector_file(path: str, what: str) -> np.ndarray:
-    """Read a JSON array of numbers (probe inputs, class scores)."""
-
-    def reject(name: str):
-        raise FormatError(f"non-finite constant {name!r} is not allowed in {what} files")
-
-    try:
-        doc = json.loads(_read(path).decode("utf-8"), parse_constant=reject)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{what} parse error at line {e.lineno} column {e.colno}: {e.msg}") from e
-    if not isinstance(doc, list) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in doc
-    ):
-        raise FormatError(f"{what} file must be a JSON array of numbers")
-    return np.asarray([float(v) for v in doc], dtype=np.float64)
-
-
 def _cmd_gen_net(args) -> int:
     net = gen_network(_parse_sizes(args.sizes), sparsity=args.sparsity, seed=args.seed)
     _write(args.out, save_network(net))
@@ -123,24 +104,28 @@ def _cmd_prune(args) -> int:
             net, channel_sums(sc.fmap), sc.pool_h, sc.pool_w, cfg
         )
     else:
-        probe = _load_vector_file(args.probe, "probe")
+        probe = _jsonio.parse_vector(_read(args.probe), "probe")
         profile = forward(net, probe)
         sel = select_units(profile.layer(args.layer), cfg, layer=args.layer)
         pruned_net, rep = prune_units(net, args.layer, sel, profile=profile)
-    _write(args.out, save_network(pruned_net))
+    # serialize everything first, so a refused document leaves no file behind
+    files = [(args.out, save_network(pruned_net))]
     if args.report is not None:
-        _write(args.report, save_report(rep))
+        files.append((args.report, save_report(rep)))
+    for path, data in files:
+        _write(path, data)
     return 0
 
 
 def _cmd_topn(args) -> int:
     net = load_network(_read(args.model))
-    scores = _load_vector_file(args.scores, "scores")
+    scores = _jsonio.parse_vector(_read(args.scores), "scores")
     pruned_net, label_map, rep = prune_output_topn(net, scores, args.n)
-    _write(args.out, save_network(pruned_net))
-    _write(args.labelmap, save_labelmap(label_map))
+    files = [(args.out, save_network(pruned_net)), (args.labelmap, save_labelmap(label_map))]
     if args.report is not None:
-        _write(args.report, save_report(rep))
+        files.append((args.report, save_report(rep)))
+    for path, data in files:
+        _write(path, data)
     return 0
 
 

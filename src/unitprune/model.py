@@ -9,7 +9,6 @@ floats are written in shortest round-trip form, one matrix row per line.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,9 +30,6 @@ __all__ = [
     "save_network",
     "load_network",
 ]
-
-FORMAT_VERSION = 1
-
 
 class ActivationKind(enum.Enum):
     RELU = "relu"
@@ -261,33 +257,17 @@ def save_network(net: Network) -> bytes:
     The stream is valid JSON laid out for diffing: fixed key order, one
     weight row per line, floats in shortest round-trip decimal form.
     """
-    fmt = linalg.fmt_float
-    out = ["{", f'"version": {FORMAT_VERSION},']
-    if net.labels is None:
-        out.append('"labels": null,')
-    else:
-        names = ", ".join(json.dumps(s) for s in net.labels)
-        out.append(f'"labels": [{names}],')
-    out.append('"layers": [')
-    for k, lay in enumerate(net.layers):
-        out.append("{")
-        out.append(f'"activation": "{lay.activation.value}",')
-        out.append(f'"rows": {lay.units},')
-        out.append(f'"cols": {lay.inputs},')
-        if lay.weights.size:
-            out.append('"weights": [')
-            for i in range(lay.units):
-                line = ", ".join(fmt(v) for v in lay.weights[i])
-                out.append(line + ("," if i + 1 < lay.units else ""))
-            out.append("],")
-        else:
-            # a dimension is zero; bare row lines would not parse
-            out.append('"weights": [],')
-        out.append(f'"bias": [{", ".join(fmt(v) for v in lay.bias)}]')
-        out.append("}," if k + 1 < len(net.layers) else "}")
-    out.append("]")
-    out.append("}")
-    return ("\n".join(out) + "\n").encode("utf-8")
+    layers = [
+        {
+            "activation": lay.activation.value,
+            "rows": lay.units,
+            "cols": lay.inputs,
+            "weights": _jsonio.Rows(lay.weights),
+            "bias": lay.bias,
+        }
+        for lay in net.layers
+    ]
+    return _jsonio.dump_doc({"labels": net.labels, "layers": _jsonio.Lines(layers)})
 
 
 def load_network(data: bytes | str) -> Network:
@@ -297,9 +277,6 @@ def load_network(data: bytes | str) -> Network:
     parsed layers do not form a consistent network.
     """
     doc = _jsonio.parse_doc(data, "model")
-    version = _jsonio.get(doc, "version", int, "model")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported model format version {version}")
     raw_layers = _jsonio.get(doc, "layers", list, "model")
     layers = []
     for k, entry in enumerate(raw_layers):

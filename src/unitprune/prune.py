@@ -22,8 +22,7 @@ probe's output can move.
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -59,8 +58,6 @@ __all__ = [
     "save_labelmap",
     "load_labelmap",
 ]
-
-FORMAT_VERSION = 1
 
 REPORT_KINDS = ("units", "input-channels", "topn")
 
@@ -289,6 +286,16 @@ def _check_layer(net: Network, layer: int) -> None:
         )
 
 
+def _drop_units(lay: DenseLayer, keep: Sequence[int]) -> DenseLayer:
+    return DenseLayer(
+        linalg.drop_rows(lay.weights, keep), linalg.subvector(lay.bias, keep), lay.activation
+    )
+
+
+def _drop_inputs(lay: DenseLayer, keep: Sequence[int]) -> DenseLayer:
+    return DenseLayer(linalg.drop_cols(lay.weights, keep), lay.bias, lay.activation)
+
+
 def backward_prune(net: Network, layer: int, sel: PruneSelection) -> Network:
     """Remove the selected units of one layer (weight rows and bias entries).
 
@@ -304,13 +311,10 @@ def backward_prune(net: Network, layer: int, sel: PruneSelection) -> Network:
         raise ContractViolation(
             f"selection covers {sel.size} units but layer {layer} has {lay.units}"
         )
-    keep = sel.kept
-    new = DenseLayer(
-        linalg.drop_rows(lay.weights, keep), linalg.subvector(lay.bias, keep), lay.activation
-    )
+    new = _drop_units(lay, sel.kept)
     labels = net.labels
     if labels is not None and layer == len(net.layers) - 1:
-        labels = tuple(labels[i] for i in keep)
+        labels = tuple(labels[i] for i in sel.kept)
     return Network(net.layers[:layer] + (new,) + net.layers[layer + 1 :], labels=labels)
 
 
@@ -328,7 +332,7 @@ def forward_prune(net: Network, layer: int, sel: PruneSelection) -> Network:
         raise ContractViolation(
             f"selection covers {sel.size} inputs but layer {layer} has {lay.inputs}"
         )
-    new = DenseLayer(linalg.drop_cols(lay.weights, sel.kept), lay.bias, lay.activation)
+    new = _drop_inputs(lay, sel.kept)
     return Network(net.layers[:layer] + (new,) + net.layers[layer + 1 :], labels=net.labels)
 
 
@@ -362,12 +366,8 @@ def prune_units(
     bound = None
     if profile is not None:
         bound = deviation_bound(net, layer, profile, sel)
-    keep = sel.kept
-    new_lay = DenseLayer(
-        linalg.drop_rows(lay.weights, keep), linalg.subvector(lay.bias, keep), lay.activation
-    )
-    new_nxt = DenseLayer(linalg.drop_cols(nxt.weights, keep), nxt.bias, nxt.activation)
-    layers = net.layers[:layer] + (new_lay, new_nxt) + net.layers[layer + 2 :]
+    new = (_drop_units(lay, sel.kept), _drop_inputs(nxt, sel.kept))
+    layers = net.layers[:layer] + new + net.layers[layer + 2 :]
     pruned_net = Network(layers, labels=net.labels)
     return pruned_net, _build_report("units", (sel,), net, pruned_net, bound)
 
@@ -528,63 +528,25 @@ def deviation_bound(
 # -- serialization ----------------------------------------------------------
 
 
-def _int_line(values: Sequence[int]) -> str:
-    return "[" + ", ".join(str(int(v)) for v in values) + "]"
-
-
-def _selection_lines(sel: PruneSelection) -> list[str]:
-    return [
-        "{",
-        f'"layer": {sel.layer},',
-        f'"pruned": {_int_line(sel.pruned)},',
-        f'"kept": {_int_line(sel.kept)}',
-        "}",
-    ]
-
-
-def _params_lines(pc: ParamCount) -> list[str]:
-    per = ", ".join(f"[{w}, {b}]" for w, b in pc.per_layer)
-    return [
-        "{",
-        f'"per_layer": [{per}],',
-        f'"total": {pc.total},',
-        f'"macs": {pc.macs}',
-        "}",
-    ]
-
-
 def save_report(report: PruneReport) -> bytes:
-    """Serialize a PruneReport to deterministic valid JSON."""
-    fmt = linalg.fmt_float
-    out = ["{", f'"version": {FORMAT_VERSION},']
-    out.append(f'"kind": "{report.kind}",')
-    red = ", ".join(f"[{k}, {fmt(f)}]" for k, f in report.layer_reduction)
-    out.append(f'"layer_reduction": [{red}],')
-    out.append(f'"total_reduction": {fmt(report.total_reduction)},')
-    if report.deviation_bound is None:
-        out.append('"deviation_bound": null,')
-    else:
-        out.append(f'"deviation_bound": {fmt(report.deviation_bound)},')
-    out.append('"params_before":')
-    out.extend(_params_lines(report.params_before))
-    out[-1] += ","
-    out.append('"params_after":')
-    out.extend(_params_lines(report.params_after))
-    out[-1] += ","
-    out.append('"selections": [')
-    for i, sel in enumerate(report.selections):
-        lines = _selection_lines(sel)
-        if i + 1 < len(report.selections):
-            lines[-1] += ","
-        out.extend(lines)
-    out.append("],")
-    if report.channels is None:
-        out.append('"channels": null')
-    else:
-        out.append('"channels":')
-        out.extend(_selection_lines(report.channels))
-    out.append("}")
-    return ("\n".join(out) + "\n").encode("utf-8")
+    """Serialize a PruneReport to deterministic valid JSON.
+
+    Selections and parameter counts are written field for field, in their
+    dataclass order.
+    """
+    bound, channels = report.deviation_bound, report.channels
+    return _jsonio.dump_doc(
+        {
+            "kind": report.kind,
+            "layer_reduction": report.layer_reduction,
+            "total_reduction": float(report.total_reduction),
+            "deviation_bound": None if bound is None else float(bound),
+            "params_before": asdict(report.params_before),
+            "params_after": asdict(report.params_after),
+            "selections": _jsonio.Lines(map(asdict, report.selections)),
+            "channels": None if channels is None else asdict(channels),
+        }
+    )
 
 
 def _selection_from_doc(entry, where: str) -> PruneSelection:
@@ -615,9 +577,6 @@ def _params_from_doc(entry, where: str) -> ParamCount:
 def load_report(data: bytes | str) -> PruneReport:
     """Parse the version-1 report format."""
     doc = _jsonio.parse_doc(data, "report")
-    version = _jsonio.get(doc, "version", int, "report")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported report format version {version}")
     kind = _jsonio.get(doc, "kind", str, "report")
     if kind not in REPORT_KINDS:
         raise FormatError(f"report: unknown kind {kind!r}")
@@ -665,22 +624,12 @@ def load_report(data: bytes | str) -> PruneReport:
 
 def save_labelmap(label_map: LabelMap) -> bytes:
     """Serialize a LabelMap to deterministic valid JSON."""
-    out = ["{", f'"version": {FORMAT_VERSION},']
-    out.append(f'"kept": {_int_line(label_map.indices)},')
-    if label_map.names is None:
-        out.append('"labels": null')
-    else:
-        out.append(f'"labels": [{", ".join(json.dumps(s) for s in label_map.names)}]')
-    out.append("}")
-    return ("\n".join(out) + "\n").encode("utf-8")
+    return _jsonio.dump_doc({"kept": label_map.indices, "labels": label_map.names})
 
 
 def load_labelmap(data: bytes | str) -> LabelMap:
     """Parse the version-1 label map format."""
     doc = _jsonio.parse_doc(data, "label map")
-    version = _jsonio.get(doc, "version", int, "label map")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported label map format version {version}")
     kept = _jsonio.int_list(_jsonio.get(doc, "kept", list, "label map"), "label map kept")
     names = doc.get("labels")
     if names is not None:

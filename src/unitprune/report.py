@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import linalg
+from . import _jsonio, linalg
 from .errors import ContractViolation
 from .model import Network, output
 from .prune import LabelMap, PruneConfig, prune_input_channels
@@ -83,6 +83,29 @@ def _argmax_agrees(
     return kept[int(np.argmax(pruned_out))] == winner
 
 
+def _deviation(
+    pairs, kept: Sequence[int] | None = None, bound: float | None = None
+) -> DeviationReport:
+    """Measure (original_out, pruned_out) pairs; np.maximum keeps a NaN that max() drops."""
+    n = agree = coords = 0
+    max_abs = total_abs = 0.0
+    for oa, ob in pairs:
+        diff = np.abs((oa if kept is None else oa[kept]) - ob)
+        if diff.size:
+            max_abs = float(np.maximum(max_abs, diff.max()))
+            total_abs += float(diff.sum())
+            coords += diff.size
+        agree += _argmax_agrees(oa, ob, kept)
+        n += 1
+    return DeviationReport(
+        n_examples=n,
+        max_abs=max_abs,
+        mean_abs=total_abs / coords if coords else 0.0,
+        argmax_agreement=agree / n if n else 1.0,
+        bound=bound,
+    )
+
+
 def compare_outputs(
     original: Network,
     pruned: Network,
@@ -129,31 +152,11 @@ def compare_outputs(
             "pass the keep set from the pruning report"
         )
     keep_list = list(keep_in) if keep_in is not None else None
-    n = 0
-    max_abs = 0.0
-    total_abs = 0.0
-    total_coords = 0
-    agree = 0
-    for x in examples:
-        x = linalg.vector(x)
-        oa = output(original, x)
-        ob = output(pruned, x[keep_list] if keep_list is not None else x)
-        ref = oa[kept_out] if kept_out is not None else oa
-        diff = np.abs(ref - ob)
-        if diff.size:
-            max_abs = max(max_abs, float(diff.max()))
-            total_abs += float(diff.sum())
-            total_coords += diff.size
-        if _argmax_agrees(oa, ob, kept_out):
-            agree += 1
-        n += 1
-    return DeviationReport(
-        n_examples=n,
-        max_abs=max_abs,
-        mean_abs=total_abs / total_coords if total_coords else 0.0,
-        argmax_agreement=agree / n if n else 1.0,
-        bound=bound,
+    pairs = (
+        (output(original, x), output(pruned, x[keep_list] if keep_list is not None else x))
+        for x in map(linalg.vector, examples)
     )
+    return _deviation(pairs, kept_out, bound)
 
 
 def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[SweepPoint]:
@@ -188,15 +191,7 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
         cfg = PruneConfig.for_threshold(tau)
         pruned_net, rep = prune_input_channels(net, sums, scene.pool_h, scene.pool_w, cfg)
         keep = list(rep.selections[0].kept)
-        max_abs = 0.0
-        agree = 0
-        for x, oa in zip(pooled, base):
-            ob = output(pruned_net, x[keep])
-            diff = np.abs(oa - ob)
-            if diff.size:
-                max_abs = max(max_abs, float(diff.max()))
-            if _argmax_agrees(oa, ob, None):
-                agree += 1
+        dev = _deviation((oa, output(pruned_net, x[keep])) for x, oa in zip(pooled, base))
         wa, ba = rep.params_after.per_layer[0]
         layer_params = w0 + b0
         points.append(
@@ -205,8 +200,8 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
                 pruned_units=len(rep.channels.pruned),
                 param_reduction=(layer_params - wa - ba) / layer_params if layer_params else 0.0,
                 mac_reduction=(w0 - wa) / w0 if w0 else 0.0,
-                max_abs=max_abs,
-                argmax_agreement=agree / len(pooled) if pooled else 1.0,
+                max_abs=dev.max_abs,
+                argmax_agreement=dev.argmax_agreement,
                 bound=rep.deviation_bound if rep.deviation_bound is not None else 0.0,
             )
         )
@@ -235,14 +230,12 @@ def sweep_csv(points: Sequence[SweepPoint]) -> str:
 
 def deviation_json(report: DeviationReport) -> str:
     """One-line JSON rendering of a DeviationReport, byte-deterministic."""
-    fmt = linalg.fmt_float
-    bound = "null" if report.bound is None else fmt(report.bound)
-    return (
-        "{"
-        f'"n_examples": {report.n_examples}, '
-        f'"max_abs": {fmt(report.max_abs)}, '
-        f'"mean_abs": {fmt(report.mean_abs)}, '
-        f'"argmax_agreement": {fmt(report.argmax_agreement)}, '
-        f'"bound": {bound}'
-        "}"
+    return _jsonio.dump_line(
+        {
+            "n_examples": report.n_examples,
+            "max_abs": float(report.max_abs),
+            "mean_abs": float(report.mean_abs),
+            "argmax_agreement": float(report.argmax_agreement),
+            "bound": None if report.bound is None else float(report.bound),
+        }
     )

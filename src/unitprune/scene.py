@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _jsonio, linalg
+from . import _jsonio
 from .errors import ContractViolation, FormatError, ValidationError
 
 __all__ = [
@@ -31,9 +31,6 @@ __all__ = [
     "save_scene",
     "load_scene",
 ]
-
-FORMAT_VERSION = 1
-
 
 @dataclass(frozen=True, eq=False)
 class FeatureMap:
@@ -248,36 +245,23 @@ def save_scene(scene: Scene) -> bytes:
     Feature map data is written one (channel, row) per line; rois one per line
     as [x0, y0, x1, y1].
     """
-    fmt = linalg.fmt_float
     fm = scene.fmap
-    out = ["{", f'"version": {FORMAT_VERSION},']
-    out.append(f'"C": {fm.channels},')
-    out.append(f'"H": {fm.height},')
-    out.append(f'"W": {fm.width},')
-    out.append(f'"pool_h": {scene.pool_h},')
-    out.append(f'"pool_w": {scene.pool_w},')
-    out.append('"data": [')
-    last_c, last_y = fm.channels - 1, fm.height - 1
-    for c in range(fm.channels):
-        for y in range(fm.height):
-            line = ", ".join(fmt(v) for v in fm.data[c, y])
-            out.append(line + ("," if (c, y) != (last_c, last_y) else ""))
-    out.append("],")
-    out.append('"rois": [')
-    for i, r in enumerate(scene.rois):
-        tail = "," if i + 1 < len(scene.rois) else ""
-        out.append(f"[{r.x0}, {r.y0}, {r.x1}, {r.y1}]{tail}")
-    out.append("]")
-    out.append("}")
-    return ("\n".join(out) + "\n").encode("utf-8")
+    return _jsonio.dump_doc(
+        {
+            "C": fm.channels,
+            "H": fm.height,
+            "W": fm.width,
+            "pool_h": scene.pool_h,
+            "pool_w": scene.pool_w,
+            "data": _jsonio.Rows(fm.data.reshape(-1, fm.width)),
+            "rois": _jsonio.Lines([[r.x0, r.y0, r.x1, r.y1] for r in scene.rois]),
+        }
+    )
 
 
 def load_scene(data: bytes | str) -> Scene:
     """Parse the version-1 scene format."""
     doc = _jsonio.parse_doc(data, "scene")
-    version = _jsonio.get(doc, "version", int, "scene")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported scene format version {version}")
     c = _jsonio.get(doc, "C", int, "scene")
     h = _jsonio.get(doc, "H", int, "scene")
     w = _jsonio.get(doc, "W", int, "scene")

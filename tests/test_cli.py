@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from unitprune.cli import main
-from unitprune.model import load_network, param_count
+from unitprune.model import (
+    ActivationKind,
+    DenseLayer,
+    Network,
+    load_network,
+    param_count,
+    save_network,
+)
 from unitprune.prune import load_labelmap, load_report
 from unitprune.scene import channel_sums, load_scene
 
@@ -336,3 +343,32 @@ def test_non_finite_probe_rejected(tmp_path):
     probe = tmp_path / "probe.json"
     probe.write_text("[1.0, Infinity]")
     assert run("prune", "--model", model, "--probe", probe, "--out", tmp_path / "x") == 2
+
+
+def overflow_model(path):
+    """Finite 1e308 weights: any forward pass overflows to inf and then NaN."""
+    big = np.full((2, 2), 1e308)
+    net = Network((DenseLayer(big, [0.0, 0.0]),
+                   DenseLayer(big, [0.0, 0.0], ActivationKind.IDENTITY)))
+    path.write_bytes(save_network(net))
+    return path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_bound_refused_and_nothing_written(tmp_path):
+    model = overflow_model(tmp_path / "big.net")
+    scene = gen_scene_file(tmp_path / "s.scene", c=2, h=2, w=2, n_rois=3,
+                           pool_h=1, pool_w=1, seed=1)
+    out, report = tmp_path / "p.net", tmp_path / "p.report"
+    assert run("prune", "--model", model, "--scene", scene, "--tau", 5,
+               "--out", out, "--report", report) == 1
+    assert not out.exists() and not report.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_of_overflowing_model_exits_1(tmp_path, capsys):
+    model = overflow_model(tmp_path / "big.net")
+    scene = gen_scene_file(tmp_path / "s.scene", c=2, h=2, w=2, n_rois=3,
+                           pool_h=1, pool_w=1, seed=1)
+    assert run("eval", "--model-a", model, "--model-b", model, "--scene", scene) == 1
+    assert capsys.readouterr().out == ""

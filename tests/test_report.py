@@ -202,3 +202,14 @@ class TestRendering:
     def test_deviation_json_null_bound(self):
         rep = DeviationReport(1, 0.0, 0.0, 1.0)
         assert deviation_json(rep).endswith('"bound": null}')
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_reports_nan_deviation_as_nan():
+    # 1e308 weights are finite but overflow: inf - inf leaves NaN differences
+    big = np.full((2, 2), 1e308)
+    net = Network((DenseLayer(big, [0.0, 0.0]),
+                   DenseLayer(big, [0.0, 0.0], ActivationKind.IDENTITY)))
+    sc = gen_scene(2, 2, 2, n_rois=3, pool_h=1, pool_w=1, seed=1)
+    (pt,) = sweep(net, sc, [0.0])
+    assert math.isnan(pt.max_abs)
