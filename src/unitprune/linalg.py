@@ -7,6 +7,15 @@ are present. With a pinned order, removing columns that multiply exact zeros
 removes terms that are added as +0.0 and (once any nonzero term has been
 absorbed) cannot change the running value, so the pruning transforms in
 prune.py are bit-identical operations rather than merely close ones.
+
+matmat is the batched form: for an (n, d) batch it seeds an (n, units)
+accumulator at +0.0 and adds one column's products at a time, in ascending
+column order, so every entry sees exactly the additions its matvec row does.
+It skips each column that is zero in every row of the batch. That skip is
+exact for the same reason pruning is: with finite weights the skipped
+products are all ±0.0, a sum seeded at +0.0 never becomes -0.0, and adding
+±0.0 to any other value returns it unchanged. matvec skips the zero entries
+of its vector the same way.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ __all__ = [
     "vector",
     "matrix",
     "matvec",
+    "matmat",
     "relu",
     "drop_rows",
     "drop_cols",
@@ -70,9 +80,11 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     sequence of IEEE additions a scalar loop would perform. Seeding at +0.0
     matters: it keeps the running sum off -0.0, so absorbing a ±0.0 product
     never changes it, and dropping columns whose v entries are exact zeros
-    is bit-identical even when a whole row's kept set is empty. Do not
-    replace this with m @ v: the BLAS path reassociates the sum and breaks
-    that guarantee.
+    is bit-identical even when a whole row's kept set is empty. Only the
+    nonzero entries of v are multiplied, by that same argument; m must be
+    finite (every DenseLayer is), so a skipped product is ±0.0, never NaN.
+    Do not replace this with m @ v: the BLAS path reassociates the sum and
+    breaks that guarantee.
     """
     if m.ndim != 2:
         raise ContractViolation(f"matvec: matrix must be 2-dimensional, got shape {m.shape}")
@@ -83,14 +95,50 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ContractViolation(
             f"matvec: matrix is {rows}x{cols} but vector has length {v.shape[0]}"
         )
-    if cols == 0:
-        # empty sum: accumulate cannot produce a column to read
+    live = np.flatnonzero(v)
+    if live.size == 0:
+        # nothing to add to the +0.0 seed; accumulate needs a column to read
         return np.zeros(rows)
-    prod = m * v
+    prod = m[:, live]
+    prod *= v[live]
     # 0.0 + x == x for every x except -0.0; this is the accumulator seed
     prod[:, 0] += 0.0
     np.add.accumulate(prod, axis=1, out=prod)
     return np.ascontiguousarray(prod[:, -1])
+
+
+def matmat(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Batched matvec: row r of the (n, units) result is matvec(m, xs[r]) byte for byte.
+
+    Adds the column products xs[:, j] * m[:, j] to a +0.0 accumulator for j
+    in ascending order, skipping columns that are zero (or -0.0) in every
+    row; the module docstring gives the argument. m must be finite.
+    """
+    if m.ndim != 2:
+        raise ContractViolation(f"matmat: matrix must be 2-dimensional, got shape {m.shape}")
+    if xs.ndim != 2:
+        raise ContractViolation(f"matmat: batch must be 2-dimensional, got shape {xs.shape}")
+    units, cols = m.shape
+    if cols != xs.shape[1]:
+        raise ContractViolation(
+            f"matmat: matrix is {units}x{cols} but batch rows have length {xs.shape[1]}"
+        )
+    acc = np.zeros((xs.shape[0], units))
+    live = np.flatnonzero(xs.any(axis=0))
+    if acc.size == 0 or live.size == 0:
+        return acc
+    # one gather per call, so each step reads one contiguous row of xt and wt;
+    # a column-major xs without zero columns is read in place
+    xt = xs.T
+    if live.size < cols or not xt.flags.c_contiguous:
+        xt = xt[live]
+    xt = xt[:, :, None]
+    wt = m.T[live]
+    tmp = np.empty_like(acc)
+    for xj, wj in zip(xt, wt):
+        np.multiply(xj, wj, out=tmp)
+        acc += tmp
+    return acc
 
 
 def relu(v: np.ndarray) -> np.ndarray:

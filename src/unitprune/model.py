@@ -188,11 +188,32 @@ def forward(net: Network, x) -> ActivationProfile:
 
 
 def output(net: Network, x) -> np.ndarray:
-    """Final layer's output for x (the input itself for an empty network)."""
-    profile = forward(net, x)
-    if not profile.per_layer:
-        return np.asarray(x, dtype=np.float64).copy()
-    return profile.per_layer[-1]
+    """Final layer's output for x (the input itself for an empty network).
+
+    x is one input of shape (d,) or a batch of shape (n, d). A batch runs
+    through linalg.matmat and returns shape (n, out), row r byte-identical to
+    output(net, x[r]); a single input stays on linalg.matvec, which is faster
+    for one row.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        profile = forward(net, x)
+        if not profile.per_layer:
+            return x.copy()
+        return profile.per_layer[-1]
+    if net.layers and x.shape[1] != net.input_dim:
+        raise ContractViolation(
+            f"output: layer 0 expects {net.input_dim} inputs, got {x.shape[1]}"
+        )
+    if not net.layers:
+        return x.copy()
+    h = x
+    for lay in net.layers:
+        h = linalg.matmat(lay.weights, h)
+        h += lay.bias
+        if lay.activation is ActivationKind.RELU:
+            h = linalg.relu(h)
+    return h
 
 
 def param_count(net: Network) -> ParamCount:

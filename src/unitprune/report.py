@@ -30,6 +30,10 @@ __all__ = [
     "SWEEP_CSV_HEADER",
 ]
 
+# Rows scored per batched forward pass: bounds the per-block copies and
+# accumulators while keeping the per-column loop in linalg.matmat long.
+_BLOCK_ROWS = 256
+
 SWEEP_CSV_HEADER = "tau,pruned_units,param_reduction,mac_reduction,max_abs,argmax_agreement"
 
 
@@ -70,33 +74,39 @@ class SweepPoint:
     bound: float = 0.0
 
 
-def _argmax_agrees(
-    original_out: np.ndarray, pruned_out: np.ndarray, kept: Sequence[int] | None
-) -> bool:
-    if original_out.size == 0:
-        return True
-    winner = int(np.argmax(original_out))
-    if kept is None:
-        return int(np.argmax(pruned_out)) == winner
-    if pruned_out.size == 0:
-        return False
-    return kept[int(np.argmax(pruned_out))] == winner
+def _columns(xs: np.ndarray, keep: list[int] | None) -> np.ndarray:
+    """xs[:, keep], gathered column-major: the layout linalg.matmat reads in place."""
+    return xs if keep is None else xs.T[keep].T
 
 
 def _deviation(
-    pairs, kept: Sequence[int] | None = None, bound: float | None = None
+    blocks, kept: Sequence[int] | None = None, bound: float | None = None
 ) -> DeviationReport:
-    """Measure (original_out, pruned_out) pairs; np.maximum keeps a NaN that max() drops."""
+    """Measure (original_out, pruned_out) row blocks of shape (rows, outputs).
+
+    Totals fold one row at a time, left to right in Python floats, so
+    mean_abs does not depend on the block size; np.max/np.maximum keep a NaN
+    that max() would drop.
+    """
     n = agree = coords = 0
     max_abs = total_abs = 0.0
-    for oa, ob in pairs:
-        diff = np.abs((oa if kept is None else oa[kept]) - ob)
+    for oa, ob in blocks:
+        diff = np.abs((oa if kept is None else oa[:, kept]) - ob)
         if diff.size:
-            max_abs = float(np.maximum(max_abs, diff.max()))
-            total_abs += float(diff.sum())
+            max_abs = float(np.maximum(max_abs, np.max(diff)))
+            # diff is C-contiguous, so each row sums exactly as a 1-D diff would
+            for row_abs in diff.sum(axis=1).tolist():
+                total_abs += row_abs
             coords += diff.size
-        agree += _argmax_agrees(oa, ob, kept)
-        n += 1
+        rows = oa.shape[0]
+        if oa.shape[1] == 0:
+            agree += rows
+        elif ob.shape[1]:
+            picked = np.argmax(ob, axis=1)
+            if kept is not None:
+                picked = np.asarray(kept)[picked]
+            agree += int(np.count_nonzero(picked == np.argmax(oa, axis=1)))
+        n += rows
     return DeviationReport(
         n_examples=n,
         max_abs=max_abs,
@@ -121,7 +131,9 @@ def compare_outputs(
     surviving input coordinates; when its output was shrunk (top-n pruning),
     label_map says which original outputs survive, and deviations are
     measured on those. An example whose original winning output was pruned
-    away counts against argmax_agreement.
+    away counts against argmax_agreement. Examples are scored in blocks of
+    rows through the batched forward pass; every field equals what scoring
+    them one at a time gives.
     """
     kept_out = None
     if label_map is not None:
@@ -138,12 +150,12 @@ def compare_outputs(
             f"output widths differ ({original.output_dim} vs {pruned.output_dim}); "
             "pass the label map produced by top-n pruning"
         )
-    keep_in = None
+    keep = None
     if input_keep is not None:
-        keep_in = linalg.check_index_set(input_keep, original.input_dim, "input keep set")
-        if len(keep_in) != pruned.input_dim:
+        keep = list(linalg.check_index_set(input_keep, original.input_dim, "input keep set"))
+        if len(keep) != pruned.input_dim:
             raise ContractViolation(
-                f"input keep set has {len(keep_in)} indices but the pruned "
+                f"input keep set has {len(keep)} indices but the pruned "
                 f"network expects {pruned.input_dim} inputs"
             )
     elif original.input_dim != pruned.input_dim:
@@ -151,20 +163,40 @@ def compare_outputs(
             f"input widths differ ({original.input_dim} vs {pruned.input_dim}); "
             "pass the keep set from the pruning report"
         )
-    keep_list = list(keep_in) if keep_in is not None else None
-    pairs = (
-        (output(original, x), output(pruned, x[keep_list] if keep_list is not None else x))
-        for x in map(linalg.vector, examples)
-    )
-    return _deviation(pairs, kept_out, bound)
+    width = original.input_dim
+
+    def score(xs):
+        return output(original, xs), output(pruned, _columns(xs, keep))
+
+    def blocks():
+        # examples are copied straight into one reused block buffer
+        buf = np.empty((_BLOCK_ROWS, width))
+        rows = 0
+        for i, x in enumerate(examples):
+            x = linalg.vector(x)
+            if x.shape[0] != width:
+                raise ContractViolation(
+                    f"example {i} has {x.shape[0]} values but the original "
+                    f"network expects {width} inputs"
+                )
+            buf[rows] = x
+            rows += 1
+            if rows == _BLOCK_ROWS:
+                yield score(buf)
+                rows = 0
+        if rows:
+            yield score(buf[:rows])
+
+    return _deviation(blocks(), kept_out, bound)
 
 
 def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[SweepPoint]:
     """Prune input channels at each threshold and measure the damage.
 
-    thresholds must be ascending and nonnegative. Each point prunes the
-    original network's input channels at that threshold, runs every region
-    of the scene through both networks, and records the channel count,
+    thresholds must be ascending and nonnegative. Every region of the scene
+    is pooled and run through the original network once. Each point prunes
+    the original network's input channels at that threshold, runs every
+    region through the pruned network, and records the channel count,
     first-layer cost reductions, worst output deviation, and argmax
     agreement. Larger thresholds always prune a superset of channels, so
     pruned_units and both reduction columns are non-decreasing.
@@ -183,15 +215,20 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
             f"{scene.pooled_width}"
         )
     sums = channel_sums(scene.fmap)
-    pooled = [roi_pool(scene.fmap, r, scene.pool_h, scene.pool_w) for r in scene.rois]
-    base = [output(net, x) for x in pooled]
+    pooled = np.empty((len(scene.rois), scene.pooled_width))
+    for i, r in enumerate(scene.rois):
+        pooled[i] = roi_pool(scene.fmap, r, scene.pool_h, scene.pool_w)
+    blocks = [pooled[lo : lo + _BLOCK_ROWS] for lo in range(0, len(pooled), _BLOCK_ROWS)]
+    base = [output(net, xs) for xs in blocks]
     w0, b0 = net.layers[0].weights.size, net.layers[0].bias.size
     points = []
     for tau in taus:
         cfg = PruneConfig.for_threshold(tau)
         pruned_net, rep = prune_input_channels(net, sums, scene.pool_h, scene.pool_w, cfg)
         keep = list(rep.selections[0].kept)
-        dev = _deviation((oa, output(pruned_net, x[keep])) for x, oa in zip(pooled, base))
+        dev = _deviation(
+            (oa, output(pruned_net, _columns(xs, keep))) for xs, oa in zip(blocks, base)
+        )
         wa, ba = rep.params_after.per_layer[0]
         layer_params = w0 + b0
         points.append(

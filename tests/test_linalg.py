@@ -16,6 +16,7 @@ from unitprune.linalg import (
     drop_cols,
     drop_rows,
     fmt_float,
+    matmat,
     matrix,
     matvec,
     relu,
@@ -99,6 +100,93 @@ class TestMatvec:
         full = matvec(m, v)
         compact = matvec(drop_cols(m, keep), subvector(v, keep))
         assert compact.tobytes() == full.tobytes()
+
+
+@st.composite
+def weights_and_batch(draw, scale=1.0, x_max=1e6):
+    """(m, xs) with ±0.0 entries, all-zero columns and empty dimensions."""
+    units = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, 7))
+    n = draw(st.integers(0, 5))
+    w = st.floats(-1.0, 1.0, allow_nan=False, width=64).map(lambda t: t * scale)
+    m = np.array(draw(st.lists(w, min_size=units * cols, max_size=units * cols)))
+    x = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-x_max, x_max, allow_nan=False, allow_infinity=False, width=64),
+    )
+    xs = np.array(draw(st.lists(x, min_size=n * cols, max_size=n * cols))).reshape(n, cols)
+    for j in draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=cols)):
+        xs[:, j] = draw(st.sampled_from([0.0, -0.0]))
+    return m.reshape(units, cols), xs
+
+
+def assert_rows_match(m, xs):
+    got = matmat(m, xs)
+    assert got.shape == (xs.shape[0], m.shape[0])
+    for r in range(xs.shape[0]):
+        assert got[r].tobytes() == matvec(m, xs[r]).tobytes()
+        assert got[r].tobytes() == ref_matvec(m, xs[r]).tobytes()
+
+
+class TestMatmat:
+    @settings(deadline=None, max_examples=300)
+    @given(weights_and_batch())
+    def test_rows_match_matvec_and_reference_bitwise(self, mx):
+        assert_rows_match(*mx)
+
+    @settings(deadline=None, max_examples=200)
+    @given(weights_and_batch(scale=1.7e308, x_max=1e10))
+    def test_overflow_to_inf_and_nan_bitwise(self, mx):
+        # finite weights near 1e308: products overflow and inf - inf gives NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_rows_match(*mx)
+
+    def test_overflow_example_has_nan(self):
+        m = np.array([[1e300, -1e300]])
+        xs = np.array([[1e10, 1e10], [1e10, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = matmat(m, xs)
+            assert np.isnan(got[0, 0]) and got[1, 0] == np.inf
+            assert_rows_match(m, xs)
+
+    def test_empty_dimensions(self):
+        assert matmat(np.zeros((3, 4)), np.zeros((0, 4))).shape == (0, 3)
+        assert matmat(np.zeros((0, 4)), np.ones((2, 4))).shape == (2, 0)
+        got = matmat(np.zeros((3, 0)), np.zeros((2, 0)))
+        assert got.tobytes() == np.zeros((2, 3)).tobytes()
+
+    def test_column_major_batch(self):
+        rng = np.random.default_rng(5)
+        m = rng.uniform(-1, 1, size=(4, 9))
+        xs = np.asfortranarray(rng.uniform(-1, 1, size=(6, 9)))
+        assert_rows_match(m, xs)
+
+    def test_shape_errors(self):
+        with pytest.raises(ContractViolation, match="2x3"):
+            matmat(np.zeros((2, 3)), np.zeros((1, 4)))
+        with pytest.raises(ContractViolation, match="2-dimensional"):
+            matmat(np.zeros((2, 3)), np.zeros(3))
+
+
+class TestZeroSkip:
+    @settings(deadline=None, max_examples=200)
+    @given(weights_and_batch(), st.data())
+    def test_signed_zero_vector_gives_positive_zero(self, mx, data):
+        m, _ = mx
+        cols = m.shape[1]
+        v = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=cols, max_size=cols)))
+        zeros = np.zeros(m.shape[0]).tobytes()
+        assert matvec(m, v).tobytes() == zeros
+        assert matmat(m, v.reshape(1, cols)).tobytes() == zeros
+
+    def test_negative_zero_product_after_skipped_columns(self):
+        # 5.0 * -0.0 is -0.0 in a live column; the +0.0 seed absorbs it
+        m = np.array([[5.0, -1.0, 2.0]])
+        v = np.array([0.0, 0.0, 3.0])
+        xs = np.array([[-0.0, 0.0, 3.0], [0.0, -0.0, -0.0]])
+        assert matvec(m, v).tobytes() == ref_matvec(m, v).tobytes()
+        assert_rows_match(m, xs)
+        assert matmat(m, xs)[1].tobytes() == np.zeros(1).tobytes()
 
 
 class TestDrops:

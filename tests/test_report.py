@@ -1,5 +1,6 @@
 """report tests: deviation measurement over collections and threshold sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from unitprune.prune import PruneConfig, prune_input_channels, prune_output_topn
 from unitprune.report import (
     SWEEP_CSV_HEADER,
     DeviationReport,
+    SweepPoint,
     compare_outputs,
     deviation_json,
     sweep,
@@ -213,3 +215,166 @@ def test_sweep_reports_nan_deviation_as_nan():
     sc = gen_scene(2, 2, 2, n_rois=3, pool_h=1, pool_w=1, seed=1)
     (pt,) = sweep(net, sc, [0.0])
     assert math.isnan(pt.max_abs)
+
+
+# -- per-example reference ----------------------------------------------------
+# The scoring loop as it was before batching: one 1-D output() per example and
+# network, totals folded one example at a time. The batched report functions
+# must reproduce every field of it byte for byte.
+
+
+def ref_deviation(pairs, kept=None, bound=None):
+    n = agree = coords = 0
+    max_abs = total_abs = 0.0
+    for oa, ob in pairs:
+        diff = np.abs((oa if kept is None else oa[kept]) - ob)
+        if diff.size:
+            max_abs = float(np.maximum(max_abs, diff.max()))
+            total_abs += float(diff.sum())
+            coords += diff.size
+        if oa.size == 0:
+            agree += 1
+        elif ob.size:
+            picked = int(np.argmax(ob))
+            agree += (picked if kept is None else kept[picked]) == int(np.argmax(oa))
+        n += 1
+    return DeviationReport(
+        n_examples=n,
+        max_abs=max_abs,
+        mean_abs=total_abs / coords if coords else 0.0,
+        argmax_agreement=agree / n if n else 1.0,
+        bound=bound,
+    )
+
+
+def ref_compare(original, pruned, examples, label_map=None, input_keep=None, bound=None):
+    kept = None if label_map is None else list(label_map.indices)
+    keep = None if input_keep is None else list(input_keep)
+    pairs = (
+        (output(original, x), output(pruned, x if keep is None else x[keep]))
+        for x in examples
+    )
+    return ref_deviation(pairs, kept, bound)
+
+
+def ref_sweep(net, scene, taus):
+    pooled = pooled_examples(scene)
+    base = [output(net, x) for x in pooled]
+    w0, b0 = net.layers[0].weights.size, net.layers[0].bias.size
+    points = []
+    for tau in taus:
+        pruned, rep = prune_input_channels(
+            net, channel_sums(scene.fmap), scene.pool_h, scene.pool_w,
+            PruneConfig.for_threshold(tau),
+        )
+        keep = list(rep.selections[0].kept)
+        dev = ref_deviation((oa, output(pruned, x[keep])) for x, oa in zip(pooled, base))
+        wa, ba = rep.params_after.per_layer[0]
+        points.append(
+            SweepPoint(
+                tau=tau,
+                pruned_units=len(rep.channels.pruned),
+                param_reduction=(w0 + b0 - wa - ba) / (w0 + b0),
+                mac_reduction=(w0 - wa) / w0,
+                max_abs=dev.max_abs,
+                argmax_agreement=dev.argmax_agreement,
+                bound=rep.deviation_bound if rep.deviation_bound is not None else 0.0,
+            )
+        )
+    return points
+
+
+def fields(record):
+    """Every field in shortest round-trip form, so NaN compares equal to NaN."""
+    return [repr(v) for v in dataclasses.astuple(record)]
+
+
+class TestBatchedMatchesPerExample:
+    def scene_and_net(self, n_rois, out=5, seed=4):
+        sc = gen_scene(6, 8, 8, zero_channels=2, n_rois=n_rois, pool_h=2, pool_w=2, seed=seed)
+        return sc, gen_network([24, 9, out], sparsity=0.3, seed=seed)
+
+    def test_input_keep_with_label_map(self):
+        sc, net = self.scene_and_net(40)
+        sums = channel_sums(sc.fmap)
+        narrow, prep = prune_input_channels(
+            net, sums, 2, 2, PruneConfig.thresholded(float(np.sort(sums)[3]))
+        )
+        top, lm, _ = prune_output_topn(narrow, [0.3, 0.9, 0.1, 0.8, 0.5], 3)
+        xs = pooled_examples(sc)
+        keep = prep.selections[0].kept
+        got = compare_outputs(net, top, xs, label_map=lm, input_keep=keep, bound=1.5)
+        assert fields(got) == fields(ref_compare(net, top, xs, lm, keep, 1.5))
+        assert got.max_abs > 0.0 and got.argmax_agreement < 1.0
+
+    def test_several_row_blocks(self):
+        # 600 regions: two full blocks of 256 and a partial one
+        sc, net = self.scene_and_net(600)
+        sums = channel_sums(sc.fmap)
+        pruned, prep = prune_input_channels(
+            net, sums, 2, 2, PruneConfig.thresholded(float(np.sort(sums)[2]))
+        )
+        xs = pooled_examples(sc)
+        keep = prep.selections[0].kept
+        got = compare_outputs(net, pruned, iter(xs), input_keep=keep)
+        assert got.n_examples == 600
+        assert fields(got) == fields(ref_compare(net, pruned, xs, input_keep=keep))
+        taus = [0.0, float(np.sort(sums)[2]), float(np.sort(sums)[4]), math.inf]
+        assert [fields(p) for p in sweep(net, sc, taus)] == [
+            fields(p) for p in ref_sweep(net, sc, taus)
+        ]
+
+    def test_wide_output_mean_abs(self):
+        # 150 outputs per row: numpy's pairwise row sums must fold like before
+        sc, net = self.scene_and_net(30, out=150)
+        sums = channel_sums(sc.fmap)
+        pruned, prep = prune_input_channels(
+            net, sums, 2, 2, PruneConfig.thresholded(float(np.sort(sums)[4]))
+        )
+        xs = pooled_examples(sc)
+        keep = prep.selections[0].kept
+        got = compare_outputs(net, pruned, xs, input_keep=keep)
+        assert fields(got) == fields(ref_compare(net, pruned, xs, input_keep=keep))
+
+    def test_no_examples(self):
+        _, net = self.scene_and_net(1)
+        assert fields(compare_outputs(net, net, [])) == fields(ref_compare(net, net, []))
+
+    def test_example_width_checked(self):
+        _, net = self.scene_and_net(1)
+        with pytest.raises(ContractViolation, match="example 1 has 5 values"):
+            compare_outputs(net, net, [np.zeros(24), np.zeros(5)])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_deviation(self):
+        big = np.full((2, 2), 1e308)
+        net = Network((DenseLayer(big, [0.0, 0.0]),
+                       DenseLayer(big, [0.0, 0.0], ActivationKind.IDENTITY)))
+        sc = gen_scene(2, 2, 2, n_rois=3, pool_h=1, pool_w=1, seed=1)
+        xs = pooled_examples(sc)
+        got = compare_outputs(net, net, xs)
+        assert math.isnan(got.max_abs)
+        assert fields(got) == fields(ref_compare(net, net, xs))
+        assert [fields(p) for p in sweep(net, sc, [0.0])] == [
+            fields(p) for p in ref_sweep(net, sc, [0.0])
+        ]
+
+
+class TestBatchedOutput:
+    def test_rows_equal_single_outputs(self):
+        sc = gen_scene(6, 8, 8, zero_channels=2, n_rois=20, pool_h=2, pool_w=2, seed=8)
+        net = gen_network([24, 9, 7, 5], sparsity=0.3, seed=8)
+        xs = np.array(pooled_examples(sc))
+        got = output(net, xs)
+        assert got.shape == (20, 5)
+        assert got.tobytes() == np.stack([output(net, x) for x in xs]).tobytes()
+
+    def test_empty_batch_and_empty_network(self):
+        net = gen_network([4, 3, 2], seed=1)
+        assert output(net, np.zeros((0, 4))).shape == (0, 2)
+        xs = np.arange(6.0).reshape(2, 3)
+        assert output(Network(()), xs).tobytes() == xs.tobytes()
+
+    def test_width_mismatch(self):
+        with pytest.raises(ContractViolation, match="expects 4 inputs"):
+            output(gen_network([4, 2], seed=1), np.zeros((3, 5)))
