@@ -25,7 +25,6 @@ from .model import (
 from .prune import (
     LabelMap,
     PruneConfig,
-    PruneMode,
     PruneReport,
     PruneSelection,
     backward_prune,
@@ -75,7 +74,6 @@ __all__ = [
     "Network",
     "ParamCount",
     "PruneConfig",
-    "PruneMode",
     "PruneReport",
     "PruneSelection",
     "Roi",

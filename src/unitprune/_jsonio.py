@@ -167,6 +167,16 @@ def number_list(val, where: str) -> list[float]:
     return out
 
 
+def labels(obj: dict, where: str) -> tuple[str, ...] | None:
+    """obj["labels"]: None when absent or null, else an array of strings."""
+    val = obj.get("labels")
+    if val is None:
+        return None
+    if not isinstance(val, list) or not all(isinstance(s, str) for s in val):
+        raise FormatError(f"{where}: labels must be null or an array of strings")
+    return tuple(val)
+
+
 def int_list(val, where: str) -> list[int]:
     if not isinstance(val, list):
         raise FormatError(f"{where}: expected an array of integers")

@@ -95,7 +95,7 @@ def _cmd_prune(args) -> int:
     if (args.scene is None) == (args.probe is None):
         raise UsageError("exactly one of --scene or --probe is required")
     net = load_network(_read(args.model))
-    cfg = PruneConfig.for_threshold(args.tau)
+    cfg = PruneConfig(args.tau)
     if args.scene is not None:
         if args.layer != 0:
             raise UsageError("--layer must be 0 when pruning from a scene")

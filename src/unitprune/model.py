@@ -143,7 +143,6 @@ class ActivationProfile:
     """Post-activation vectors per layer for one input, as produced by forward."""
 
     per_layer: tuple[np.ndarray, ...]
-    input_dim: int
 
     def layer(self, k: int) -> np.ndarray:
         if not 0 <= k < len(self.per_layer):
@@ -157,13 +156,19 @@ class ActivationProfile:
 class ParamCount:
     """Exact parameter and multiply-accumulate counts.
 
-    per_layer holds (weight_count, bias_count) pairs; macs counts one
-    multiply-accumulate per weight.
+    per_layer holds (weight_count, bias_count) pairs; total and macs are
+    derived from it, with one multiply-accumulate per weight.
     """
 
     per_layer: tuple[tuple[int, int], ...]
-    total: int
-    macs: int
+
+    @property
+    def total(self) -> int:
+        return sum(w + b for w, b in self.per_layer)
+
+    @property
+    def macs(self) -> int:
+        return sum(w for w, _ in self.per_layer)
 
 
 def forward(net: Network, x) -> ActivationProfile:
@@ -184,7 +189,7 @@ def forward(net: Network, x) -> ActivationProfile:
         z.setflags(write=False)
         per.append(z)
         h = z
-    return ActivationProfile(per_layer=tuple(per), input_dim=x.shape[0])
+    return ActivationProfile(per_layer=tuple(per))
 
 
 def output(net: Network, x) -> np.ndarray:
@@ -217,10 +222,7 @@ def output(net: Network, x) -> np.ndarray:
 
 
 def param_count(net: Network) -> ParamCount:
-    per = tuple((int(lay.weights.size), int(lay.bias.size)) for lay in net.layers)
-    total = sum(w + b for w, b in per)
-    macs = sum(w for w, _ in per)
-    return ParamCount(per_layer=per, total=total, macs=macs)
+    return ParamCount(tuple((int(lay.weights.size), int(lay.bias.size)) for lay in net.layers))
 
 
 def gen_network(
@@ -324,9 +326,4 @@ def load_network(data: bytes | str) -> Network:
             layers.append(DenseLayer(w, np.asarray(bias, dtype=np.float64), act))
         except ContractViolation as e:
             raise FormatError(f"{where}: {e}") from e
-    labels = doc.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
-            raise FormatError("model: labels must be null or an array of strings")
-        labels = tuple(labels)
-    return Network(tuple(layers), labels=labels)
+    return Network(tuple(layers), labels=_jsonio.labels(doc, "model"))

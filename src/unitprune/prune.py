@@ -21,7 +21,6 @@ probe's output can move.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -38,7 +37,6 @@ from .model import (
 )
 
 __all__ = [
-    "PruneMode",
     "PruneConfig",
     "PruneSelection",
     "LabelMap",
@@ -62,45 +60,30 @@ __all__ = [
 REPORT_KINDS = ("units", "input-channels", "topn")
 
 
-class PruneMode(enum.Enum):
-    EXACT_ZERO = "exact-zero"
-    THRESHOLDED = "thresholded"
-
-
 @dataclass(frozen=True)
 class PruneConfig:
     """Selection rule: prune where |activation| <= threshold.
 
-    EXACT_ZERO requires threshold 0.0 and promises bit-identical outputs;
-    THRESHOLDED allows any nonnegative threshold (including +inf) and only
-    promises the deviation_bound certificate.
+    threshold is nonnegative and may be +inf. At 0.0 only exact zeros are
+    selected and outputs stay bit-identical; above it the deviation_bound
+    certificate says how far they can move.
     """
 
     threshold: float = 0.0
-    mode: PruneMode = PruneMode.EXACT_ZERO
 
     def __post_init__(self):
         t = float(self.threshold)
         if not t >= 0.0:
             raise ContractViolation(f"threshold must be nonnegative, got {self.threshold}")
-        if self.mode is PruneMode.EXACT_ZERO and t != 0.0:
-            raise ContractViolation(f"exact-zero mode requires threshold 0, got {self.threshold}")
-        if not isinstance(self.mode, PruneMode):
-            raise ContractViolation(f"unknown prune mode: {self.mode!r}")
         object.__setattr__(self, "threshold", t)
 
     @classmethod
     def exact_zero(cls) -> "PruneConfig":
-        return cls(0.0, PruneMode.EXACT_ZERO)
+        return cls(0.0)
 
     @classmethod
     def thresholded(cls, threshold: float) -> "PruneConfig":
-        return cls(threshold, PruneMode.THRESHOLDED)
-
-    @classmethod
-    def for_threshold(cls, threshold: float) -> "PruneConfig":
-        """exact_zero at 0.0, thresholded otherwise."""
-        return cls.exact_zero() if float(threshold) == 0.0 else cls.thresholded(threshold)
+        return cls(threshold)
 
 
 @dataclass(frozen=True)
@@ -171,60 +154,58 @@ class LabelMap:
 
 @dataclass(frozen=True)
 class PruneReport:
-    """What a pruning call did: selections, exact counts, and the certificate.
+    """What a pruning call did: one selection, exact counts, and the certificate.
 
-    deviation_bound is None when no probe was supplied, 0.0 for transforms
-    that cannot change the surviving outputs, and otherwise an upper bound
-    on the infinity-norm output change for the probe (or, for
-    input-channels pruning, for every region of the scene at once).
+    channels is the channel-level selection behind an input-channels report,
+    and None for the other kinds. deviation_bound is None when no probe was
+    supplied, 0.0 for transforms that cannot change the surviving outputs,
+    and otherwise an upper bound on the infinity-norm output change for the
+    probe (or, for input-channels pruning, for every region of the scene at
+    once). The reduction fractions are derived from the counts, which may
+    only shrink.
     """
 
     kind: str
     selections: tuple[PruneSelection, ...]
     params_before: ParamCount
     params_after: ParamCount
-    layer_reduction: tuple[tuple[int, float], ...]
-    total_reduction: float
     deviation_bound: float | None = None
     channels: PruneSelection | None = None
 
     def __post_init__(self):
         if self.kind not in REPORT_KINDS:
             raise ValidationError(f"unknown report kind {self.kind!r}")
-        object.__setattr__(self, "selections", tuple(self.selections))
-        object.__setattr__(
-            self,
-            "layer_reduction",
-            tuple((int(k), float(f)) for k, f in self.layer_reduction),
+        sels = tuple(self.selections)
+        if len(sels) != 1:
+            raise ValidationError(f"a report holds exactly one selection, got {len(sels)}")
+        if (self.channels is None) == (self.kind == "input-channels"):
+            raise ValidationError("channels are present exactly in input-channels reports")
+        before, after = self.params_before.per_layer, self.params_after.per_layer
+        if len(before) != len(after):
+            raise ValidationError(
+                f"params_before has {len(before)} layers but params_after has {len(after)}"
+            )
+        for k, ((wb, bb), (wa, ba)) in enumerate(zip(before, after)):
+            if wa > wb or ba > bb:
+                raise ValidationError(f"layer {k} has more parameters after pruning than before")
+        object.__setattr__(self, "selections", sels)
+
+    @property
+    def layer_reduction(self) -> tuple[tuple[int, float], ...]:
+        """(layer, fraction of its parameters removed) for each changed layer."""
+        return tuple(
+            (k, (wb + bb - wa - ba) / (wb + bb))
+            for k, ((wb, bb), (wa, ba)) in enumerate(
+                zip(self.params_before.per_layer, self.params_after.per_layer)
+            )
+            if (wb, bb) != (wa, ba)
         )
 
-
-def _build_report(
-    kind: str,
-    selections: tuple[PruneSelection, ...],
-    before: Network,
-    after: Network,
-    bound: float | None,
-    channels: PruneSelection | None = None,
-) -> PruneReport:
-    pb = param_count(before)
-    pa = param_count(after)
-    reductions = []
-    for k, ((wb, bb), (wa, ba)) in enumerate(zip(pb.per_layer, pa.per_layer)):
-        if (wb, bb) != (wa, ba):
-            layer_total = wb + bb
-            reductions.append((k, (layer_total - wa - ba) / layer_total))
-    total = (pb.total - pa.total) / pb.total if pb.total else 0.0
-    return PruneReport(
-        kind=kind,
-        selections=selections,
-        params_before=pb,
-        params_after=pa,
-        layer_reduction=tuple(reductions),
-        total_reduction=total,
-        deviation_bound=bound,
-        channels=channels,
-    )
+    @property
+    def total_reduction(self) -> float:
+        """Fraction of all parameters removed."""
+        before = self.params_before.total
+        return (before - self.params_after.total) / before if before else 0.0
 
 
 # -- selection --------------------------------------------------------------
@@ -369,7 +350,8 @@ def prune_units(
     new = (_drop_units(lay, sel.kept), _drop_inputs(nxt, sel.kept))
     layers = net.layers[:layer] + new + net.layers[layer + 2 :]
     pruned_net = Network(layers, labels=net.labels)
-    return pruned_net, _build_report("units", (sel,), net, pruned_net, bound)
+    report = PruneReport("units", (sel,), param_count(net), param_count(pruned_net), bound)
+    return pruned_net, report
 
 
 def prune_input_channels(
@@ -405,9 +387,10 @@ def prune_input_channels(
     pruned_net = forward_prune(net, 0, colsel)
     probe = np.repeat(s, cells)
     bound = column_drop_bound(net, 0, probe, cols)
-    return pruned_net, _build_report(
-        "input-channels", (colsel,), net, pruned_net, bound, channels=csel
+    report = PruneReport(
+        "input-channels", (colsel,), param_count(net), param_count(pruned_net), bound, csel
     )
+    return pruned_net, report
 
 
 def prune_output_topn(
@@ -437,7 +420,7 @@ def prune_output_topn(
     pruned_net = backward_prune(net, len(net.layers) - 1, sel)
     names = None if net.labels is None else tuple(net.labels[i] for i in kept)
     label_map = LabelMap(indices=kept, names=names)
-    report = _build_report("topn", (sel,), net, pruned_net, 0.0)
+    report = PruneReport("topn", (sel,), param_count(net), param_count(pruned_net), 0.0)
     return pruned_net, label_map, report
 
 
@@ -528,21 +511,26 @@ def deviation_bound(
 # -- serialization ----------------------------------------------------------
 
 
+def _params_doc(params: ParamCount) -> dict:
+    return {"per_layer": params.per_layer, "total": params.total, "macs": params.macs}
+
+
 def save_report(report: PruneReport) -> bytes:
     """Serialize a PruneReport to deterministic valid JSON.
 
-    Selections and parameter counts are written field for field, in their
-    dataclass order.
+    Selections are written field for field, in their dataclass order; the
+    derived totals and reduction fractions are written too, for readers of
+    the file, and load_report checks them against the per-layer counts.
     """
     bound, channels = report.deviation_bound, report.channels
     return _jsonio.dump_doc(
         {
             "kind": report.kind,
             "layer_reduction": report.layer_reduction,
-            "total_reduction": float(report.total_reduction),
+            "total_reduction": report.total_reduction,
             "deviation_bound": None if bound is None else float(bound),
-            "params_before": asdict(report.params_before),
-            "params_after": asdict(report.params_after),
+            "params_before": _params_doc(report.params_before),
+            "params_after": _params_doc(report.params_after),
             "selections": _jsonio.Lines(map(asdict, report.selections)),
             "channels": None if channels is None else asdict(channels),
         }
@@ -571,28 +559,30 @@ def _params_from_doc(entry, where: str) -> ParamCount:
     macs = _jsonio.get(entry, "macs", int, where)
     if total != sum(w + b for w, b in per) or macs != sum(w for w, _ in per):
         raise FormatError(f"{where}: totals do not match per-layer counts")
-    return ParamCount(per_layer=tuple(per), total=total, macs=macs)
+    return ParamCount(tuple(per))
+
+
+def _same_numbers(stored, derived) -> bool:
+    """A parsed JSON value equals derived numbers, nested tuples as arrays.
+
+    Numbers compare by value, so 1 matches 1.0; a bool never matches.
+    """
+    if isinstance(derived, tuple):
+        return (
+            isinstance(stored, list)
+            and len(stored) == len(derived)
+            and all(map(_same_numbers, stored, derived))
+        )
+    return not isinstance(stored, bool) and isinstance(stored, (int, float)) and stored == derived
 
 
 def load_report(data: bytes | str) -> PruneReport:
-    """Parse the version-1 report format."""
+    """Parse the version-1 report format.
+
+    The stored reduction fractions must equal the ones the counts give.
+    """
     doc = _jsonio.parse_doc(data, "report")
     kind = _jsonio.get(doc, "kind", str, "report")
-    if kind not in REPORT_KINDS:
-        raise FormatError(f"report: unknown kind {kind!r}")
-    raw_red = _jsonio.get(doc, "layer_reduction", list, "report")
-    reductions = []
-    for i, pair in enumerate(raw_red):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise FormatError(f"report layer_reduction[{i}]: expected [layer, fraction]")
-        k = pair[0]
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise FormatError(f"report layer_reduction[{i}]: layer must be an integer")
-        f = pair[1]
-        if isinstance(f, bool) or not isinstance(f, (int, float)):
-            raise FormatError(f"report layer_reduction[{i}]: fraction must be a number")
-        reductions.append((k, float(f)))
-    total_red = _jsonio.get(doc, "total_reduction", float, "report")
     bound = doc.get("deviation_bound")
     if bound is not None:
         if isinstance(bound, bool) or not isinstance(bound, (int, float)):
@@ -608,18 +598,13 @@ def load_report(data: bytes | str) -> PruneReport:
     if channels is not None:
         channels = _selection_from_doc(channels, "channels")
     try:
-        return PruneReport(
-            kind=kind,
-            selections=sels,
-            params_before=pb,
-            params_after=pa,
-            layer_reduction=tuple(reductions),
-            total_reduction=total_red,
-            deviation_bound=bound,
-            channels=channels,
-        )
+        report = PruneReport(kind, sels, pb, pa, bound, channels)
     except ContractViolation as e:
         raise FormatError(f"report: {e}") from e
+    for key in ("layer_reduction", "total_reduction"):
+        if not _same_numbers(_jsonio.get(doc, key, object, "report"), getattr(report, key)):
+            raise FormatError(f"report: {key} does not match params_before and params_after")
+    return report
 
 
 def save_labelmap(label_map: LabelMap) -> bytes:
@@ -631,12 +616,7 @@ def load_labelmap(data: bytes | str) -> LabelMap:
     """Parse the version-1 label map format."""
     doc = _jsonio.parse_doc(data, "label map")
     kept = _jsonio.int_list(_jsonio.get(doc, "kept", list, "label map"), "label map kept")
-    names = doc.get("labels")
-    if names is not None:
-        if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
-            raise FormatError("label map: labels must be null or an array of strings")
-        names = tuple(names)
     try:
-        return LabelMap(indices=tuple(kept), names=names)
+        return LabelMap(indices=tuple(kept), names=_jsonio.labels(doc, "label map"))
     except ContractViolation as e:
         raise FormatError(f"label map: {e}") from e

@@ -9,6 +9,7 @@ totals, no clocks and no global RNG.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -35,6 +36,8 @@ __all__ = [
 _BLOCK_ROWS = 256
 
 SWEEP_CSV_HEADER = "tau,pruned_units,param_reduction,mac_reduction,max_abs,argmax_agreement"
+# The SweepPoint fields a sweep measures: a CSV row may not hold a NaN or inf here.
+_MEASURED = ("param_reduction", "mac_reduction", "max_abs", "argmax_agreement")
 
 
 @dataclass(frozen=True)
@@ -223,7 +226,7 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
     w0, b0 = net.layers[0].weights.size, net.layers[0].bias.size
     points = []
     for tau in taus:
-        cfg = PruneConfig.for_threshold(tau)
+        cfg = PruneConfig(tau)
         pruned_net, rep = prune_input_channels(net, sums, scene.pool_h, scene.pool_w, cfg)
         keep = list(rep.selections[0].kept)
         dev = _deviation(
@@ -246,22 +249,19 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
 
 
 def sweep_csv(points: Sequence[SweepPoint]) -> str:
-    """Render sweep points as CSV, floats in shortest round-trip form."""
+    """Render sweep points as CSV, floats in shortest round-trip form.
+
+    tau may be inf, but a non-finite measured value (say, a max_abs that
+    overflowed to NaN) raises ContractViolation instead of printing a row.
+    """
     fmt = linalg.fmt_float
     lines = [SWEEP_CSV_HEADER]
     for p in points:
-        lines.append(
-            ",".join(
-                (
-                    fmt(p.tau),
-                    str(p.pruned_units),
-                    fmt(p.param_reduction),
-                    fmt(p.mac_reduction),
-                    fmt(p.max_abs),
-                    fmt(p.argmax_agreement),
-                )
-            )
-        )
+        measured = [getattr(p, name) for name in _MEASURED]
+        for name, value in zip(_MEASURED, measured):
+            if not math.isfinite(value):
+                raise ContractViolation(f"sweep at tau {fmt(p.tau)}: {name} is {fmt(value)}")
+        lines.append(",".join((fmt(p.tau), str(p.pruned_units), *map(fmt, measured))))
     return "\n".join(lines) + "\n"
 
 

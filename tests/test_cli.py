@@ -372,3 +372,38 @@ def test_eval_of_overflowing_model_exits_1(tmp_path, capsys):
                            pool_h=1, pool_w=1, seed=1)
     assert run("eval", "--model-a", model, "--model-b", model, "--scene", scene) == 1
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_of_overflowing_model_exits_1_and_writes_nothing(tmp_path, capsys):
+    gen_net(tmp_path / "m.net", sizes="16,8,3", sparsity=0.0, seed=3)
+    net = load_network((tmp_path / "m.net").read_bytes())
+    big = Network(tuple(DenseLayer(lay.weights * 1e300, lay.bias, lay.activation)
+                        for lay in net.layers))
+    model = tmp_path / "big.net"
+    model.write_bytes(save_network(big))
+    scene = gen_scene_file(tmp_path / "s.scene", c=4, h=4, w=4, n_rois=3,
+                           pool_h=2, pool_w=2, seed=1)
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--model", model, "--scene", scene, "--thresholds", "0,1,inf",
+               "--out", out) == 1
+    assert not out.exists()
+    assert run("sweep", "--model", model, "--scene", scene, "--thresholds", "0") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_abs" in captured.err
+
+
+def test_eval_with_empty_selection_report_is_format_error(tmp_path, capsys):
+    scene = gen_scene_file(tmp_path / "s.scene", c=4, h=4, w=4, zero_channels=2,
+                           n_rois=3, pool_h=2, pool_w=2, seed=1)
+    model = gen_net(tmp_path / "m.net", sizes="16,5,3", sparsity=0.0)
+    report = tmp_path / "p.report"
+    assert run("prune", "--model", model, "--scene", scene, "--out", tmp_path / "p.net",
+               "--report", report) == 0
+    doc = json.loads(report.read_text())
+    doc["selections"] = []
+    report.write_text(json.dumps(doc))
+    assert run("eval", "--model-a", model, "--model-b", tmp_path / "p.net", "--scene", scene,
+               "--report", report) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("format error: ")

@@ -1,14 +1,17 @@
 """prune tests: selection rules, the two transforms, accounting, certificate."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitprune.errors import ContractViolation, FormatError
+from unitprune.errors import ContractViolation, FormatError, ValidationError
 from unitprune.model import (
     ActivationKind,
     DenseLayer,
     Network,
+    ParamCount,
     forward,
     gen_network,
     output,
@@ -17,7 +20,7 @@ from unitprune.model import (
 from unitprune.prune import (
     LabelMap,
     PruneConfig,
-    PruneMode,
+    PruneReport,
     PruneSelection,
     backward_prune,
     channel_columns,
@@ -47,20 +50,14 @@ def relu_layer(w, b):
 class TestPruneConfig:
     def test_exact_zero(self):
         cfg = PruneConfig.exact_zero()
-        assert cfg.threshold == 0.0 and cfg.mode is PruneMode.EXACT_ZERO
-
-    def test_exact_zero_with_positive_tau_rejected(self):
-        with pytest.raises(ContractViolation):
-            PruneConfig(0.5, PruneMode.EXACT_ZERO)
+        assert cfg.threshold == 0.0
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ContractViolation):
             PruneConfig.thresholded(-1.0)
 
     def test_for_threshold_dispatch(self):
-        assert PruneConfig.for_threshold(0.0).mode is PruneMode.EXACT_ZERO
-        assert PruneConfig.for_threshold(0.1).mode is PruneMode.THRESHOLDED
-        assert PruneConfig.for_threshold(float("inf")).threshold == float("inf")
+        assert PruneConfig(float("inf")).threshold == float("inf")
 
 
 class TestPruneSelection:
@@ -119,8 +116,8 @@ class TestSelection:
     )
     def test_monotone_in_threshold(self, vals, t1, t2):
         lo, hi = sorted((t1, t2))
-        a = select_units(vals, PruneConfig.for_threshold(lo))
-        b = select_units(vals, PruneConfig.for_threshold(hi))
+        a = select_units(vals, PruneConfig(lo))
+        b = select_units(vals, PruneConfig(hi))
         assert set(a.pruned) <= set(b.pruned)
 
 
@@ -472,6 +469,62 @@ class TestReportSerialization:
         bad = text.replace('"total": 26', '"total": 27')
         with pytest.raises(FormatError, match="totals"):
             load_report(bad)
+
+    @staticmethod
+    def units_doc():
+        net = gen_network([3, 4, 2], seed=0)
+        _, rep = prune_units(net, 0, PruneSelection.from_pruned((1,), 4))
+        return json.loads(save_report(rep))
+
+    def test_tampered_layer_reduction_rejected(self):
+        doc = self.units_doc()
+        doc["layer_reduction"][0][1] = 0.5
+        with pytest.raises(FormatError, match="layer_reduction"):
+            load_report(json.dumps(doc))
+
+    def test_tampered_total_reduction_rejected(self):
+        doc = self.units_doc()
+        doc["total_reduction"] = 0.25
+        with pytest.raises(FormatError, match="total_reduction"):
+            load_report(json.dumps(doc))
+
+    def test_bool_layer_index_rejected(self):
+        doc = self.units_doc()
+        assert doc["layer_reduction"][1][0] == 1
+        doc["layer_reduction"][1][0] = True
+        with pytest.raises(FormatError, match="layer_reduction"):
+            load_report(json.dumps(doc))
+
+    def test_integer_fraction_accepted(self):
+        net = gen_network([3, 4, 2], seed=0)
+        _, rep = prune_units(net, 0, PruneSelection.from_pruned((0, 1, 2, 3), 4))
+        doc = json.loads(save_report(rep))
+        assert doc["layer_reduction"][0] == [0, 1.0]
+        doc["layer_reduction"][0][1] = 1
+        assert load_report(json.dumps(doc)).layer_reduction == rep.layer_reduction
+
+    @pytest.mark.parametrize("before", [None, [[0, 0], [8, 2]]])
+    def test_params_after_larger_than_before_rejected(self, before):
+        doc = self.units_doc()
+        doc["params_before"], doc["params_after"] = doc["params_after"], doc["params_before"]
+        if before is not None:
+            # a zero-parameter layer that grows would divide by zero in its fraction
+            doc["params_before"] = {"per_layer": before, "total": 10, "macs": 8}
+        with pytest.raises(FormatError, match="more parameters after pruning"):
+            load_report(json.dumps(doc))
+
+    def test_report_shape_enforced(self):
+        net = gen_network([4, 3], seed=1)
+        _, rep = prune_input_channels(net, [0.0, 1.0], 1, 2, PruneConfig.exact_zero())
+        sel, pb, pa = rep.selections[0], rep.params_before, rep.params_after
+        with pytest.raises(ValidationError, match="exactly one selection"):
+            PruneReport("input-channels", (sel, sel), pb, pa, 0.0, rep.channels)
+        with pytest.raises(ValidationError, match="channels"):
+            PruneReport("input-channels", (sel,), pb, pa, 0.0)
+        with pytest.raises(ValidationError, match="channels"):
+            PruneReport("topn", (sel,), pb, pa, 0.0, rep.channels)
+        with pytest.raises(ValidationError, match="layers"):
+            PruneReport("input-channels", (sel,), pb, ParamCount(()), 0.0, rep.channels)
 
     def test_unknown_kind_rejected(self):
         net = gen_network([3, 4, 2], seed=0)

@@ -217,6 +217,21 @@ def test_sweep_reports_nan_deviation_as_nan():
     assert math.isnan(pt.max_abs)
 
 
+@pytest.mark.parametrize(
+    "column", ["param_reduction", "mac_reduction", "max_abs", "argmax_agreement"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_sweep_csv_refuses_non_finite_measurement(column, value):
+    good = SweepPoint(0.0, 1, 0.5, 0.5, 0.0, 1.0)
+    with pytest.raises(ContractViolation, match=column):
+        sweep_csv([good, dataclasses.replace(good, **{column: value})])
+
+
+def test_sweep_csv_writes_infinite_tau():
+    text = sweep_csv([SweepPoint(math.inf, 3, 1.0, 1.0, 2.5, 0.5)])
+    assert text.splitlines()[1] == "inf,3,1.0,1.0,2.5,0.5"
+
+
 # -- per-example reference ----------------------------------------------------
 # The scoring loop as it was before batching: one 1-D output() per example and
 # network, totals folded one example at a time. The batched report functions
@@ -265,7 +280,7 @@ def ref_sweep(net, scene, taus):
     for tau in taus:
         pruned, rep = prune_input_channels(
             net, channel_sums(scene.fmap), scene.pool_h, scene.pool_w,
-            PruneConfig.for_threshold(tau),
+            PruneConfig(tau),
         )
         keep = list(rep.selections[0].kept)
         dev = ref_deviation((oa, output(pruned, x[keep])) for x, oa in zip(pooled, base))
