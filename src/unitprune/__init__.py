@@ -56,6 +56,7 @@ from .scene import (
     channel_sums,
     gen_scene,
     load_scene,
+    pool_regions,
     roi_pool,
     save_scene,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "matvec",
     "output",
     "param_count",
+    "pool_regions",
     "prune_input_channels",
     "prune_output_topn",
     "prune_units",

@@ -27,6 +27,9 @@ from .errors import ContractViolation, FormatError
 
 FORMAT_VERSION = 1
 
+# json.loads makes exactly these for JSON numbers; bool, a subclass of int, is not one
+_NUMBER_TYPES = frozenset({int, float})
+
 
 class Rows(NamedTuple):
     """A 2-D float array to write flat, one row per line."""
@@ -126,14 +129,25 @@ def parse_doc(data: bytes | str, what: str) -> dict:
     return doc
 
 
+def _numbers(val: list) -> bool:
+    """Every item is a JSON number: one C-level scan, and bool is not int."""
+    return set(map(type, val)) <= _NUMBER_TYPES
+
+
+def _floats(val: list, where: str) -> np.ndarray:
+    """A list of JSON numbers as float64, each value rounded as float(v) would."""
+    try:
+        return np.array(val, dtype=np.float64)
+    except OverflowError:
+        raise FormatError(f"{where}: integer too large for a float") from None
+
+
 def parse_vector(data: bytes | str, what: str) -> np.ndarray:
     """Parse a bare JSON array of numbers (probe inputs, class scores)."""
     doc = _loads(data, what)
-    if not isinstance(doc, list) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in doc
-    ):
+    if not isinstance(doc, list) or not _numbers(doc):
         raise FormatError(f"{what} file must be a JSON array of numbers")
-    return np.asarray([float(v) for v in doc], dtype=np.float64)
+    return _floats(doc, f"{what} file")
 
 
 def get(obj, key: str, kind, where: str):
@@ -146,7 +160,10 @@ def get(obj, key: str, kind, where: str):
     if kind is float:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise FormatError(f"{where}: key {key!r} must be a number")
-        return float(val)
+        try:
+            return float(val)
+        except OverflowError:
+            raise FormatError(f"{where}: key {key!r} is too large for a float") from None
     if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise FormatError(f"{where}: key {key!r} must be an integer")
@@ -156,15 +173,14 @@ def get(obj, key: str, kind, where: str):
     return val
 
 
-def number_list(val, where: str) -> list[float]:
+def number_list(val, where: str) -> np.ndarray:
+    """A JSON array of numbers as a float64 array."""
     if not isinstance(val, list):
         raise FormatError(f"{where}: expected an array of numbers")
-    out = []
-    for v in val:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise FormatError(f"{where}: expected numbers, found {type(v).__name__}")
-        out.append(float(v))
-    return out
+    if not _numbers(val):
+        bad = next(v for v in val if type(v) not in _NUMBER_TYPES)
+        raise FormatError(f"{where}: expected numbers, found {type(bad).__name__}")
+    return _floats(val, where)
 
 
 def labels(obj: dict, where: str) -> tuple[str, ...] | None:

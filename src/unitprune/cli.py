@@ -27,9 +27,12 @@ from .prune import (
     select_units,
 )
 from .report import compare_outputs, deviation_json, sweep, sweep_csv
-from .scene import channel_sums, gen_scene, load_scene, roi_pool, save_scene
+from .scene import channel_sums, gen_scene, load_scene, pool_regions, save_scene
 
 __all__ = ["main", "build_parser"]
+
+# Regions pooled per pool_regions call in eval: bounds the pooled rows held at once.
+_POOL_ROWS = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,7 +149,11 @@ def _cmd_eval(args) -> int:
             f"model expects {original.input_dim} inputs but the scene pools to "
             f"{sc.pooled_width}"
         )
-    examples = (roi_pool(sc.fmap, r, sc.pool_h, sc.pool_w) for r in sc.rois)
+    examples = (
+        x
+        for lo in range(0, len(sc.rois), _POOL_ROWS)
+        for x in pool_regions(sc.fmap, sc.rois[lo : lo + _POOL_ROWS], sc.pool_h, sc.pool_w)
+    )
     dr = compare_outputs(
         original, pruned, examples, label_map=label_map, input_keep=input_keep, bound=bound
     )

@@ -16,10 +16,22 @@ exact for the same reason pruning is: with finite weights the skipped
 products are all ±0.0, a sum seeded at +0.0 never becomes -0.0, and adding
 ±0.0 to any other value returns it unchanged. matvec skips the zero entries
 of its vector the same way.
+
+nested_matmat runs one such column pass for a family of nested column
+subsets at once: member i keeps column j when depth[j] > i, so each member
+keeps a subset of the columns of the member before it. Each live column's
+product is computed once and added to every accumulator whose members keep
+it. Sharing is exact because a member's accumulator receives exactly the
+additions its own matmat would, in the same order: until the first live
+column that a member drops and its parent keeps, the two have seen the same
+products and hold the same bytes, so they can share one array. At that
+column the shared array is copied, the dropping members keep the copy and
+the others add the product. matmat is the one-member case of the same loop.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 
 import numpy as np
@@ -31,6 +43,7 @@ __all__ = [
     "matrix",
     "matvec",
     "matmat",
+    "nested_matmat",
     "relu",
     "drop_rows",
     "drop_cols",
@@ -114,19 +127,46 @@ def matmat(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
     in ascending order, skipping columns that are zero (or -0.0) in every
     row; the module docstring gives the argument. m must be finite.
     """
+    return _column_pass("matmat", m, xs, None, 1)[0]
+
+
+def nested_matmat(m: np.ndarray, xs: np.ndarray, depth, members: int) -> list[np.ndarray]:
+    """matmat for `members` nested column subsets of m, in one column pass.
+
+    Member i keeps the columns j with depth[j] > i, so depth holds one
+    integer in 0..members per column. Result i is byte-identical to
+    matmat(m[:, K], xs[:, K]) for K = flatnonzero(depth > i). Members whose
+    sums never part share one array, so modify no result in place. m must be
+    finite.
+    """
+    d = np.asarray(depth)
+    if d.ndim != 1 or not np.issubdtype(d.dtype, np.integer):
+        raise ContractViolation("nested_matmat: depth must be a 1-D integer array")
+    if members < 0 or (d.size and (d.min() < 0 or d.max() > members)):
+        raise ContractViolation(f"nested_matmat: depth values must lie in 0..{members}")
+    return _column_pass("nested_matmat", m, xs, d, members)
+
+
+def _column_pass(name: str, m: np.ndarray, xs: np.ndarray, depth, members: int) -> list:
+    """The one column loop behind matmat and nested_matmat (depth None: all ones)."""
     if m.ndim != 2:
-        raise ContractViolation(f"matmat: matrix must be 2-dimensional, got shape {m.shape}")
+        raise ContractViolation(f"{name}: matrix must be 2-dimensional, got shape {m.shape}")
     if xs.ndim != 2:
-        raise ContractViolation(f"matmat: batch must be 2-dimensional, got shape {xs.shape}")
+        raise ContractViolation(f"{name}: batch must be 2-dimensional, got shape {xs.shape}")
     units, cols = m.shape
     if cols != xs.shape[1]:
         raise ContractViolation(
-            f"matmat: matrix is {units}x{cols} but batch rows have length {xs.shape[1]}"
+            f"{name}: matrix is {units}x{cols} but batch rows have length {xs.shape[1]}"
         )
     acc = np.zeros((xs.shape[0], units))
-    live = np.flatnonzero(xs.any(axis=0))
+    kept = xs.any(axis=0)
+    if depth is not None:
+        if depth.shape[0] != cols:
+            raise ContractViolation(f"{name}: {depth.shape[0]} depths for {cols} columns")
+        kept &= depth > 0
+    live = np.flatnonzero(kept)
     if acc.size == 0 or live.size == 0:
-        return acc
+        return [acc] * members
     # one gather per call, so each step reads one contiguous row of xt and wt;
     # a column-major xs without zero columns is read in place
     xt = xs.T
@@ -134,11 +174,22 @@ def matmat(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
         xt = xt[live]
     xt = xt[:, :, None]
     wt = m.T[live]
+    reach = [members] * live.size if depth is None else depth[live].tolist()
+    # sums[g] serves members firsts[g] .. firsts[g + 1] - 1; the last first is a bound
+    firsts, sums = [0, members], [acc]
     tmp = np.empty_like(acc)
-    for xj, wj in zip(xt, wt):
-        np.multiply(xj, wj, out=tmp)
-        acc += tmp
-    return acc
+    # finite weights can still overflow; the inf/NaN is the result, not a fault
+    with np.errstate(over="ignore", invalid="ignore"):
+        for xj, wj, d in zip(xt, wt, reach):
+            np.multiply(xj, wj, out=tmp)
+            k = bisect_left(firsts, d)  # groups 0..k-1 start below d and keep column j
+            if d < firsts[k]:
+                # members d.. of group k-1 drop column j: they part here with a copy
+                firsts.insert(k, d)
+                sums.insert(k, sums[k - 1].copy())
+            for s in sums[:k]:
+                s += tmp
+    return [s for s, lo, hi in zip(sums, firsts, firsts[1:]) for _ in range(lo, hi)]
 
 
 def relu(v: np.ndarray) -> np.ndarray:

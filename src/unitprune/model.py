@@ -322,8 +322,7 @@ def load_network(data: bytes | str) -> Network:
         if len(bias) != units:
             raise FormatError(f"{where} bias: expected {units} values, got {len(bias)}")
         try:
-            w = linalg.matrix(flat, units, inputs)
-            layers.append(DenseLayer(w, np.asarray(bias, dtype=np.float64), act))
+            layers.append(DenseLayer(linalg.matrix(flat, units, inputs), bias, act))
         except ContractViolation as e:
             raise FormatError(f"{where}: {e}") from e
     return Network(tuple(layers), labels=_jsonio.labels(doc, "model"))

@@ -587,7 +587,7 @@ def load_report(data: bytes | str) -> PruneReport:
     if bound is not None:
         if isinstance(bound, bool) or not isinstance(bound, (int, float)):
             raise FormatError("report: deviation_bound must be null or a number")
-        bound = float(bound)
+        bound = _jsonio.get(doc, "deviation_bound", float, "report")
     pb = _params_from_doc(_jsonio.get(doc, "params_before", dict, "report"), "params_before")
     pa = _params_from_doc(_jsonio.get(doc, "params_after", dict, "report"), "params_after")
     raw_sels = _jsonio.get(doc, "selections", list, "report")

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import _jsonio, linalg
 from .errors import ContractViolation
-from .model import Network, output
+from .model import ActivationKind, Network, output
 from .prune import LabelMap, PruneConfig, prune_input_channels
-from .scene import Scene, channel_sums, roi_pool
+from .scene import Scene, channel_sums, pool_regions
 
 __all__ = [
     "DeviationReport",
@@ -82,41 +82,48 @@ def _columns(xs: np.ndarray, keep: list[int] | None) -> np.ndarray:
     return xs if keep is None else xs.T[keep].T
 
 
-def _deviation(
-    blocks, kept: Sequence[int] | None = None, bound: float | None = None
-) -> DeviationReport:
-    """Measure (original_out, pruned_out) row blocks of shape (rows, outputs).
+class _Deviation:
+    """Running measurement of (original_out, pruned_out) row blocks of shape (rows, outputs).
 
     Totals fold one row at a time, left to right in Python floats, so
     mean_abs does not depend on the block size; np.max/np.maximum keep a NaN
     that max() would drop.
     """
-    n = agree = coords = 0
-    max_abs = total_abs = 0.0
-    for oa, ob in blocks:
-        diff = np.abs((oa if kept is None else oa[:, kept]) - ob)
+
+    def __init__(self, kept: Sequence[int] | None = None):
+        self.kept = kept
+        self.n = self.agree = self.coords = 0
+        self.max_abs = self.total_abs = 0.0
+
+    def add(self, oa: np.ndarray, ob: np.ndarray) -> None:
+        kept = self.kept
+        # inf - inf is NaN; the NaN is what gets reported
+        with np.errstate(invalid="ignore"):
+            diff = np.abs((oa if kept is None else oa[:, kept]) - ob)
         if diff.size:
-            max_abs = float(np.maximum(max_abs, np.max(diff)))
+            self.max_abs = float(np.maximum(self.max_abs, np.max(diff)))
             # diff is C-contiguous, so each row sums exactly as a 1-D diff would
             for row_abs in diff.sum(axis=1).tolist():
-                total_abs += row_abs
-            coords += diff.size
+                self.total_abs += row_abs
+            self.coords += diff.size
         rows = oa.shape[0]
         if oa.shape[1] == 0:
-            agree += rows
+            self.agree += rows
         elif ob.shape[1]:
             picked = np.argmax(ob, axis=1)
             if kept is not None:
                 picked = np.asarray(kept)[picked]
-            agree += int(np.count_nonzero(picked == np.argmax(oa, axis=1)))
-        n += rows
-    return DeviationReport(
-        n_examples=n,
-        max_abs=max_abs,
-        mean_abs=total_abs / coords if coords else 0.0,
-        argmax_agreement=agree / n if n else 1.0,
-        bound=bound,
-    )
+            self.agree += int(np.count_nonzero(picked == np.argmax(oa, axis=1)))
+        self.n += rows
+
+    def report(self, bound: float | None = None) -> DeviationReport:
+        return DeviationReport(
+            n_examples=self.n,
+            max_abs=self.max_abs,
+            mean_abs=self.total_abs / self.coords if self.coords else 0.0,
+            argmax_agreement=self.agree / self.n if self.n else 1.0,
+            bound=bound,
+        )
 
 
 def compare_outputs(
@@ -168,41 +175,47 @@ def compare_outputs(
         )
     width = original.input_dim
 
+    dev = _Deviation(kept_out)
+
     def score(xs):
-        return output(original, xs), output(pruned, _columns(xs, keep))
+        dev.add(output(original, xs), output(pruned, _columns(xs, keep)))
 
-    def blocks():
-        # examples are copied straight into one reused block buffer
-        buf = np.empty((_BLOCK_ROWS, width))
-        rows = 0
-        for i, x in enumerate(examples):
-            x = linalg.vector(x)
-            if x.shape[0] != width:
-                raise ContractViolation(
-                    f"example {i} has {x.shape[0]} values but the original "
-                    f"network expects {width} inputs"
-                )
-            buf[rows] = x
-            rows += 1
-            if rows == _BLOCK_ROWS:
-                yield score(buf)
-                rows = 0
-        if rows:
-            yield score(buf[:rows])
-
-    return _deviation(blocks(), kept_out, bound)
+    # examples are copied straight into one reused block buffer
+    buf = np.empty((_BLOCK_ROWS, width))
+    rows = 0
+    for i, x in enumerate(examples):
+        x = linalg.vector(x)
+        if x.shape[0] != width:
+            raise ContractViolation(
+                f"example {i} has {x.shape[0]} values but the original "
+                f"network expects {width} inputs"
+            )
+        buf[rows] = x
+        rows += 1
+        if rows == _BLOCK_ROWS:
+            score(buf)
+            rows = 0
+    if rows:
+        score(buf[:rows])
+    return dev.report(bound)
 
 
 def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[SweepPoint]:
     """Prune input channels at each threshold and measure the damage.
 
-    thresholds must be ascending and nonnegative. Every region of the scene
-    is pooled and run through the original network once. Each point prunes
-    the original network's input channels at that threshold, runs every
-    region through the pruned network, and records the channel count,
-    first-layer cost reductions, worst output deviation, and argmax
-    agreement. Larger thresholds always prune a superset of channels, so
-    pruned_units and both reduction columns are non-decreasing.
+    thresholds must be ascending and nonnegative. Each point prunes the
+    original network's input channels at that threshold and records the
+    channel count, first-layer cost reductions, worst output deviation over
+    every region, and argmax agreement. Larger thresholds always prune a
+    superset of channels, so pruned_units and both reduction columns are
+    non-decreasing.
+
+    The regions are pooled and scored a block at a time, in one pass shared
+    by the original network and every threshold: each pruned first layer is
+    the original one on a nested subset of its columns, so one
+    linalg.nested_matmat pass over the block gives every network's
+    first-layer sums, byte for byte what each pruned network computes.
+    Networks whose sums agree share the rest of the forward pass.
     """
     taus = [float(t) for t in thresholds]
     if not taus:
@@ -218,20 +231,40 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
             f"{scene.pooled_width}"
         )
     sums = channel_sums(scene.fmap)
-    pooled = np.empty((len(scene.rois), scene.pooled_width))
-    for i, r in enumerate(scene.rois):
-        pooled[i] = roi_pool(scene.fmap, r, scene.pool_h, scene.pool_w)
-    blocks = [pooled[lo : lo + _BLOCK_ROWS] for lo in range(0, len(pooled), _BLOCK_ROWS)]
-    base = [output(net, xs) for xs in blocks]
-    w0, b0 = net.layers[0].weights.size, net.layers[0].bias.size
+    reports = [
+        prune_input_channels(net, sums, scene.pool_h, scene.pool_w, PruneConfig(tau))[1]
+        for tau in taus
+    ]
+    # member 0 is the original network, member i + 1 the one pruned at taus[i];
+    # the keep sets shrink as tau grows, so depth[j] members keep column j
+    depth = np.ones(net.input_dim, dtype=np.intp)
+    for rep in reports:
+        depth[list(rep.selections[0].kept)] += 1
+    first, rest = net.layers[0], Network(net.layers[1:])
+
+    def finish(acc):
+        # a new array: acc may be shared with other members
+        h = acc + first.bias
+        if first.activation is ActivationKind.RELU:
+            h = linalg.relu(h)
+        return output(rest, h)
+
+    devs = [_Deviation() for _ in taus]
+    rois = scene.rois
+    for lo in range(0, len(rois), _BLOCK_ROWS):
+        xs = pool_regions(scene.fmap, rois[lo : lo + _BLOCK_ROWS], scene.pool_h, scene.pool_w)
+        accs = linalg.nested_matmat(first.weights, xs, depth, len(taus) + 1)
+        outs = {}
+        for acc in accs:
+            if id(acc) not in outs:
+                outs[id(acc)] = finish(acc)
+        base = outs[id(accs[0])]
+        for dev, acc in zip(devs, accs[1:]):
+            dev.add(base, outs[id(acc)])
+    w0, b0 = first.weights.size, first.bias.size
     points = []
-    for tau in taus:
-        cfg = PruneConfig(tau)
-        pruned_net, rep = prune_input_channels(net, sums, scene.pool_h, scene.pool_w, cfg)
-        keep = list(rep.selections[0].kept)
-        dev = _deviation(
-            (oa, output(pruned_net, _columns(xs, keep))) for xs, oa in zip(blocks, base)
-        )
+    for tau, rep, dev in zip(taus, reports, devs):
+        measured = dev.report()
         wa, ba = rep.params_after.per_layer[0]
         layer_params = w0 + b0
         points.append(
@@ -240,8 +273,8 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
                 pruned_units=len(rep.channels.pruned),
                 param_reduction=(layer_params - wa - ba) / layer_params if layer_params else 0.0,
                 mac_reduction=(w0 - wa) / w0 if w0 else 0.0,
-                max_abs=dev.max_abs,
-                argmax_agreement=dev.argmax_agreement,
+                max_abs=measured.max_abs,
+                argmax_agreement=measured.argmax_agreement,
                 bound=rep.deviation_bound if rep.deviation_bound is not None else 0.0,
             )
         )

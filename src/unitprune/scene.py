@@ -25,6 +25,7 @@ __all__ = [
     "FeatureMap",
     "Roi",
     "Scene",
+    "pool_regions",
     "roi_pool",
     "channel_sums",
     "gen_scene",
@@ -138,41 +139,59 @@ class Scene:
         return self.fmap.channels * self.pool_h * self.pool_w
 
 
-def _cell_spans(extent: int, cells: int) -> list[tuple[int, int]]:
-    """Half-open spans assigning `extent` positions to `cells` pool cells.
+def _cell_spans(lo: np.ndarray, hi: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-open cell spans of each region extent [lo, hi), shape (regions, cells).
 
-    Boundaries are floor(i * extent / cells). When the region is smaller than
-    the grid some spans would be empty; those are clamped to reuse the nearest
-    position, so every cell pools over at least one entry.
+    Boundaries are floor(i * extent / cells) from the region's start. When a
+    region is smaller than the grid some spans would be empty; those are
+    clamped to reuse the nearest position, so every cell pools over at least
+    one entry.
     """
-    spans = []
-    for i in range(cells):
-        lo = min(i * extent // cells, extent - 1)
-        hi = (i + 1) * extent // cells
-        if hi <= lo:
-            hi = lo + 1
-        spans.append((lo, hi))
-    return spans
+    extent = (hi - lo)[:, None]
+    i = np.arange(cells)
+    start = np.minimum(i * extent // cells, extent - 1)
+    stop = np.maximum((i + 1) * extent // cells, start + 1)
+    return lo[:, None] + start, lo[:, None] + stop
 
 
-def roi_pool(fmap: FeatureMap, roi: Roi, pool_h: int, pool_w: int) -> np.ndarray:
-    """Max-pool one region onto a pool_h x pool_w grid, flattened channel-major.
+def pool_regions(fmap: FeatureMap, rois, pool_h: int, pool_w: int) -> np.ndarray:
+    """Max-pool a batch of regions, one row each: shape (len(rois), C * pool_h * pool_w).
 
-    Output index c * pool_h * pool_w + i * pool_w + j holds the max of
-    channel c over grid cell (i, j). Channel c therefore owns the output
-    slice [c * pool_h * pool_w, (c + 1) * pool_h * pool_w), which is what
-    lets channel statistics be mapped onto head-network input columns.
+    Row r is the region's grid flattened channel-major: index
+    c * pool_h * pool_w + i * pool_w + j holds the max of channel c over grid
+    cell (i, j). Channel c therefore owns the slice [c * pool_h * pool_w,
+    (c + 1) * pool_h * pool_w) of every row, which is what lets channel
+    statistics be mapped onto head-network input columns. The rows are laid
+    out column-major, the layout linalg.matmat reads in place.
+
+    All regions are pooled together, one pass per (row, column) offset into
+    a cell: each pass takes the entry at that offset in every cell of every
+    region, clamped to the cell's last row and column, and folds it into a
+    running max. The tallest and the widest cell set the number of passes.
     """
     if pool_h < 1 or pool_w < 1:
         raise ContractViolation(f"pool grid must be at least 1x1, got {pool_h}x{pool_w}")
-    _check_roi(roi, fmap)
-    window = fmap.data[:, roi.y0 : roi.y1, roi.x0 : roi.x1]
-    out = np.empty((fmap.channels, pool_h, pool_w))
-    for i, (ylo, yhi) in enumerate(_cell_spans(roi.height, pool_h)):
-        for j, (xlo, xhi) in enumerate(_cell_spans(roi.width, pool_w)):
-            cell = window[:, ylo:yhi, xlo:xhi]
-            out[:, i, j] = cell.max(axis=(1, 2))
-    return out.reshape(-1)
+    for roi in rois:
+        _check_roi(roi, fmap)
+    box = np.array([(r.x0, r.y0, r.x1, r.y1) for r in rois], dtype=np.intp).reshape(-1, 4)
+    ylo, yhi = _cell_spans(box[:, 1], box[:, 3], pool_h)
+    xlo, xhi = _cell_spans(box[:, 0], box[:, 2], pool_w)
+    # index arrays shaped (pool_h, pool_w, regions): data[:, y, x] is then the
+    # transposed (C * pool_h * pool_w, regions) result, one region per column
+    ylo, yhi = ylo.T[:, None, :], yhi.T[:, None, :]
+    xlo, xhi = xlo.T[None, :, :], xhi.T[None, :, :]
+    out = fmap.data[:, ylo, xlo]
+    for dy in range(int((yhi - ylo).max(initial=1))):
+        y = np.minimum(ylo + dy, yhi - 1)
+        for dx in range(int((xhi - xlo).max(initial=1))):
+            if dy or dx:
+                np.maximum(out, fmap.data[:, y, np.minimum(xlo + dx, xhi - 1)], out=out)
+    return out.reshape(fmap.channels * pool_h * pool_w, len(box)).T
+
+
+def roi_pool(fmap: FeatureMap, roi: Roi, pool_h: int, pool_w: int) -> np.ndarray:
+    """Max-pool one region: pool_regions for a single region, as a 1-D vector."""
+    return pool_regions(fmap, (roi,), pool_h, pool_w)[0]
 
 
 def channel_sums(fmap: FeatureMap) -> np.ndarray:
@@ -283,7 +302,7 @@ def load_scene(data: bytes | str) -> Scene:
         except ContractViolation as e:
             raise FormatError(f"roi {i}: {e}") from e
     try:
-        fmap = FeatureMap(np.asarray(flat, dtype=np.float64).reshape(c, h, w))
+        fmap = FeatureMap(flat.reshape(c, h, w))
         return Scene(fmap, tuple(rois), pool_h, pool_w)
     except ContractViolation as e:
         raise FormatError(f"scene: {e}") from e

@@ -1,10 +1,15 @@
 """CLI tests, run in-process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import unitprune
 from unitprune.cli import main
 from unitprune.model import (
     ActivationKind,
@@ -407,3 +412,57 @@ def test_eval_with_empty_selection_report_is_format_error(tmp_path, capsys):
                "--report", report) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("format error: ")
+
+
+HUGE = "1" + "0" * 400  # an integer JSON literal far beyond float range
+
+
+def with_huge_first_value(path, key):
+    """Rewrite an artifact so the first number after "key": [ is HUGE."""
+    text = path.read_text()
+    start = text.index("[", text.index(f'"{key}":')) + 1
+    start += len(text[start:]) - len(text[start:].lstrip())
+    end = min(text.index(c, start) for c in ",]")
+    path.write_text(text[:start] + HUGE + text[end:])
+    return path
+
+
+@pytest.mark.parametrize("which", ["model", "scene", "probe"])
+def test_integer_too_large_for_a_float_is_format_error(tmp_path, capsys, which):
+    model = gen_net(tmp_path / "m.net", sizes="16,5,3", sparsity=0.0)
+    scene = gen_scene_file(tmp_path / "s.scene", c=4, h=4, w=4, n_rois=3,
+                           pool_h=2, pool_w=2, seed=1)
+    probe = tmp_path / "p.json"
+    probe.write_text("[" + ", ".join(["1"] * 15 + ["2"]) + "]")
+    if which == "model":
+        with_huge_first_value(model, "weights")
+    elif which == "scene":
+        with_huge_first_value(scene, "data")
+    else:
+        probe.write_text(f"[1, 2, {HUGE}]")
+    args = ["--scene", scene] if which == "scene" else ["--probe", probe]
+    assert run("prune", "--model", model, *args, "--tau", 0, "--out", tmp_path / "x") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("format error:") and "integer too large for a float" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_overflowing_sweep_prints_only_the_error(tmp_path):
+    gen_net(tmp_path / "m.net", sizes="16,8,3", sparsity=0.0, seed=3)
+    net = load_network((tmp_path / "m.net").read_bytes())
+    big = Network(tuple(DenseLayer(lay.weights * 1e300, lay.bias, lay.activation)
+                        for lay in net.layers))
+    model = tmp_path / "big.net"
+    model.write_bytes(save_network(big))
+    scene = gen_scene_file(tmp_path / "s.scene", c=4, h=4, w=4, n_rois=3,
+                           pool_h=2, pool_w=2, seed=1)
+    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr as they do for users
+    src = Path(unitprune.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "unitprune.cli", "sweep", "--model", str(model),
+         "--scene", str(scene), "--thresholds", "0"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "error: sweep at tau 0.0: max_abs is nan\n"

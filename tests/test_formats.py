@@ -5,9 +5,11 @@ sides of the comparison come from the same writer. These pin the bytes.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitprune import (
     ActivationKind,
@@ -23,12 +25,14 @@ from unitprune import (
     prune_input_channels,
     prune_output_topn,
     prune_units,
+    load_report,
     save_labelmap,
     save_network,
     save_report,
     save_scene,
 )
 from unitprune import _jsonio
+from unitprune.errors import FormatError
 from unitprune.report import DeviationReport, deviation_json
 
 
@@ -234,3 +238,56 @@ def test_non_finite_values_are_refused(bad):
         _jsonio.dump_doc({"bias": np.array([0.0, bad])})
     with pytest.raises(ContractViolation, match="non-finite 'weights'"):
         _jsonio.dump_doc({"weights": _jsonio.Rows(np.array([[1.0], [bad]]))})
+
+
+# -- number decoding --------------------------------------------------------------
+
+_BIGGEST = int(sys.float_info.max)
+json_numbers = st.lists(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        st.integers(-(2**64), 2**64),
+        st.integers(2**53 - 4, 2**53 + 4).flatmap(lambda k: st.sampled_from([k, -k])),
+        st.integers(-_BIGGEST, _BIGGEST),
+        st.sampled_from([_BIGGEST, -_BIGGEST, 0, -0.0]),
+    ),
+    max_size=20,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(json_numbers)
+def test_number_list_rounds_like_float(val):
+    got = _jsonio.number_list(val, "data")
+    assert got.dtype == np.float64 and got.shape == (len(val),)
+    assert got.tobytes() == np.array([float(v) for v in val], dtype=np.float64).tobytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(json_numbers)
+def test_parse_vector_rounds_like_float(val):
+    text = "[" + ", ".join(map(repr, val)) + "]"
+    got = _jsonio.parse_vector(text, "probe")
+    assert got.tobytes() == np.array([float(v) for v in val], dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "val, found", [([1, True], "bool"), ([1.0, "2"], "str"), ([None], "NoneType"), ([[1]], "list")]
+)
+def test_number_list_names_the_first_non_number(val, found):
+    with pytest.raises(FormatError, match=f"data: expected numbers, found {found}$"):
+        _jsonio.number_list(val, "data")
+
+
+def test_integers_too_large_for_a_float_are_format_errors():
+    huge = 10**400
+    with pytest.raises(FormatError, match="data: integer too large for a float"):
+        _jsonio.number_list([1.0, huge], "data")
+    with pytest.raises(FormatError, match="probe file: integer too large"):
+        _jsonio.parse_vector(f"[1, {huge}]", "probe")
+    with pytest.raises(FormatError, match="key 'x' is too large for a float"):
+        _jsonio.get({"x": huge}, "x", float, "doc")
+    _, rep = prune_input_channels(head(), [0.0, 2.0, 1.0], 1, 1, PruneConfig.exact_zero())
+    doc = save_report(rep).replace(b'"deviation_bound": 0.0', b'"deviation_bound": 1' + b"0" * 400)
+    with pytest.raises(FormatError, match="'deviation_bound' is too large for a float"):
+        load_report(doc)

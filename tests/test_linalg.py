@@ -19,6 +19,7 @@ from unitprune.linalg import (
     matmat,
     matrix,
     matvec,
+    nested_matmat,
     relu,
     subvector,
     vector,
@@ -282,3 +283,89 @@ class TestFmtFloat:
 
     def test_numpy_scalar_input(self):
         assert fmt_float(np.float64(0.1)) == "0.1"
+
+
+# -- nested column subsets ----------------------------------------------------
+
+
+@st.composite
+def nested_family(draw, scale=1.0, x_max=1e6):
+    """(m, xs, depth, members): members 1..4, depth values anywhere in 0..members.
+
+    Depth values that no column takes give repeated members (equal keep
+    sets); a member above every depth keeps no column at all.
+    """
+    m, xs = draw(weights_and_batch(scale=scale, x_max=x_max))
+    members = draw(st.integers(1, 4))
+    cols = m.shape[1]
+    depth = np.array(
+        draw(st.lists(st.integers(0, members), min_size=cols, max_size=cols)), dtype=np.intp
+    )
+    return m, xs, depth, members
+
+
+def assert_members_match(m, xs, depth, members):
+    got = nested_matmat(m, xs, depth, members)
+    assert len(got) == members
+    for i, acc in enumerate(got):
+        keep = np.flatnonzero(depth > i)
+        want = matmat(np.ascontiguousarray(m[:, keep]), np.ascontiguousarray(xs[:, keep]))
+        assert acc.shape == want.shape
+        assert acc.tobytes() == want.tobytes()
+
+
+class TestNestedMatmat:
+    @settings(deadline=None, max_examples=300)
+    @given(nested_family())
+    def test_each_member_matches_matmat_on_its_columns(self, family):
+        assert_members_match(*family)
+
+    @settings(deadline=None, max_examples=200)
+    @given(nested_family(scale=1.7e308, x_max=1e10))
+    def test_overflowing_weights_bitwise(self, family):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_members_match(*family)
+
+    @settings(deadline=None, max_examples=100)
+    @given(weights_and_batch())
+    def test_one_member_is_matmat(self, mx):
+        m, xs = mx
+        (got,) = nested_matmat(m, xs, np.ones(m.shape[1], dtype=np.intp), 1)
+        assert got.tobytes() == matmat(m, xs).tobytes()
+
+    def test_members_part_at_first_dropped_live_column(self):
+        m = np.array([[1.0, 2.0, 3.0, 4.0]])
+        xs = np.array([[1.0, 0.0, 1.0, 1.0]])
+        # column 1 is zero in every row, so members 2 and 3 dropping it changes
+        # nothing; member 3 parts at column 3, the first live one it drops
+        a, b, c, d = nested_matmat(m, xs, np.array([4, 2, 4, 3]), 4)
+        assert a is b and b is c
+        assert c is not d
+        assert [a[0, 0], d[0, 0]] == [8.0, 4.0]
+
+    def test_empty_keep_sets_and_zero_rows(self):
+        m = np.arange(6.0).reshape(2, 3)
+        xs = np.ones((2, 3))
+        got = nested_matmat(m, xs, np.array([1, 1, 0]), 3)
+        assert [g.tobytes() for g in got[1:]] == [np.zeros((2, 2)).tobytes()] * 2
+        assert nested_matmat(m, np.zeros((0, 3)), np.array([1, 2, 0]), 2)[1].shape == (0, 2)
+        assert nested_matmat(m, xs, np.array([0, 0, 0]), 0) == []
+
+    def test_signed_zero_columns_are_skipped(self):
+        m = np.array([[5.0, -1.0]])
+        xs = np.array([[-0.0, 0.0], [0.0, -0.0]])
+        for acc in nested_matmat(m, xs, np.array([2, 1]), 2):
+            assert acc.tobytes() == np.zeros((2, 1)).tobytes()
+
+    def test_depth_errors(self):
+        m, xs = np.zeros((2, 3)), np.zeros((1, 3))
+        with pytest.raises(ContractViolation, match="0..2"):
+            nested_matmat(m, xs, np.array([0, 3, 1]), 2)
+        with pytest.raises(ContractViolation, match="0..2"):
+            nested_matmat(m, xs, np.array([0, -1, 1]), 2)
+        with pytest.raises(ContractViolation, match="2 depths for 3 columns"):
+            nested_matmat(m, xs, np.array([1, 1]), 2)
+        with pytest.raises(ContractViolation, match="integer"):
+            nested_matmat(m, xs, np.array([1.0, 1.0, 1.0]), 2)
+        with pytest.raises(ContractViolation, match="2x3"):
+            nested_matmat(m, np.zeros((1, 4)), np.array([1, 1, 1, 1]), 2)

@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from unitprune import linalg
 from unitprune.errors import ContractViolation
 from unitprune.model import (
     ActivationKind,
@@ -393,3 +395,69 @@ class TestBatchedOutput:
     def test_width_mismatch(self):
         with pytest.raises(ContractViolation, match="expects 4 inputs"):
             output(gen_network([4, 2], seed=1), np.zeros((3, 5)))
+
+
+# -- one column pass per sweep --------------------------------------------------
+
+
+class TestNestedSweep:
+    def scene_and_net(self, n_rois=300, sizes=(24, 9, 5), seed=6):
+        sc = gen_scene(6, 8, 8, zero_channels=2, n_rois=n_rois, pool_h=2, pool_w=2, seed=seed)
+        return sc, gen_network(list(sizes), sparsity=0.3, seed=seed)
+
+    def test_only_a_later_tau_drops_a_live_channel(self):
+        sc, net = self.scene_and_net()
+        live = np.sort(channel_sums(sc.fmap))[2:]
+        # 0 and a tau below every live channel drop only the zero channels, so
+        # they share every column with the original network; the last tau parts
+        taus = [0.0, float(live[0]) / 2, float(live[0]) / 2, float(live[1])]
+        points = sweep(net, sc, taus)
+        assert [p.pruned_units for p in points] == [2, 2, 2, 4]
+        assert [p.max_abs for p in points[:3]] == [0.0, 0.0, 0.0]
+        assert points[3].max_abs > 0.0
+        assert [fields(p) for p in points] == [fields(p) for p in ref_sweep(net, sc, taus)]
+
+    def test_one_layer_network_and_equal_thresholds(self):
+        sc, net = self.scene_and_net(n_rois=40, sizes=(24, 3))
+        sums = np.sort(channel_sums(sc.fmap))
+        taus = [float(sums[3])] * 3 + [math.inf]
+        assert [fields(p) for p in sweep(net, sc, taus)] == [
+            fields(p) for p in ref_sweep(net, sc, taus)
+        ]
+
+    def test_no_regions(self):
+        sc, net = self.scene_and_net(n_rois=0)
+        assert [fields(p) for p in sweep(net, sc, [0.0, 1.0])] == [
+            fields(p) for p in ref_sweep(net, sc, [0.0, 1.0])
+        ]
+
+    def test_tail_layers_leave_shared_sums_alone(self, monkeypatch):
+        calls = []
+
+        def recording(*args):
+            accs = real(*args)
+            calls.append([(acc, acc.tobytes()) for acc in accs])
+            return accs
+
+        real = linalg.nested_matmat
+        monkeypatch.setattr(linalg, "nested_matmat", recording)
+        sc, net = self.scene_and_net()
+        taus = [0.0, 0.0, float(np.sort(channel_sums(sc.fmap))[3])]
+        points = sweep(net, sc, taus)
+        assert len(calls) == 2  # 300 regions: two blocks
+        for accs in calls:
+            assert accs[0][0] is accs[1][0] is accs[2][0]  # members do share
+            for acc, before in accs:
+                assert acc.tobytes() == before
+        assert [fields(p) for p in points] == [fields(p) for p in ref_sweep(net, sc, taus)]
+
+
+def test_overflowing_sweep_warns_nothing():
+    big = np.full((2, 2), 1e308)
+    net = Network((DenseLayer(big, [0.0, 0.0]),
+                   DenseLayer(big, [0.0, 0.0], ActivationKind.IDENTITY)))
+    sc = gen_scene(2, 2, 2, n_rois=3, pool_h=1, pool_w=1, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (pt,) = sweep(net, sc, [0.0])
+    assert math.isnan(pt.max_abs)

@@ -12,6 +12,7 @@ from unitprune.scene import (
     channel_sums,
     gen_scene,
     load_scene,
+    pool_regions,
     roi_pool,
     save_scene,
 )
@@ -247,3 +248,49 @@ class TestSceneSerialization:
         blob = save_scene(gen_scene(2, 2, 2, seed=0))
         with pytest.raises(FormatError):
             load_scene(blob[:30])
+
+
+@st.composite
+def map_and_regions(draw):
+    """A map from 1x1 up, regions anywhere in it, grids up to twice the map."""
+    c, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1e6, width=64))
+    data = np.array(draw(st.lists(value, min_size=c * h * w, max_size=c * h * w)))
+    rois = []
+    for _ in range(draw(st.integers(0, 6))):
+        x0, y0 = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+        rois.append(Roi(x0, y0, draw(st.integers(x0 + 1, w)), draw(st.integers(y0 + 1, h))))
+    grid = st.integers(1, 2 * max(h, w))
+    return data.reshape(c, h, w), tuple(rois), draw(grid), draw(grid)
+
+
+class TestPoolRegions:
+    @settings(deadline=None, max_examples=300)
+    @given(map_and_regions())
+    def test_rows_match_reference(self, case):
+        # max is exact; only the sign of a zero may depend on the reduction order
+        data, rois, ph, pw = case
+        got = pool_regions(FeatureMap(data), rois, ph, pw)
+        assert got.shape == (len(rois), data.shape[0] * ph * pw)
+        for row, roi in zip(got, rois):
+            assert (row == ref_roi_pool(data, roi, ph, pw)).all()
+
+    def test_roi_pool_is_one_region_row(self):
+        sc = gen_scene(4, 9, 7, zero_channels=1, n_rois=30, pool_h=3, pool_w=2, seed=5)
+        got = pool_regions(sc.fmap, sc.rois, 3, 2)
+        for row, roi in zip(got, sc.rois):
+            assert row.tobytes() == roi_pool(sc.fmap, roi, 3, 2).tobytes()
+
+    def test_no_regions(self):
+        assert pool_regions(one_channel([[1.0]]), (), 2, 3).shape == (0, 6)
+
+    def test_one_by_one_map(self):
+        got = pool_regions(one_channel([[7.0]]), (Roi(0, 0, 1, 1),) * 2, 3, 2)
+        assert got.tolist() == [[7.0] * 6] * 2
+
+    def test_invalid_arguments_rejected(self):
+        fm = one_channel([[1, 2], [3, 4]])
+        with pytest.raises(ContractViolation, match="exceeds"):
+            pool_regions(fm, (Roi(0, 0, 1, 1), Roi(0, 0, 3, 1)), 1, 1)
+        with pytest.raises(ContractViolation, match="1x1"):
+            pool_regions(fm, (Roi(0, 0, 1, 1),), 0, 1)
