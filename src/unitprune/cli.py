@@ -12,6 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import _jsonio
 from .errors import ContractViolation, FormatError, UsageError
 from .model import forward, gen_network, load_network, save_network
@@ -108,7 +110,10 @@ def _cmd_prune(args) -> int:
         )
     else:
         probe = _jsonio.parse_vector(_read(args.probe), "probe")
-        profile = forward(net, probe)
+        # an overflow is refused below, by layer, instead of warned about here
+        with np.errstate(over="ignore", invalid="ignore"):
+            profile = forward(net, probe)
+        profile.check_finite()
         sel = select_units(profile.layer(args.layer), cfg, layer=args.layer)
         pruned_net, rep = prune_units(net, args.layer, sel, profile=profile)
     # serialize everything first, so a refused document leaves no file behind

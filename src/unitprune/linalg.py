@@ -27,6 +27,18 @@ column that a member drops and its parent keeps, the two have seen the same
 products and hold the same bytes, so they can share one array. At that
 column the shared array is copied, the dropping members keep the copy and
 the others add the product. matmat is the one-member case of the same loop.
+
+The loop forms each column's products in place, tmp[...] = w_j then
+tmp *= x_j, rather than as one broadcast multiply(x_j, w_j): every entry is
+still the single IEEE product of the same two operands, and multiplication
+is commutative bit for bit (with finite weights at most one operand is NaN,
+and that NaN is what comes out either way), so the bytes do not change; only
+numpy's slower three-operand broadcast loop is avoided.
+
+Index sets are checked as numpy arrays when they arrive as integers (an
+integer array, or a list or tuple that numpy reads as one), one vectorized
+comparison per rule; anything else goes through int() one entry at a time.
+Both paths accept the same sets and raise the same messages.
 """
 
 from __future__ import annotations
@@ -49,6 +61,7 @@ __all__ = [
     "drop_cols",
     "subvector",
     "check_index_set",
+    "index_array",
     "complement",
     "fmt_float",
 ]
@@ -181,7 +194,8 @@ def _column_pass(name: str, m: np.ndarray, xs: np.ndarray, depth, members: int) 
     # finite weights can still overflow; the inf/NaN is the result, not a fault
     with np.errstate(over="ignore", invalid="ignore"):
         for xj, wj, d in zip(xt, wt, reach):
-            np.multiply(xj, wj, out=tmp)
+            tmp[...] = wj
+            tmp *= xj
             k = bisect_left(firsts, d)  # groups 0..k-1 start below d and keep column j
             if d < firsts[k]:
                 # members d.. of group k-1 drop column j: they part here with a copy
@@ -197,8 +211,42 @@ def relu(v: np.ndarray) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
-def check_index_set(indices: Sequence[int], size: int, what: str = "index set") -> tuple[int, ...]:
-    """Validate a strictly ascending, in-range index tuple and return it."""
+def _int_array(indices) -> np.ndarray | None:
+    """indices as a 1-D integer array when numpy reads them as one, else None."""
+    if isinstance(indices, np.ndarray):
+        a = indices
+    elif isinstance(indices, (tuple, list)) and indices:
+        try:
+            a = np.array(indices)
+        except (TypeError, ValueError, OverflowError):
+            return None
+    else:
+        return None
+    return a if a.ndim == 1 and a.dtype.kind in "iu" else None
+
+
+def index_array(indices: Sequence[int], size: int, what: str = "index set") -> np.ndarray:
+    """check_index_set's checks, returning the indices as a 1-D intp array."""
+    a = _int_array(indices)
+    if a is None:
+        return np.array(_check_items(indices, size, what), dtype=np.intp)
+    if a.size > 1:
+        down = np.flatnonzero(a[1:] <= a[:-1])
+        if down.size:
+            k = int(down[0])
+            raise ContractViolation(
+                f"{what} must be strictly ascending without duplicates, "
+                f"got {int(a[k])} followed by {int(a[k + 1])}"
+            )
+    if a.size and (a[0] < 0 or a[-1] >= size):
+        raise ContractViolation(
+            f"{what} has index outside range 0..{size - 1}: {int(a[0] if a[0] < 0 else a[-1])}"
+        )
+    return a.astype(np.intp, copy=False)
+
+
+def _check_items(indices: Sequence[int], size: int, what: str) -> tuple[int, ...]:
+    """The per-entry path: int() of every entry, then the same checks."""
     try:
         idx = tuple(int(i) for i in indices)
     except (TypeError, ValueError) as e:
@@ -215,28 +263,31 @@ def check_index_set(indices: Sequence[int], size: int, what: str = "index set") 
     return idx
 
 
+def check_index_set(indices: Sequence[int], size: int, what: str = "index set") -> tuple[int, ...]:
+    """Validate a strictly ascending, in-range index tuple and return it."""
+    return tuple(index_array(indices, size, what).tolist())
+
+
 def complement(indices: Sequence[int], size: int) -> tuple[int, ...]:
     """Ascending indices in range(size) not present in `indices`."""
-    idx = set(check_index_set(indices, size))
-    return tuple(i for i in range(size) if i not in idx)
+    mask = np.ones(size, dtype=bool)
+    mask[index_array(indices, size)] = False
+    return tuple(np.flatnonzero(mask).tolist())
 
 
 def drop_rows(m: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """New matrix containing only the kept rows, in their original order."""
-    keep = check_index_set(keep, m.shape[0], "row keep set")
-    return m[list(keep), :]
+    return m[index_array(keep, m.shape[0], "row keep set"), :]
 
 
 def drop_cols(m: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """New matrix containing only the kept columns, in their original order."""
-    keep = check_index_set(keep, m.shape[1], "column keep set")
-    return np.ascontiguousarray(m[:, list(keep)])
+    return np.ascontiguousarray(m[:, index_array(keep, m.shape[1], "column keep set")])
 
 
 def subvector(v: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """New vector containing only the kept entries, in their original order."""
-    keep = check_index_set(keep, v.shape[0], "keep set")
-    return v[list(keep)]
+    return v[index_array(keep, v.shape[0], "keep set")]
 
 
 def fmt_float(x: float) -> str:

@@ -151,6 +151,16 @@ class ActivationProfile:
             )
         return self.per_layer[k]
 
+    def check_finite(self) -> None:
+        """Raise ContractViolation naming the first layer with a non-finite activation.
+
+        Finite weights can still overflow to inf, and inf - inf to NaN; a NaN
+        activation fails |a| <= tau and would be kept without a word.
+        """
+        for k, h in enumerate(self.per_layer):
+            if not np.isfinite(h).all():
+                raise ContractViolation(f"layer {k} activations on the probe are not finite")
+
 
 @dataclass(frozen=True)
 class ParamCount:

@@ -100,19 +100,17 @@ class PruneSelection:
 
     def __post_init__(self):
         size = len(self.pruned) + len(self.kept)
-        pruned = linalg.check_index_set(self.pruned, size, "pruned set")
-        kept = linalg.check_index_set(self.kept, size, "kept set")
+        pruned = linalg.index_array(self.pruned, size, "pruned set")
+        kept = linalg.index_array(self.kept, size, "kept set")
         seen = np.zeros(size, dtype=bool)
-        for i in pruned:
-            seen[i] = True
-        for i in kept:
-            if seen[i]:
-                raise ContractViolation(f"index {i} is both pruned and kept")
-            seen[i] = True
+        seen[pruned] = True
+        both = seen[kept]
+        if both.any():
+            raise ContractViolation(f"index {int(kept[both.argmax()])} is both pruned and kept")
         # lengths add up to size and there is no overlap, so coverage follows
         object.__setattr__(self, "layer", int(self.layer))
-        object.__setattr__(self, "pruned", pruned)
-        object.__setattr__(self, "kept", kept)
+        object.__setattr__(self, "pruned", tuple(pruned.tolist()))
+        object.__setattr__(self, "kept", tuple(kept.tolist()))
 
     @property
     def size(self) -> int:
@@ -120,7 +118,7 @@ class PruneSelection:
 
     @classmethod
     def from_pruned(cls, pruned: Sequence[int], size: int, layer: int = 0) -> "PruneSelection":
-        pruned = linalg.check_index_set(pruned, size, "pruned set")
+        pruned = linalg.index_array(pruned, size, "pruned set")
         return cls(layer=layer, pruned=pruned, kept=linalg.complement(pruned, size))
 
 
@@ -218,7 +216,7 @@ def select_units(activations, config: PruneConfig, layer: int = 0) -> PruneSelec
     """
     h = linalg.vector(activations)
     pruned = np.flatnonzero(np.abs(h) <= config.threshold)
-    return PruneSelection.from_pruned([int(i) for i in pruned], h.shape[0], layer=layer)
+    return PruneSelection.from_pruned(pruned, h.shape[0], layer=layer)
 
 
 def select_channels(sums, config: PruneConfig) -> PruneSelection:
@@ -232,7 +230,7 @@ def select_channels(sums, config: PruneConfig) -> PruneSelection:
     if (s < 0.0).any():
         raise ContractViolation("channel sums must be nonnegative")
     pruned = np.flatnonzero(s <= config.threshold)
-    return PruneSelection.from_pruned([int(i) for i in pruned], s.shape[0], layer=0)
+    return PruneSelection.from_pruned(pruned, s.shape[0], layer=0)
 
 
 def channel_columns(
@@ -247,14 +245,11 @@ def channel_columns(
     """
     if isinstance(channels, PruneSelection):
         channels = channels.pruned
-    idx = linalg.check_index_set(channels, n_channels, "channel set")
+    idx = linalg.index_array(channels, n_channels, "channel set")
     if pool_h < 1 or pool_w < 1:
         raise ContractViolation(f"pool grid must be at least 1x1, got {pool_h}x{pool_w}")
     cells = pool_h * pool_w
-    cols: list[int] = []
-    for c in idx:
-        cols.extend(range(c * cells, (c + 1) * cells))
-    return tuple(cols)
+    return tuple((idx[:, None] * cells + np.arange(cells)).ravel().tolist())
 
 
 # -- transforms -------------------------------------------------------------
@@ -331,7 +326,8 @@ def prune_units(
 
     When the activation profile the selection came from is given, the report
     also carries deviation_bound for that probe; selections of exactly-zero
-    units get bound 0.0 and bit-identical outputs.
+    units get bound 0.0 and bit-identical outputs. A profile with a
+    non-finite activation in any layer is refused.
     """
     _check_layer(net, layer)
     if layer == len(net.layers) - 1:
@@ -346,6 +342,7 @@ def prune_units(
         )
     bound = None
     if profile is not None:
+        profile.check_finite()
         bound = deviation_bound(net, layer, profile, sel)
     new = (_drop_units(lay, sel.kept), _drop_inputs(nxt, sel.kept))
     layers = net.layers[:layer] + new + net.layers[layer + 2 :]
@@ -454,7 +451,7 @@ def column_drop_bound(net: Network, layer: int, magnitudes, cols: Sequence[int])
     """
     _check_layer(net, layer)
     w = net.layers[layer].weights
-    cols = linalg.check_index_set(cols, w.shape[1], "column set")
+    idx = linalg.index_array(cols, w.shape[1], "column set")
     mags = linalg.vector(magnitudes)
     if mags.shape[0] != w.shape[1]:
         raise ContractViolation(
@@ -462,9 +459,8 @@ def column_drop_bound(net: Network, layer: int, magnitudes, cols: Sequence[int])
         )
     if (mags < 0.0).any():
         raise ContractViolation("magnitudes must be nonnegative")
-    if not cols:
+    if not idx.size:
         return 0.0
-    idx = list(cols)
     per_row = linalg.matvec(np.abs(w[:, idx]), mags[idx])
     head = float(per_row.max()) if per_row.size else 0.0
     if head == 0.0:

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import _jsonio, linalg
 from .errors import ContractViolation
-from .model import ActivationKind, Network, output
-from .prune import LabelMap, PruneConfig, prune_input_channels
-from .scene import Scene, channel_sums, pool_regions
+from .model import ActivationKind, DenseLayer, Network, output
+from .prune import LabelMap, PruneConfig, channel_columns, prune_input_channels
+from .scene import FeatureMap, Scene, channel_sums, pool_regions
 
 __all__ = [
     "DeviationReport",
@@ -80,6 +80,28 @@ class SweepPoint:
 def _columns(xs: np.ndarray, keep: list[int] | None) -> np.ndarray:
     """xs[:, keep], gathered column-major: the layout linalg.matmat reads in place."""
     return xs if keep is None else xs.T[keep].T
+
+
+def _finish(first: DenseLayer, rest: Network, acc: np.ndarray) -> np.ndarray:
+    """Outputs from first-layer sums: bias, activation, then the rest, on a new array.
+
+    acc may be shared with other networks, so it is never changed in place.
+    """
+    h = acc + first.bias
+    if first.activation is ActivationKind.RELU:
+        h = linalg.relu(h)
+    return output(rest, h)
+
+
+def _same_first_layer(original: DenseLayer, pruned: DenseLayer, keep: list[int] | None) -> bool:
+    """Whether pruned is original on the keep columns, byte for byte."""
+    w = original.weights if keep is None else original.weights[:, keep]
+    return (
+        original.activation is pruned.activation
+        and original.bias.tobytes() == pruned.bias.tobytes()
+        and w.shape == pruned.weights.shape
+        and w.tobytes() == pruned.weights.tobytes()
+    )
 
 
 class _Deviation:
@@ -144,6 +166,11 @@ def compare_outputs(
     away counts against argmax_agreement. Examples are scored in blocks of
     rows through the batched forward pass; every field equals what scoring
     them one at a time gives.
+
+    When the pruned first layer is the original one on the input_keep
+    columns (same bytes, bias and activation), both first layers run in one
+    two-member linalg.nested_matmat pass, as in sweep, and the later layers
+    run once per distinct sum; otherwise each network runs on its own.
     """
     kept_out = None
     if label_map is not None:
@@ -176,9 +203,24 @@ def compare_outputs(
     width = original.input_dim
 
     dev = _Deviation(kept_out)
+    shared = bool(original.layers and pruned.layers) and _same_first_layer(
+        original.layers[0], pruned.layers[0], keep
+    )
+    if shared:
+        first, rest_a, rest_b = original.layers[0], original.layers[1:], pruned.layers[1:]
+        same_rest = rest_a == rest_b
+        rest_a, rest_b = Network(rest_a), Network(rest_b)
+        # member 0 is the original network, keeping every column; member 1 the pruned one
+        depth = np.ones(width, dtype=np.intp)
+        depth[slice(None) if keep is None else keep] += 1
 
     def score(xs):
-        dev.add(output(original, xs), output(pruned, _columns(xs, keep)))
+        if not shared:
+            dev.add(output(original, xs), output(pruned, _columns(xs, keep)))
+            return
+        acc_a, acc_b = linalg.nested_matmat(first.weights, xs, depth, 2)
+        oa = _finish(first, rest_a, acc_a)
+        dev.add(oa, oa if acc_b is acc_a and same_rest else _finish(first, rest_b, acc_b))
 
     # examples are copied straight into one reused block buffer
     buf = np.empty((_BLOCK_ROWS, width))
@@ -215,7 +257,10 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
     the original one on a nested subset of its columns, so one
     linalg.nested_matmat pass over the block gives every network's
     first-layer sums, byte for byte what each pruned network computes.
-    Networks whose sums agree share the rest of the forward pass.
+    Networks whose sums agree share the rest of the forward pass. Only the
+    channels with a nonzero sum are pooled and multiplied: a zero-sum
+    channel of the nonnegative map pools to exact zeros in every region,
+    columns the pass would skip anyway.
     """
     taus = [float(t) for t in thresholds]
     if not taus:
@@ -241,23 +286,27 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
     for rep in reports:
         depth[list(rep.selections[0].kept)] += 1
     first, rest = net.layers[0], Network(net.layers[1:])
-
-    def finish(acc):
-        # a new array: acc may be shared with other members
-        h = acc + first.bias
-        if first.activation is ActivationKind.RELU:
-            h = linalg.relu(h)
-        return output(rest, h)
+    fmap, weights = scene.fmap, first.weights
+    live = np.flatnonzero(sums)
+    if live.size < sums.size:
+        cols = list(channel_columns(live, sums.size, scene.pool_h, scene.pool_w))
+        weights, depth = weights[:, cols], depth[cols]
+        # a feature map has at least one channel; with none live, nothing is pooled
+        fmap = FeatureMap(fmap.data[live]) if live.size else None
 
     devs = [_Deviation() for _ in taus]
     rois = scene.rois
     for lo in range(0, len(rois), _BLOCK_ROWS):
-        xs = pool_regions(scene.fmap, rois[lo : lo + _BLOCK_ROWS], scene.pool_h, scene.pool_w)
-        accs = linalg.nested_matmat(first.weights, xs, depth, len(taus) + 1)
+        block = rois[lo : lo + _BLOCK_ROWS]
+        if fmap is None:
+            xs = np.zeros((len(block), 0))
+        else:
+            xs = pool_regions(fmap, block, scene.pool_h, scene.pool_w)
+        accs = linalg.nested_matmat(weights, xs, depth, len(taus) + 1)
         outs = {}
         for acc in accs:
             if id(acc) not in outs:
-                outs[id(acc)] = finish(acc)
+                outs[id(acc)] = _finish(first, rest, acc)
         base = outs[id(accs[0])]
         for dev, acc in zip(devs, accs[1:]):
             dev.add(base, outs[id(acc)])

@@ -466,3 +466,26 @@ def test_overflowing_sweep_prints_only_the_error(tmp_path):
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr == "error: sweep at tau 0.0: max_abs is nan\n"
+
+
+def test_overflowing_probe_is_refused_by_layer(tmp_path):
+    # 1e300 weights and a probe of 1.5s: layer 0 stays finite, layer 1 overflows
+    gen_net(tmp_path / "m.net", sizes="16,8,3", sparsity=0.0, seed=3)
+    net = load_network((tmp_path / "m.net").read_bytes())
+    big = Network(tuple(DenseLayer(lay.weights * 1e300, lay.bias, lay.activation)
+                        for lay in net.layers))
+    model = tmp_path / "big.net"
+    model.write_bytes(save_network(big))
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps([1.5] * 16))
+    src = Path(unitprune.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "unitprune.cli", "prune", "--model", str(model),
+         "--probe", str(probe), "--tau", "0", "--out", str(tmp_path / "out.net"),
+         "--report", str(tmp_path / "out.report")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "error: layer 1 activations on the probe are not finite\n"
+    assert not (tmp_path / "out.net").exists() and not (tmp_path / "out.report").exists()

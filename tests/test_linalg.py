@@ -369,3 +369,92 @@ class TestNestedMatmat:
             nested_matmat(m, xs, np.array([1.0, 1.0, 1.0]), 2)
         with pytest.raises(ContractViolation, match="2x3"):
             nested_matmat(m, np.zeros((1, 4)), np.array([1, 1, 1, 1]), 2)
+
+
+# -- vectorized index-set checks ------------------------------------------------
+# The per-entry checks as they were before the numpy path: the vectorized
+# check_index_set and complement must accept the same sets, return the same
+# tuples of Python ints and raise the same messages.
+
+
+def ref_check_index_set(indices, size, what="index set"):
+    try:
+        idx = tuple(int(i) for i in indices)
+    except (TypeError, ValueError) as e:
+        raise ContractViolation(f"{what} must contain integers") from e
+    for a, b in zip(idx, idx[1:]):
+        if b <= a:
+            raise ContractViolation(
+                f"{what} must be strictly ascending without duplicates, got {a} followed by {b}"
+            )
+    if idx and (idx[0] < 0 or idx[-1] >= size):
+        raise ContractViolation(
+            f"{what} has index outside range 0..{size - 1}: {idx[0] if idx[0] < 0 else idx[-1]}"
+        )
+    return idx
+
+
+def ref_complement(indices, size):
+    idx = set(ref_check_index_set(indices, size))
+    return tuple(i for i in range(size) if i not in idx)
+
+
+def outcome(fn, *args):
+    try:
+        got = fn(*args)
+    except ContractViolation as e:
+        return ("error", str(e))
+    assert isinstance(got, tuple) and all(type(i) is int for i in got)
+    return ("ok", got)
+
+
+@st.composite
+def index_inputs(draw):
+    """Index sets as lists, tuples or numpy integer arrays; sorted or not."""
+    size = draw(st.integers(0, 12))
+    values = draw(st.lists(st.integers(-3, 15), max_size=14))
+    shape = draw(st.sampled_from(["raw", "sorted", "ascending"]))
+    if shape == "sorted":
+        values = sorted(values)  # keeps duplicates
+    elif shape == "ascending":
+        values = sorted(set(values))
+    elif draw(st.booleans()):
+        values = sorted(values, reverse=True)
+    kinds = ["list", "tuple", "int8", "int32", "int64", "intp"]
+    if all(v >= 0 for v in values):
+        kinds += ["uint16", "uint64"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "list":
+        return values, size
+    if kind == "tuple":
+        return tuple(values), size
+    return np.array(values, dtype=kind), size
+
+
+class TestIndexSetPaths:
+    @settings(max_examples=300, deadline=None)
+    @given(index_inputs())
+    def test_check_index_set_matches_per_entry_code(self, case):
+        indices, size = case
+        assert outcome(check_index_set, indices, size, "kept set") == outcome(
+            ref_check_index_set, indices, size, "kept set"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(index_inputs())
+    def test_complement_matches_per_entry_code(self, case):
+        indices, size = case
+        assert outcome(complement, indices, size) == outcome(ref_complement, indices, size)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: [], lambda: (), lambda: np.array([], dtype=np.int64), lambda: np.array([]),
+            lambda: [1.9, 3.2], lambda: ["1", "2"], lambda: [True, 2], lambda: (np.int64(1), 3),
+            lambda: [1, "x"], lambda: [None], lambda: [[1], [2]], lambda: iter([0, 2]),
+            lambda: [2**70], lambda: [-1, 2**63], lambda: np.array([True, False]),
+            lambda: np.array([[0, 1]]), lambda: np.array(2),
+        ],
+    )
+    def test_odd_inputs_match_per_entry_code(self, make):
+        assert outcome(check_index_set, make(), 4) == outcome(ref_check_index_set, make(), 4)

@@ -548,3 +548,18 @@ class TestLabelMapSerialization:
     def test_unsorted_rejected(self):
         with pytest.raises(FormatError):
             load_labelmap('{"version": 1, "kept": [3, 1], "labels": null}')
+
+
+def test_prune_units_refuses_a_non_finite_profile():
+    from unitprune.model import ActivationProfile
+
+    net = gen_network([4, 3, 3, 2], seed=1)
+    h0 = np.array([0.0, 1.0, 2.0])
+    for bad, layer in ((np.nan, 1), (np.inf, 2)):
+        per = [h0, np.array([1.0, 0.0, 1.0]), np.array([1.0, 2.0])]
+        per[layer] = per[layer].copy()
+        per[layer][0] = bad
+        profile = ActivationProfile(tuple(per))
+        sel = select_units(h0, PruneConfig(0.0), layer=0)
+        with pytest.raises(ContractViolation, match=f"layer {layer} activations"):
+            prune_units(net, 0, sel, profile=profile)

@@ -461,3 +461,123 @@ def test_overflowing_sweep_warns_nothing():
         warnings.simplefilter("error")
         (pt,) = sweep(net, sc, [0.0])
     assert math.isnan(pt.max_abs)
+
+
+# -- live channels only, and one shared first-layer pass in compare_outputs -----
+
+
+def record_nested(monkeypatch):
+    """Record the batch width and the results of every linalg.nested_matmat call."""
+    calls = []
+    real = linalg.nested_matmat
+
+    def recording(m, xs, depth, members):
+        accs = real(m, xs, depth, members)
+        calls.append((xs.shape[1], [(acc, acc.tobytes()) for acc in accs]))
+        return accs
+
+    monkeypatch.setattr(linalg, "nested_matmat", recording)
+    return calls
+
+
+def assert_sums_untouched(calls):
+    for _, accs in calls:
+        for acc, before in accs:
+            assert acc.tobytes() == before
+
+
+class TestLiveChannelSweep:
+    @pytest.mark.parametrize("zero_channels", [5, 0, 4])  # all, none, all but one
+    def test_matches_reference(self, monkeypatch, zero_channels):
+        sc = gen_scene(5, 6, 6, zero_channels=zero_channels, n_rois=300, pool_h=2, pool_w=2,
+                       seed=zero_channels)
+        net = gen_network([20, 7, 4], seed=zero_channels)
+        sums = channel_sums(sc.fmap)
+        live = int(np.count_nonzero(sums))
+        taus = [0.0, float(np.max(sums)) / 2, math.inf]
+        calls = record_nested(monkeypatch)
+        points = sweep(net, sc, taus)
+        assert [fields(p) for p in points] == [fields(p) for p in ref_sweep(net, sc, taus)]
+        # two blocks of regions, each pooled over the live channels' 2x2 cells only
+        assert [width for width, _ in calls] == [live * 4] * 2
+        assert_sums_untouched(calls)
+
+    def test_every_channel_zero_needs_no_feature_map(self):
+        sc = gen_scene(3, 4, 4, zero_channels=3, n_rois=7, pool_h=1, pool_w=2, seed=2)
+        net = gen_network([6, 4, 3], seed=2)
+        points = sweep(net, sc, [0.0, 1.0])
+        assert [p.pruned_units for p in points] == [3, 3]
+        assert [p.max_abs for p in points] == [0.0, 0.0]
+        assert [fields(p) for p in points] == [fields(p) for p in ref_sweep(net, sc, [0.0, 1.0])]
+
+
+class TestSharedComparePass:
+    def case(self, tau_rank=None, sizes=(24, 9, 6, 5), n_rois=300, seed=5):
+        sc = gen_scene(6, 8, 8, zero_channels=2, n_rois=n_rois, pool_h=2, pool_w=2, seed=seed)
+        net = gen_network(list(sizes), seed=seed)
+        sums = channel_sums(sc.fmap)
+        tau = 0.0 if tau_rank is None else float(np.sort(sums)[tau_rank])
+        pruned, prep = prune_input_channels(net, sums, 2, 2, PruneConfig(tau))
+        return net, pruned, prep, pooled_examples(sc)
+
+    def test_exact_zero_report_shares_every_sum(self, monkeypatch):
+        net, pruned, prep, xs = self.case()
+        keep = prep.selections[0].kept
+        calls = record_nested(monkeypatch)
+        got = compare_outputs(net, pruned, xs, input_keep=keep, bound=prep.deviation_bound)
+        assert got.max_abs == 0.0 and got.bound == 0.0
+        assert fields(got) == fields(
+            ref_compare(net, pruned, xs, input_keep=keep, bound=prep.deviation_bound)
+        )
+        assert len(calls) == 2  # 300 regions: two blocks, one pass each
+        for _, accs in calls:
+            assert accs[0][0] is accs[1][0]
+        assert_sums_untouched(calls)
+
+    def test_dropped_live_columns_split_the_sums(self, monkeypatch):
+        net, pruned, prep, xs = self.case(tau_rank=3)
+        keep = prep.selections[0].kept
+        calls = record_nested(monkeypatch)
+        got = compare_outputs(net, pruned, xs, input_keep=keep, bound=prep.deviation_bound)
+        assert 0.0 < got.max_abs <= got.bound
+        assert fields(got) == fields(
+            ref_compare(net, pruned, xs, input_keep=keep, bound=prep.deviation_bound)
+        )
+        assert calls and all(accs[0][0] is not accs[1][0] for _, accs in calls)
+        assert_sums_untouched(calls)
+
+    def test_topn_label_map_finishes_a_shared_sum_twice(self, monkeypatch):
+        net, pruned, prep, xs = self.case()
+        top, lm, _ = prune_output_topn(pruned, [0.3, 0.9, 0.1, 0.8, 0.5], 2)
+        keep = prep.selections[0].kept
+        calls = record_nested(monkeypatch)
+        got = compare_outputs(net, top, xs, label_map=lm, input_keep=keep, bound=0.0)
+        assert fields(got) == fields(ref_compare(net, top, xs, lm, keep, 0.0))
+        assert got.argmax_agreement < 1.0
+        assert calls and all(accs[0][0] is accs[1][0] for _, accs in calls)
+        assert_sums_untouched(calls)
+
+    def test_one_weight_bit_off_takes_two_passes(self, monkeypatch):
+        net, pruned, prep, xs = self.case()
+        first = pruned.layers[0]
+        w = first.weights.copy()
+        w.view(np.uint64)[3, 5] ^= 1  # flip the lowest mantissa bit of one weight
+        altered = Network((DenseLayer(w, first.bias, first.activation),) + pruned.layers[1:])
+        keep = prep.selections[0].kept
+        calls = record_nested(monkeypatch)
+        got = compare_outputs(net, altered, xs, input_keep=keep)
+        assert calls == []
+        assert fields(got) == fields(ref_compare(net, altered, xs, input_keep=keep))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_net_reports_nan(self):
+        big = np.full((2, 2), 1e308)
+        net = Network((DenseLayer(big, [0.0, 0.0]),
+                       DenseLayer(big, [0.0, 0.0], ActivationKind.IDENTITY)))
+        sc = gen_scene(2, 2, 2, n_rois=3, pool_h=1, pool_w=1, seed=1)
+        xs = pooled_examples(sc)
+        pruned, prep = prune_input_channels(net, channel_sums(sc.fmap), 1, 1, PruneConfig(0.0))
+        keep = prep.selections[0].kept
+        got = compare_outputs(net, pruned, xs, input_keep=keep)
+        assert math.isnan(got.max_abs)
+        assert fields(got) == fields(ref_compare(net, pruned, xs, input_keep=keep))
