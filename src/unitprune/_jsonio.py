@@ -13,7 +13,21 @@ JSON has no NaN or infinity, so writing one raises ContractViolation.
 
 parse_doc and parse_vector reject the NaN/Infinity constants the stdlib
 parser would accept, and the typed accessors turn structural surprises into
-FormatError with a usable path string.
+FormatError with a usable path string. Bytes that are not UTF-8 are a
+FormatError too.
+
+A caller of parse_doc names its numeric-array fields (a model's "weights"
+and "bias", a scene's "data"). json.loads then calls an object hook as it
+closes each object, and the hook turns each named field whose entries are
+all JSON numbers into a float64 array, so one layer's Python floats are freed
+before the next layer is parsed: a load holds the text plus one field's
+floats, not every field's at once. The hook never raises: it sees fields in
+the parser's order, so an error raised there would come before a syntax
+error further on in the file, or before a fault in a field the loader checks
+first (layer 0's "rows", say). A field it cannot convert (not a list, a
+non-number entry, an integer too large for a float) stays as parsed, and
+number_list reports it in its turn, so a malformed file fails with the same
+message as when every check ran after parsing.
 """
 
 from __future__ import annotations
@@ -29,6 +43,9 @@ FORMAT_VERSION = 1
 
 # json.loads makes exactly these for JSON numbers; bool, a subclass of int, is not one
 _NUMBER_TYPES = frozenset({int, float})
+
+# the kind get() checks for a field parse_doc may have made an array
+NUMBERS = (list, np.ndarray)
 
 
 class Rows(NamedTuple):
@@ -106,21 +123,52 @@ def dump_line(fields: dict) -> str:
 # -- reading ------------------------------------------------------------------
 
 
-def _loads(data: bytes | str, what: str):
-    text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+def decode(data: bytes | str, what: str) -> str:
+    """data as text: bytes are decoded as UTF-8, and a bad byte is a FormatError."""
+    if not isinstance(data, (bytes, bytearray)):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{what} file is not UTF-8: {e.reason} at byte {e.start}") from None
+
+
+def _array_hook(fields: tuple[str, ...]):
+    """json.loads object_hook: each named all-number list becomes a float64 array."""
+
+    def hook(obj: dict) -> dict:
+        for key in fields:
+            val = obj.get(key)
+            if type(val) is list and _numbers(val):
+                try:
+                    obj[key] = np.array(val, dtype=np.float64)
+                except OverflowError:
+                    pass  # stays a list; number_list reports it in its turn
+        return obj
+
+    return hook
+
+
+def _loads(data: bytes | str, what: str, arrays: tuple[str, ...] = ()):
+    text = decode(data, what)
 
     def reject(name: str):
         raise FormatError(f"non-finite constant {name!r} is not allowed in {what} files")
 
+    hook = _array_hook(arrays) if arrays else None
     try:
-        return json.loads(text, parse_constant=reject)
+        return json.loads(text, parse_constant=reject, object_hook=hook)
     except json.JSONDecodeError as e:
         raise FormatError(f"{what} parse error at line {e.lineno} column {e.colno}: {e.msg}") from e
 
 
-def parse_doc(data: bytes | str, what: str) -> dict:
-    """Parse a versioned top-level JSON object, rejecting NaN/Infinity."""
-    doc = _loads(data, what)
+def parse_doc(data: bytes | str, what: str, arrays: tuple[str, ...] = ()) -> dict:
+    """Parse a versioned top-level JSON object, rejecting NaN/Infinity.
+
+    Every object's fields named in arrays that hold only numbers come back
+    as float64 arrays; read them with number_list.
+    """
+    doc = _loads(data, what, arrays)
     if not isinstance(doc, dict):
         raise FormatError(f"{what}: expected a top-level object")
     version = get(doc, "version", int, what)
@@ -174,7 +222,9 @@ def get(obj, key: str, kind, where: str):
 
 
 def number_list(val, where: str) -> np.ndarray:
-    """A JSON array of numbers as a float64 array."""
+    """A JSON array of numbers as a float64 array (parse_doc's arrays pass through)."""
+    if isinstance(val, np.ndarray):
+        return val
     if not isinstance(val, list):
         raise FormatError(f"{where}: expected an array of numbers")
     if not _numbers(val):

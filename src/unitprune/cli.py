@@ -44,8 +44,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read(path: str) -> bytes:
-    return Path(path).read_bytes()
+def _read(path: str, what: str) -> str:
+    """The file's text; its bytes are dropped before any parsing starts."""
+    return _jsonio.decode(Path(path).read_bytes(), what)
 
 
 def _write(path: str, data: bytes) -> None:
@@ -99,17 +100,17 @@ def _cmd_gen_scene(args) -> int:
 def _cmd_prune(args) -> int:
     if (args.scene is None) == (args.probe is None):
         raise UsageError("exactly one of --scene or --probe is required")
-    net = load_network(_read(args.model))
+    net = load_network(_read(args.model, "model"))
     cfg = PruneConfig(args.tau)
     if args.scene is not None:
         if args.layer != 0:
             raise UsageError("--layer must be 0 when pruning from a scene")
-        sc = load_scene(_read(args.scene))
+        sc = load_scene(_read(args.scene, "scene"))
         pruned_net, rep = prune_input_channels(
             net, channel_sums(sc.fmap), sc.pool_h, sc.pool_w, cfg
         )
     else:
-        probe = _jsonio.parse_vector(_read(args.probe), "probe")
+        probe = _jsonio.parse_vector(_read(args.probe, "probe"), "probe")
         # an overflow is refused below, by layer, instead of warned about here
         with np.errstate(over="ignore", invalid="ignore"):
             profile = forward(net, probe)
@@ -126,8 +127,8 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_topn(args) -> int:
-    net = load_network(_read(args.model))
-    scores = _jsonio.parse_vector(_read(args.scores), "scores")
+    net = load_network(_read(args.model, "model"))
+    scores = _jsonio.parse_vector(_read(args.scores, "scores"), "scores")
     pruned_net, label_map, rep = prune_output_topn(net, scores, args.n)
     files = [(args.out, save_network(pruned_net)), (args.labelmap, save_labelmap(label_map))]
     if args.report is not None:
@@ -138,14 +139,14 @@ def _cmd_topn(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    original = load_network(_read(args.model_a))
-    pruned = load_network(_read(args.model_b))
-    sc = load_scene(_read(args.scene))
-    label_map = load_labelmap(_read(args.labelmap)) if args.labelmap else None
+    original = load_network(_read(args.model_a, "model"))
+    pruned = load_network(_read(args.model_b, "model"))
+    sc = load_scene(_read(args.scene, "scene"))
+    label_map = load_labelmap(_read(args.labelmap, "label map")) if args.labelmap else None
     input_keep = None
     bound = None
     if args.report:
-        rep = load_report(_read(args.report))
+        rep = load_report(_read(args.report, "report"))
         bound = rep.deviation_bound
         if rep.kind == "input-channels":
             input_keep = rep.selections[0].kept
@@ -167,8 +168,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    net = load_network(_read(args.model))
-    sc = load_scene(_read(args.scene))
+    net = load_network(_read(args.model, "model"))
+    sc = load_scene(_read(args.scene, "scene"))
     text = sweep_csv(sweep(net, sc, _parse_thresholds(args.thresholds)))
     if args.out == "-":
         sys.stdout.write(text)

@@ -309,7 +309,7 @@ def load_network(data: bytes | str) -> Network:
     Raises FormatError for anything unparseable and ValidationError when the
     parsed layers do not form a consistent network.
     """
-    doc = _jsonio.parse_doc(data, "model")
+    doc = _jsonio.parse_doc(data, "model", arrays=("weights", "bias"))
     raw_layers = _jsonio.get(doc, "layers", list, "model")
     layers = []
     for k, entry in enumerate(raw_layers):
@@ -323,12 +323,16 @@ def load_network(data: bytes | str) -> Network:
         inputs = _jsonio.get(entry, "cols", int, where)
         if units < 0 or inputs < 0:
             raise FormatError(f"{where}: rows and cols must be nonnegative")
-        flat = _jsonio.number_list(_jsonio.get(entry, "weights", list, where), f"{where} weights")
+        flat = _jsonio.number_list(
+            _jsonio.get(entry, "weights", _jsonio.NUMBERS, where), f"{where} weights"
+        )
         if len(flat) != units * inputs:
             raise FormatError(
                 f"{where} weights: expected {units * inputs} values, got {len(flat)}"
             )
-        bias = _jsonio.number_list(_jsonio.get(entry, "bias", list, where), f"{where} bias")
+        bias = _jsonio.number_list(
+            _jsonio.get(entry, "bias", _jsonio.NUMBERS, where), f"{where} bias"
+        )
         if len(bias) != units:
             raise FormatError(f"{where} bias: expected {units} values, got {len(bias)}")
         try:

@@ -18,7 +18,7 @@ import numpy as np
 from . import _jsonio, linalg
 from .errors import ContractViolation
 from .model import ActivationKind, DenseLayer, Network, output
-from .prune import LabelMap, PruneConfig, channel_columns, prune_input_channels
+from .prune import LabelMap, PruneConfig, channel_columns, column_drop_bound, select_channels
 from .scene import FeatureMap, Scene, channel_sums, pool_regions
 
 __all__ = [
@@ -276,15 +276,20 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
             f"{scene.pooled_width}"
         )
     sums = channel_sums(scene.fmap)
-    reports = [
-        prune_input_channels(net, sums, scene.pool_h, scene.pool_w, PruneConfig(tau))[1]
-        for tau in taus
-    ]
+    cells = scene.pool_h * scene.pool_w
+    magnitudes = np.repeat(sums, cells)
     # member 0 is the original network, member i + 1 the one pruned at taus[i];
-    # the keep sets shrink as tau grows, so depth[j] members keep column j
-    depth = np.ones(net.input_dim, dtype=np.intp)
-    for rep in reports:
-        depth[list(rep.selections[0].kept)] += 1
+    # the keep sets shrink as tau grows, so depth[c] members keep channel c
+    channel_depth = np.ones(sums.size, dtype=np.intp)
+    selections, bounds = [], []
+    for tau in taus:
+        sel = select_channels(sums, PruneConfig(tau))
+        channel_depth[list(sel.kept)] += 1
+        cols = channel_columns(sel, sums.size, scene.pool_h, scene.pool_w)
+        # the bound prune_input_channels certifies, without building the pruned network
+        bounds.append(column_drop_bound(net, 0, magnitudes, cols))
+        selections.append(sel)
+    depth = np.repeat(channel_depth, cells)
     first, rest = net.layers[0], Network(net.layers[1:])
     fmap, weights = scene.fmap, first.weights
     live = np.flatnonzero(sums)
@@ -310,21 +315,22 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
         base = outs[id(accs[0])]
         for dev, acc in zip(devs, accs[1:]):
             dev.add(base, outs[id(acc)])
+    # a pruned first layer keeps every unit and bias, and cells columns per kept channel
     w0, b0 = first.weights.size, first.bias.size
     points = []
-    for tau, rep, dev in zip(taus, reports, devs):
+    for tau, sel, bound, dev in zip(taus, selections, bounds, devs):
         measured = dev.report()
-        wa, ba = rep.params_after.per_layer[0]
+        wa = first.units * len(sel.kept) * cells
         layer_params = w0 + b0
         points.append(
             SweepPoint(
                 tau=tau,
-                pruned_units=len(rep.channels.pruned),
-                param_reduction=(layer_params - wa - ba) / layer_params if layer_params else 0.0,
+                pruned_units=len(sel.pruned),
+                param_reduction=(layer_params - wa - b0) / layer_params if layer_params else 0.0,
                 mac_reduction=(w0 - wa) / w0 if w0 else 0.0,
                 max_abs=measured.max_abs,
                 argmax_agreement=measured.argmax_agreement,
-                bound=rep.deviation_bound if rep.deviation_bound is not None else 0.0,
+                bound=bound,
             )
         )
     return points

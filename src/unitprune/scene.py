@@ -280,13 +280,13 @@ def save_scene(scene: Scene) -> bytes:
 
 def load_scene(data: bytes | str) -> Scene:
     """Parse the version-1 scene format."""
-    doc = _jsonio.parse_doc(data, "scene")
+    doc = _jsonio.parse_doc(data, "scene", arrays=("data",))
     c = _jsonio.get(doc, "C", int, "scene")
     h = _jsonio.get(doc, "H", int, "scene")
     w = _jsonio.get(doc, "W", int, "scene")
     pool_h = _jsonio.get(doc, "pool_h", int, "scene")
     pool_w = _jsonio.get(doc, "pool_w", int, "scene")
-    flat = _jsonio.number_list(_jsonio.get(doc, "data", list, "scene"), "scene data")
+    flat = _jsonio.number_list(_jsonio.get(doc, "data", _jsonio.NUMBERS, "scene"), "scene data")
     if c < 1 or h < 1 or w < 1:
         raise FormatError(f"scene dimensions must be >= 1, got {c}x{h}x{w}")
     if len(flat) != c * h * w:

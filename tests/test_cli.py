@@ -489,3 +489,61 @@ def test_overflowing_probe_is_refused_by_layer(tmp_path):
     assert done.stdout == ""
     assert done.stderr == "error: layer 1 activations on the probe are not finite\n"
     assert not (tmp_path / "out.net").exists() and not (tmp_path / "out.report").exists()
+
+
+# every file the CLI reads, by flag: which command reads it and what the error calls it
+_NON_UTF8_CASES = [
+    ("prune", "--model", "model"),
+    ("prune", "--scene", "scene"),
+    ("prune", "--probe", "probe"),
+    ("topn", "--model", "model"),
+    ("topn", "--scores", "scores"),
+    ("eval", "--model-a", "model"),
+    ("eval", "--model-b", "model"),
+    ("eval", "--scene", "scene"),
+    ("eval", "--labelmap", "label map"),
+    ("eval", "--report", "report"),
+    ("sweep", "--model", "model"),
+    ("sweep", "--scene", "scene"),
+]
+
+
+@pytest.mark.parametrize("command,flag,what", _NON_UTF8_CASES)
+def test_non_utf8_input_is_one_format_error_line(tmp_path, command, flag, what):
+    model = gen_net(tmp_path / "m.net", sizes="8,5,3", sparsity=0.0, seed=2)
+    scene = gen_scene_file(tmp_path / "s.scene", c=2, h=4, w=4, n_rois=3, pool_h=2, pool_w=2)
+    (tmp_path / "probe.json").write_text(json.dumps([0.5] * 8))
+    (tmp_path / "scores.json").write_text(json.dumps([0.1, 0.9, 0.3]))
+    assert run("topn", "--model", model, "--scores", tmp_path / "scores.json", "--n", "2",
+               "--out", tmp_path / "top.net", "--labelmap", tmp_path / "top.labels") == 0
+    assert run("prune", "--model", model, "--scene", scene, "--out", tmp_path / "p.net",
+               "--report", tmp_path / "p.report") == 0
+    inputs = {
+        "prune": {"--model": model, "--probe": tmp_path / "probe.json"},
+        "topn": {"--model": model, "--scores": tmp_path / "scores.json", "--n": "2"},
+        "eval": {"--model-a": model, "--model-b": tmp_path / "p.net", "--scene": scene,
+                 "--report": tmp_path / "p.report", "--labelmap": tmp_path / "top.labels"},
+        "sweep": {"--model": model, "--scene": scene, "--thresholds": "0"},
+    }[command]
+    if flag == "--scene" and command == "prune":
+        del inputs["--probe"]
+    outputs = {
+        "prune": {"--out": tmp_path / "out.net", "--report": tmp_path / "out.report"},
+        "topn": {"--out": tmp_path / "out.net", "--labelmap": tmp_path / "out.labels"},
+        "eval": {},
+        "sweep": {"--out": tmp_path / "out.csv"},
+    }[command]
+    bad = tmp_path / "bad.file"
+    # a UTF-16 byte-order mark, then UTF-16 text
+    bad.write_bytes(b"\xff\xfe" + '{"version": 1}'.encode("utf-16-le"))
+    inputs[flag] = bad
+    argv = [command, *(str(a) for pair in {**inputs, **outputs}.items() for a in pair)]
+    src = Path(unitprune.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "unitprune.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"format error: {what} file is not UTF-8: invalid start byte at byte 0\n"
+    assert not any(path.exists() for path in outputs.values())
