@@ -29,6 +29,7 @@ from .prune import (
     PruneSelection,
     backward_prune,
     channel_columns,
+    channel_drop_bound,
     column_drop_bound,
     deviation_bound,
     forward_prune,
@@ -84,6 +85,7 @@ __all__ = [
     "ValidationError",
     "backward_prune",
     "channel_columns",
+    "channel_drop_bound",
     "channel_sums",
     "column_drop_bound",
     "compare_outputs",

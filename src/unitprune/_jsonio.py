@@ -33,6 +33,7 @@ message as when every check ran after parsing.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -231,6 +232,15 @@ def number_list(val, where: str) -> np.ndarray:
         bad = next(v for v in val if type(v) not in _NUMBER_TYPES)
         raise FormatError(f"{where}: expected numbers, found {type(bad).__name__}")
     return _floats(val, where)
+
+
+@contextmanager
+def building(where: str):
+    """Re-raise a ContractViolation from building a loaded object as FormatError "where: ..."."""
+    try:
+        yield
+    except ContractViolation as e:
+        raise FormatError(f"{where}: {e}") from e
 
 
 def labels(obj: dict, where: str) -> tuple[str, ...] | None:

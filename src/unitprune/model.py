@@ -70,6 +70,11 @@ class DenseLayer:
     def units(self) -> int:
         return self.weights.shape[0]
 
+    def activate(self, sums: np.ndarray) -> np.ndarray:
+        """Activations from this layer's weighted sums: bias, then activation, on a new array."""
+        h = sums + self.bias
+        return linalg.relu(h) if self.activation is ActivationKind.RELU else h
+
     @property
     def inputs(self) -> int:
         return self.weights.shape[1]
@@ -140,7 +145,7 @@ class Network:
 
 @dataclass(frozen=True)
 class ActivationProfile:
-    """Post-activation vectors per layer for one input, as produced by forward."""
+    """Post-activation arrays per layer from forward: (units,) each, or (n, units) for a batch."""
 
     per_layer: tuple[np.ndarray, ...]
 
@@ -182,53 +187,35 @@ class ParamCount:
 
 
 def forward(net: Network, x) -> ActivationProfile:
-    """Run the network on x, capturing every layer's post-activation vector."""
+    """Run the network on one input (d,) or a batch (n, d), capturing every layer.
+
+    One input runs through linalg.matvec and a batch through linalg.matmat,
+    so row r of each batch layer is byte-identical to that layer for x[r].
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ContractViolation(f"forward: input must be 1-dimensional, got shape {x.shape}")
-    if net.layers and x.shape[0] != net.input_dim:
+    if x.ndim not in (1, 2):
+        raise ContractViolation(f"forward: input must be (d,) or (n, d), got shape {x.shape}")
+    if net.layers and x.shape[-1] != net.input_dim:
         raise ContractViolation(
-            f"forward: layer 0 expects {net.input_dim} inputs, got {x.shape[0]}"
+            f"forward: layer 0 expects {net.input_dim} inputs, got {x.shape[-1]}"
         )
+    product = linalg.matvec if x.ndim == 1 else linalg.matmat
     per = []
     h = x
     for lay in net.layers:
-        z = lay.bias + linalg.matvec(lay.weights, h)
-        if lay.activation is ActivationKind.RELU:
-            z = linalg.relu(z)
-        z.setflags(write=False)
-        per.append(z)
-        h = z
+        h = lay.activate(product(lay.weights, h))
+        h.setflags(write=False)
+        per.append(h)
     return ActivationProfile(per_layer=tuple(per))
 
 
 def output(net: Network, x) -> np.ndarray:
-    """Final layer's output for x (the input itself for an empty network).
+    """Final layer of forward(net, x): shape (out,) for one input, (n, out) for a batch.
 
-    x is one input of shape (d,) or a batch of shape (n, d). A batch runs
-    through linalg.matmat and returns shape (n, out), row r byte-identical to
-    output(net, x[r]); a single input stays on linalg.matvec, which is faster
-    for one row.
+    An empty network returns a copy of x.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        profile = forward(net, x)
-        if not profile.per_layer:
-            return x.copy()
-        return profile.per_layer[-1]
-    if net.layers and x.shape[1] != net.input_dim:
-        raise ContractViolation(
-            f"output: layer 0 expects {net.input_dim} inputs, got {x.shape[1]}"
-        )
-    if not net.layers:
-        return x.copy()
-    h = x
-    for lay in net.layers:
-        h = linalg.matmat(lay.weights, h)
-        h += lay.bias
-        if lay.activation is ActivationKind.RELU:
-            h = linalg.relu(h)
-    return h
+    per = forward(net, x).per_layer
+    return per[-1] if per else np.array(x, dtype=np.float64)
 
 
 def param_count(net: Network) -> ParamCount:
@@ -335,8 +322,6 @@ def load_network(data: bytes | str) -> Network:
         )
         if len(bias) != units:
             raise FormatError(f"{where} bias: expected {units} values, got {len(bias)}")
-        try:
+        with _jsonio.building(where):
             layers.append(DenseLayer(linalg.matrix(flat, units, inputs), bias, act))
-        except ContractViolation as e:
-            raise FormatError(f"{where}: {e}") from e
     return Network(tuple(layers), labels=_jsonio.labels(doc, "model"))

@@ -51,6 +51,7 @@ __all__ = [
     "prune_output_topn",
     "deviation_bound",
     "column_drop_bound",
+    "channel_drop_bound",
     "save_report",
     "load_report",
     "save_labelmap",
@@ -159,8 +160,8 @@ class PruneReport:
     supplied, 0.0 for transforms that cannot change the surviving outputs,
     and otherwise an upper bound on the infinity-norm output change for the
     probe (or, for input-channels pruning, for every region of the scene at
-    once). The reduction fractions are derived from the counts, which may
-    only shrink.
+    once), so it is never negative. The reduction fractions are derived from
+    the counts, which may only shrink.
     """
 
     kind: str
@@ -178,6 +179,10 @@ class PruneReport:
             raise ValidationError(f"a report holds exactly one selection, got {len(sels)}")
         if (self.channels is None) == (self.kind == "input-channels"):
             raise ValidationError("channels are present exactly in input-channels reports")
+        if self.deviation_bound is not None and self.deviation_bound < 0.0:
+            raise ValidationError(
+                f"deviation_bound must be nonnegative, got {self.deviation_bound}"
+            )
         before, after = self.params_before.per_layer, self.params_after.per_layer
         if len(before) != len(after):
             raise ValidationError(
@@ -229,8 +234,7 @@ def select_channels(sums, config: PruneConfig) -> PruneSelection:
     s = linalg.vector(sums)
     if (s < 0.0).any():
         raise ContractViolation("channel sums must be nonnegative")
-    pruned = np.flatnonzero(s <= config.threshold)
-    return PruneSelection.from_pruned(pruned, s.shape[0], layer=0)
+    return select_units(s, config, layer=0)
 
 
 def channel_columns(
@@ -262,6 +266,11 @@ def _check_layer(net: Network, layer: int) -> None:
         )
 
 
+def _check_covers(sel: PruneSelection, count: int, what: str, where: str) -> None:
+    if sel.size != count:
+        raise ContractViolation(f"selection covers {sel.size} {what} but {where} has {count}")
+
+
 def _drop_units(lay: DenseLayer, keep: Sequence[int]) -> DenseLayer:
     return DenseLayer(
         linalg.drop_rows(lay.weights, keep), linalg.subvector(lay.bias, keep), lay.activation
@@ -283,10 +292,7 @@ def backward_prune(net: Network, layer: int, sel: PruneSelection) -> Network:
     """
     _check_layer(net, layer)
     lay = net.layers[layer]
-    if sel.size != lay.units:
-        raise ContractViolation(
-            f"selection covers {sel.size} units but layer {layer} has {lay.units}"
-        )
+    _check_covers(sel, lay.units, "units", f"layer {layer}")
     new = _drop_units(lay, sel.kept)
     labels = net.labels
     if labels is not None and layer == len(net.layers) - 1:
@@ -304,10 +310,7 @@ def forward_prune(net: Network, layer: int, sel: PruneSelection) -> Network:
     """
     _check_layer(net, layer)
     lay = net.layers[layer]
-    if sel.size != lay.inputs:
-        raise ContractViolation(
-            f"selection covers {sel.size} inputs but layer {layer} has {lay.inputs}"
-        )
+    _check_covers(sel, lay.inputs, "inputs", f"layer {layer}")
     new = _drop_inputs(lay, sel.kept)
     return Network(net.layers[:layer] + (new,) + net.layers[layer + 1 :], labels=net.labels)
 
@@ -336,10 +339,7 @@ def prune_units(
         )
     lay = net.layers[layer]
     nxt = net.layers[layer + 1]
-    if sel.size != lay.units:
-        raise ContractViolation(
-            f"selection covers {sel.size} units but layer {layer} has {lay.units}"
-        )
+    _check_covers(sel, lay.units, "units", f"layer {layer}")
     bound = None
     if profile is not None:
         profile.check_finite()
@@ -358,13 +358,10 @@ def prune_input_channels(
 
     sums are per-channel totals of a nonnegative feature map; a channel is
     dropped when its total is <= config.threshold, taking all pool_h*pool_w
-    of its input columns with it. Each pooled coordinate of channel c is a
-    max over nonnegative entries, so it never exceeds the channel's total;
-    expanding the totals across each channel's columns therefore dominates
-    every region's pooled vector at once, and the reported deviation_bound
-    holds for the entire collection, not just one probe. At threshold 0 the
-    dropped columns only ever carry exact zeros and outputs are
-    bit-identical for every region.
+    of its input columns with it. The reported deviation_bound is
+    channel_drop_bound's, which holds for every region at once, not just one
+    probe. At threshold 0 the dropped columns only ever carry exact zeros and
+    outputs are bit-identical for every region.
     """
     s = linalg.vector(sums)
     cells = int(pool_h) * int(pool_w)
@@ -382,8 +379,7 @@ def prune_input_channels(
     cols = channel_columns(csel.pruned, s.shape[0], pool_h, pool_w)
     colsel = PruneSelection.from_pruned(cols, n_cols, layer=0)
     pruned_net = forward_prune(net, 0, colsel)
-    probe = np.repeat(s, cells)
-    bound = column_drop_bound(net, 0, probe, cols)
+    bound = channel_drop_bound(net, s, pool_h, pool_w, csel)
     report = PruneReport(
         "input-channels", (colsel,), param_count(net), param_count(pruned_net), bound, csel
     )
@@ -484,6 +480,21 @@ def column_drop_bound(net: Network, layer: int, magnitudes, cols: Sequence[int])
     return head * amp + 8.0 * fp
 
 
+def channel_drop_bound(
+    net: Network, sums, pool_h: int, pool_w: int, channels: PruneSelection | Sequence[int]
+) -> float:
+    """column_drop_bound of layer 0 for dropping whole channels, sound for every region.
+
+    sums are the per-channel totals of a nonnegative feature map. A pooled
+    coordinate of channel c is a max over entries of c, so it never exceeds
+    c's total: the totals, repeated over each channel's cells, are magnitudes
+    that dominate every region's pooled vector at once.
+    """
+    s = linalg.vector(sums)
+    cols = channel_columns(channels, s.shape[0], pool_h, pool_w)
+    return column_drop_bound(net, 0, np.repeat(s, pool_h * pool_w), cols)
+
+
 def deviation_bound(
     net: Network, layer: int, profile: ActivationProfile, sel: PruneSelection
 ) -> float:
@@ -497,10 +508,7 @@ def deviation_bound(
     if layer >= len(net.layers) - 1:
         raise ContractViolation("deviation_bound applies to hidden layers only")
     h = profile.layer(layer)
-    if sel.size != h.shape[0]:
-        raise ContractViolation(
-            f"selection covers {sel.size} units but the profile has {h.shape[0]}"
-        )
+    _check_covers(sel, h.shape[0], "units", "the profile")
     return column_drop_bound(net, layer + 1, np.abs(h), sel.pruned)
 
 
@@ -537,10 +545,8 @@ def _selection_from_doc(entry, where: str) -> PruneSelection:
     layer = _jsonio.get(entry, "layer", int, where)
     pruned = _jsonio.int_list(_jsonio.get(entry, "pruned", list, where), f"{where} pruned")
     kept = _jsonio.int_list(_jsonio.get(entry, "kept", list, where), f"{where} kept")
-    try:
+    with _jsonio.building(where):
         return PruneSelection(layer=layer, pruned=tuple(pruned), kept=tuple(kept))
-    except ContractViolation as e:
-        raise FormatError(f"{where}: {e}") from e
 
 
 def _params_from_doc(entry, where: str) -> ParamCount:
@@ -593,10 +599,8 @@ def load_report(data: bytes | str) -> PruneReport:
     channels = doc.get("channels")
     if channels is not None:
         channels = _selection_from_doc(channels, "channels")
-    try:
+    with _jsonio.building("report"):
         report = PruneReport(kind, sels, pb, pa, bound, channels)
-    except ContractViolation as e:
-        raise FormatError(f"report: {e}") from e
     for key in ("layer_reduction", "total_reduction"):
         if not _same_numbers(_jsonio.get(doc, key, object, "report"), getattr(report, key)):
             raise FormatError(f"report: {key} does not match params_before and params_after")
@@ -612,7 +616,5 @@ def load_labelmap(data: bytes | str) -> LabelMap:
     """Parse the version-1 label map format."""
     doc = _jsonio.parse_doc(data, "label map")
     kept = _jsonio.int_list(_jsonio.get(doc, "kept", list, "label map"), "label map kept")
-    try:
+    with _jsonio.building("label map"):
         return LabelMap(indices=tuple(kept), names=_jsonio.labels(doc, "label map"))
-    except ContractViolation as e:
-        raise FormatError(f"label map: {e}") from e

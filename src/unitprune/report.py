@@ -17,8 +17,8 @@ import numpy as np
 
 from . import _jsonio, linalg
 from .errors import ContractViolation
-from .model import ActivationKind, DenseLayer, Network, output
-from .prune import LabelMap, PruneConfig, channel_columns, column_drop_bound, select_channels
+from .model import DenseLayer, Network, output
+from .prune import LabelMap, PruneConfig, channel_columns, channel_drop_bound, select_channels
 from .scene import FeatureMap, Scene, channel_sums, pool_regions
 
 __all__ = [
@@ -87,10 +87,7 @@ def _finish(first: DenseLayer, rest: Network, acc: np.ndarray) -> np.ndarray:
 
     acc may be shared with other networks, so it is never changed in place.
     """
-    h = acc + first.bias
-    if first.activation is ActivationKind.RELU:
-        h = linalg.relu(h)
-    return output(rest, h)
+    return output(rest, first.activate(acc))
 
 
 def _same_first_layer(original: DenseLayer, pruned: DenseLayer, keep: list[int] | None) -> bool:
@@ -277,7 +274,6 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
         )
     sums = channel_sums(scene.fmap)
     cells = scene.pool_h * scene.pool_w
-    magnitudes = np.repeat(sums, cells)
     # member 0 is the original network, member i + 1 the one pruned at taus[i];
     # the keep sets shrink as tau grows, so depth[c] members keep channel c
     channel_depth = np.ones(sums.size, dtype=np.intp)
@@ -285,9 +281,8 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
     for tau in taus:
         sel = select_channels(sums, PruneConfig(tau))
         channel_depth[list(sel.kept)] += 1
-        cols = channel_columns(sel, sums.size, scene.pool_h, scene.pool_w)
         # the bound prune_input_channels certifies, without building the pruned network
-        bounds.append(column_drop_bound(net, 0, magnitudes, cols))
+        bounds.append(channel_drop_bound(net, sums, scene.pool_h, scene.pool_w, sel))
         selections.append(sel)
     depth = np.repeat(channel_depth, cells)
     first, rest = net.layers[0], Network(net.layers[1:])

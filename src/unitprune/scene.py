@@ -297,12 +297,7 @@ def load_scene(data: bytes | str) -> Scene:
         coords = _jsonio.int_list(entry, f"roi {i}")
         if len(coords) != 4:
             raise FormatError(f"roi {i}: expected four integers [x0, y0, x1, y1]")
-        try:
+        with _jsonio.building(f"roi {i}"):
             rois.append(Roi(coords[0], coords[1], coords[2], coords[3]))
-        except ContractViolation as e:
-            raise FormatError(f"roi {i}: {e}") from e
-    try:
-        fmap = FeatureMap(flat.reshape(c, h, w))
-        return Scene(fmap, tuple(rois), pool_h, pool_w)
-    except ContractViolation as e:
-        raise FormatError(f"scene: {e}") from e
+    with _jsonio.building("scene"):
+        return Scene(FeatureMap(flat.reshape(c, h, w)), tuple(rois), pool_h, pool_w)

@@ -547,3 +547,24 @@ def test_non_utf8_input_is_one_format_error_line(tmp_path, command, flag, what):
     assert done.stdout == ""
     assert done.stderr == f"format error: {what} file is not UTF-8: invalid start byte at byte 0\n"
     assert not any(path.exists() for path in outputs.values())
+
+
+def test_negative_deviation_bound_in_a_report_is_a_format_error(tmp_path):
+    model = gen_net(tmp_path / "m.net", sizes="16,5,3", sparsity=0.0)
+    scene = gen_scene_file(tmp_path / "s.scene", c=4, h=4, w=4, n_rois=3,
+                           pool_h=2, pool_w=2, seed=1)
+    report = tmp_path / "p.report"
+    assert run("prune", "--model", model, "--scene", scene, "--tau", 5,
+               "--out", tmp_path / "p.net", "--report", report) == 0
+    doc = json.loads(report.read_text())
+    doc["deviation_bound"] = -5.0
+    report.write_text(json.dumps(doc))
+    src = Path(unitprune.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "unitprune.cli", "eval", "--model-a", str(model),
+         "--model-b", str(tmp_path / "p.net"), "--scene", str(scene), "--report", str(report)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "format error: report: deviation_bound must be nonnegative, got -5.0\n"

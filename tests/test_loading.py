@@ -272,3 +272,45 @@ def test_load_holds_less_than_the_plain_parse():
     plain = traced_peak(json.loads, text)
     lean = traced_peak(load_network, text)
     assert lean < plain
+
+
+
+# -- objects that parse but are invalid: FormatError caused by the violation -----
+
+
+def violation_message(load, text):
+    """The FormatError message, checking that a ContractViolation caused it."""
+    from unitprune.errors import ContractViolation
+
+    with pytest.raises(FormatError) as info:
+        load(text)
+    assert isinstance(info.value.__cause__, ContractViolation)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("layers,huge,want", [
+    ([bad_layer(weights=[1.0, "HUGE"])], "1e400", "layer 0: matrix contains non-finite values"),
+    ([GOOD, bad_layer(bias=["HUGE"])], "-1e400", "layer 1: vector contains non-finite values"),
+])
+def test_model_layer_that_overflows_to_inf(layers, huge, want):
+    # a float literal beyond the float range parses to inf; the layer refuses it
+    text = model_text(layers).replace('"HUGE"', huge)
+    assert violation_message(load_network, text) == want
+
+
+@pytest.mark.parametrize("path,value,want", [
+    (("selections", 0, "kept"), [1, 2, 3], "selection 0: index 1 is both pruned and kept"),
+    (("channels", "kept"), [0], "channels: index 0 is both pruned and kept"),
+    (("deviation_bound",), -5.0, "report: deviation_bound must be nonnegative, got -5.0"),
+])
+def test_invalid_report_objects(path, value, want):
+    from unitprune import PruneConfig, load_report, prune_input_channels, save_report
+
+    _, rep = prune_input_channels(gen_network([4, 3], seed=1), [0.0, 1.0], 1, 2, PruneConfig(0.0))
+    doc = json.loads(save_report(rep))
+    *keys, last = path
+    entry = doc
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
+    assert violation_message(load_report, json.dumps(doc)) == want

@@ -264,3 +264,79 @@ class TestSerialization:
         back = load_network(save_network(net))
         assert back == net
         assert output(back, np.zeros(0)).tolist() == [0.5, -0.5, 1.0]
+
+
+# -- one forward for one input or a batch ---------------------------------------
+
+
+@st.composite
+def net_and_batch(draw):
+    """Up to three layers, zero-unit ones included, and an (n, d) batch with n from 0.
+
+    Weights mix ±0.0 and subnormals with values up to 1.7e308, so sums can
+    overflow to inf and inf - inf to NaN; inputs mix ±0.0 and subnormals too.
+    """
+    sizes = draw(st.lists(st.integers(0, 5), min_size=2, max_size=4))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1.7e308]))
+    tiny = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308])
+    weight = st.one_of(tiny, st.floats(-1.0, 1.0, width=64).map(lambda t: t * scale))
+    layers = []
+    for k, (fan_in, units) in enumerate(zip(sizes, sizes[1:])):
+        w = draw(st.lists(weight, min_size=units * fan_in, max_size=units * fan_in))
+        b = draw(st.lists(weight, min_size=units, max_size=units))
+        last = k == len(sizes) - 2
+        act = ActivationKind.IDENTITY if last and draw(st.booleans()) else ActivationKind.RELU
+        layers.append(DenseLayer(np.array(w, dtype=float).reshape(units, fan_in), b, act))
+    n = draw(st.integers(0, 4))
+    x = st.one_of(tiny, st.floats(-1e10, 1e10, allow_nan=False, width=64))
+    xs = draw(st.lists(x, min_size=n * sizes[0], max_size=n * sizes[0]))
+    return Network(tuple(layers)), np.array(xs, dtype=float).reshape(n, sizes[0])
+
+
+@settings(deadline=None, max_examples=300)
+@given(net_and_batch())
+def test_batch_forward_rows_equal_single_forwards(nx):
+    net, xs = nx
+    # the overflow to inf/NaN is the result under test, not a fault
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = forward(net, xs).per_layer
+        singles = [forward(net, x).per_layer for x in xs]
+        out = output(net, xs)
+    assert len(batch) == len(net.layers)
+    for k, (lay, h) in enumerate(zip(net.layers, batch)):
+        assert h.shape == (xs.shape[0], lay.units)
+        assert not h.flags.writeable
+        for r, per in enumerate(singles):
+            assert h[r].tobytes() == per[k].tobytes()
+    assert out.tobytes() == batch[-1].tobytes()
+
+
+def test_batch_forward_overflow_example_has_nan():
+    w = np.full((2, 2), 1.7e308)
+    net = Network((DenseLayer(w, [0.0, 0.0]), DenseLayer([[1.0, -1.0], [1.0, 1.0]], [0.0, 0.0])))
+    xs = np.array([[1.0, 1.0], [2.0, -0.0], [0.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = forward(net, xs).per_layer
+        singles = [forward(net, x).per_layer for x in xs]
+    assert np.isinf(batch[0][0, 0]) and np.isnan(batch[1][0, 0])
+    for k in range(2):
+        assert batch[k].tobytes() == np.stack([s[k] for s in singles]).tobytes()
+
+
+def test_output_of_an_empty_network_is_a_fresh_copy():
+    net = Network(())
+    for x in (np.array([1.0, -0.0]), np.array([[1.0, 2.0], [3.0, -0.0]])):
+        got = output(net, x)
+        assert got.shape == x.shape and got.tobytes() == x.tobytes()
+        assert not np.shares_memory(got, x)
+        got[...] = 7.0
+        assert 7.0 not in x
+    assert output(net, [[1, 2]]).dtype == np.float64
+
+
+def test_forward_shape_errors_name_forward():
+    net = gen_network([3, 2], seed=0)
+    with pytest.raises(ContractViolation, match=r"forward: input must be \(d,\) or \(n, d\)"):
+        forward(net, np.zeros((1, 1, 3)))
+    with pytest.raises(ContractViolation, match="forward: layer 0 expects 3 inputs, got 4"):
+        output(net, np.zeros((2, 4)))

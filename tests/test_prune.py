@@ -24,6 +24,7 @@ from unitprune.prune import (
     PruneSelection,
     backward_prune,
     channel_columns,
+    channel_drop_bound,
     column_drop_bound,
     deviation_bound,
     forward_prune,
@@ -563,3 +564,30 @@ def test_prune_units_refuses_a_non_finite_profile():
         sel = select_units(h0, PruneConfig(0.0), layer=0)
         with pytest.raises(ContractViolation, match=f"layer {layer} activations"):
             prune_units(net, 0, sel, profile=profile)
+
+
+def test_negative_deviation_bound_refused():
+    net = gen_network([3, 4, 2], seed=0)
+    _, rep = prune_units(net, 0, PruneSelection.from_pruned((1,), 4))
+    args = (rep.kind, rep.selections, rep.params_before, rep.params_after)
+    with pytest.raises(ValidationError, match="deviation_bound must be nonnegative, got -5.0"):
+        PruneReport(*args, -5.0)
+    for ok in (None, 0.0, -0.0, 3.5, float("inf")):
+        assert PruneReport(*args, ok).deviation_bound == ok
+    doc = json.loads(save_report(rep))
+    doc["deviation_bound"] = -5.0
+    with pytest.raises(FormatError, match="^report: deviation_bound must be nonnegative"):
+        load_report(json.dumps(doc))
+
+
+def test_channel_drop_bound_is_the_bound_of_repeated_sums():
+    net = gen_network([12, 5, 3], seed=4)
+    sums = np.array([0.0, 2.5, 0.0, 7.0])
+    for tau in (0.0, 3.0, 10.0):
+        _, rep = prune_input_channels(net, sums, 1, 3, PruneConfig(tau))
+        cols = channel_columns(rep.channels, 4, 1, 3)
+        want = column_drop_bound(net, 0, np.repeat(sums, 3), cols)
+        assert channel_drop_bound(net, sums, 1, 3, rep.channels) == want
+        assert channel_drop_bound(net, sums, 1, 3, rep.channels.pruned) == want
+        assert rep.deviation_bound == want
+    assert want > 0.0
