@@ -11,6 +11,13 @@ value is written one item per line; anything else is written inline. Floats
 take their shortest round-trip form, so equal documents give equal bytes.
 JSON has no NaN or infinity, so writing one raises ContractViolation.
 
+dump_chunks gives the same bytes as a stream, and dump_doc is their join.
+Checks are eager and formatting is lazy: the walk over the fields runs every
+finiteness and type check before dump_chunks returns, so a refused document
+raises before its first chunk exists. The stream then formats and encodes a
+Rows value a block of rows at a time (about _CHUNK_VALUES floats), so a
+writer holds one block's text, not the whole document.
+
 parse_doc and parse_vector reject the NaN/Infinity constants the stdlib
 parser would accept, and the typed accessors turn structural surprises into
 FormatError with a usable path string. Bytes that are not UTF-8 are a
@@ -33,6 +40,7 @@ message as when every check ran after parsing.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from contextlib import contextmanager
 from typing import NamedTuple
 
@@ -47,6 +55,9 @@ _NUMBER_TYPES = frozenset({int, float})
 
 # the kind get() checks for a field parse_doc may have made an array
 NUMBERS = (list, np.ndarray)
+
+# Floats a Rows chunk holds (at least one row): bounds the text a write holds at once.
+_CHUNK_VALUES = 32768
 
 
 class Rows(NamedTuple):
@@ -92,7 +103,8 @@ def _bracket(open_: str, parts: list[list[str]], close: str) -> list[str]:
     return [open_, *(line for part in parts for line in part), close]
 
 
-def _lines(v, key: str) -> list[str]:
+def _lines(v, key: str) -> list:
+    """The lines of v; a checked Rows body stays an array, formatted by _chunks."""
     if isinstance(v, dict):
         return _bracket("{", [_field(k, x) for k, x in v.items()], "}")
     if isinstance(v, Lines):
@@ -101,19 +113,45 @@ def _lines(v, key: str) -> list[str]:
         if v.array.size == 0:
             return ["[]"]
         _check_finite(v.array, key)
-        return ["[", ",\n".join(", ".join(map(repr, row.tolist())) for row in v.array), "]"]
+        return ["[", v.array, "]"]
     return [_inline(v, key)]
 
 
-def _field(key: str, v) -> list[str]:
+def _field(key: str, v) -> list:
     name, lines = json.dumps(key) + ":", _lines(v, key)
     return [name, *lines] if isinstance(v, dict) else [f"{name} {lines[0]}", *lines[1:]]
 
 
+def _row_block(rows: np.ndarray, end: str) -> bytes:
+    """rows one per line, comma-separated, then end; its text is freed as it returns."""
+    lines = [", ".join(map(repr, row)) for row in rows.tolist()]
+    lines[-1] += end
+    return ",\n".join(lines).encode("utf-8")
+
+
+def _chunks(lines: list) -> Iterator[bytes]:
+    """Each line and its newline, with a Rows body one row per line, a block at a time."""
+    pending: list[str] = []
+    for line in lines:
+        if isinstance(line, str):
+            pending.append(line + "\n")
+            continue
+        yield "".join(pending).encode("utf-8")
+        pending = []
+        step = max(1, _CHUNK_VALUES // line.shape[1])
+        for lo in range(0, len(line), step):
+            yield _row_block(line[lo : lo + step], ",\n" if lo + step < len(line) else "\n")
+    yield "".join(pending).encode("utf-8")
+
+
+def dump_chunks(fields: dict) -> Iterator[bytes]:
+    """The bytes of dump_doc(fields) in chunks; every check runs before this returns."""
+    return _chunks(_lines({"version": FORMAT_VERSION, **fields}, ""))
+
+
 def dump_doc(fields: dict) -> bytes:
     """Serialize a document, "version" first; equal fields give equal bytes."""
-    lines = _lines({"version": FORMAT_VERSION, **fields}, "")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return b"".join(dump_chunks(fields))
 
 
 def dump_line(fields: dict) -> str:

@@ -9,27 +9,31 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
+import stat
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
 from . import _jsonio
 from .errors import ContractViolation, FormatError, UsageError
-from .model import forward, gen_network, load_network, save_network
+from .model import _network_fields, forward, gen_network, load_network
 from .prune import (
     PruneConfig,
+    _labelmap_fields,
+    _report_fields,
     load_labelmap,
     load_report,
     prune_input_channels,
     prune_output_topn,
     prune_units,
-    save_labelmap,
-    save_report,
     select_units,
 )
 from .report import compare_outputs, deviation_json, sweep, sweep_csv
-from .scene import channel_sums, gen_scene, load_scene, pool_regions, save_scene
+from .scene import _scene_fields, channel_sums, gen_scene, load_scene, pool_regions
 
 __all__ = ["main", "build_parser"]
 
@@ -49,8 +53,47 @@ def _read(path: str, what: str) -> str:
     return _jsonio.decode(Path(path).read_bytes(), what)
 
 
-def _write(path: str, data: bytes) -> None:
-    Path(path).write_bytes(data)
+def _write(outputs: list[tuple[str, Iterable[bytes]]]) -> None:
+    """Stream each (path, chunks) output to its file, all moved into place at the end.
+
+    Each output goes to a new file beside its path, created with the mode a
+    plain write would give, and every one is renamed into place only after
+    all are complete, so a failed write neither creates an output nor
+    truncates one. A path that names a device or pipe is written in place,
+    since renaming over it would replace it.
+    """
+    temps: list[tuple[str, str, str]] = []  # (temporary, destination, output path)
+    try:
+        for path, chunks in outputs:
+            try:
+                old = os.stat(path)
+            except FileNotFoundError:
+                old = None
+            if old is not None and not stat.S_ISREG(old.st_mode):
+                with open(path, "wb") as f:
+                    f.writelines(chunks)
+                continue
+            # through a symlink, the file it names is replaced, as a plain write would
+            dest = os.path.realpath(path)
+            head, tail = os.path.split(dest)
+            tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+            # O_EXCL opens no file that already exists; the umask applies to 0o666
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            temps.append((tmp, dest, path))
+            with open(fd, "wb") as f:
+                if old is not None:
+                    os.fchmod(fd, stat.S_IMODE(old.st_mode))
+                f.writelines(chunks)
+        for tmp, dest, path in temps:
+            os.replace(tmp, dest)
+    except OSError as e:
+        # name the output, not its temporary
+        e.filename, e.filename2 = path, None
+        raise
+    finally:
+        for tmp, _, _ in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -78,7 +121,7 @@ def _parse_thresholds(text: str) -> list[float]:
 
 def _cmd_gen_net(args) -> int:
     net = gen_network(_parse_sizes(args.sizes), sparsity=args.sparsity, seed=args.seed)
-    _write(args.out, save_network(net))
+    _write([(args.out, _jsonio.dump_chunks(_network_fields(net)))])
     return 0
 
 
@@ -93,7 +136,7 @@ def _cmd_gen_scene(args) -> int:
         pool_w=args.pool_w,
         seed=args.seed,
     )
-    _write(args.out, save_scene(sc))
+    _write([(args.out, _jsonio.dump_chunks(_scene_fields(sc)))])
     return 0
 
 
@@ -117,12 +160,11 @@ def _cmd_prune(args) -> int:
         profile.check_finite()
         sel = select_units(profile.layer(args.layer), cfg, layer=args.layer)
         pruned_net, rep = prune_units(net, args.layer, sel, profile=profile)
-    # serialize everything first, so a refused document leaves no file behind
-    files = [(args.out, save_network(pruned_net))]
+    # check every document first, so a refused one leaves no file behind
+    files = [(args.out, _jsonio.dump_chunks(_network_fields(pruned_net)))]
     if args.report is not None:
-        files.append((args.report, save_report(rep)))
-    for path, data in files:
-        _write(path, data)
+        files.append((args.report, _jsonio.dump_chunks(_report_fields(rep))))
+    _write(files)
     return 0
 
 
@@ -130,11 +172,13 @@ def _cmd_topn(args) -> int:
     net = load_network(_read(args.model, "model"))
     scores = _jsonio.parse_vector(_read(args.scores, "scores"), "scores")
     pruned_net, label_map, rep = prune_output_topn(net, scores, args.n)
-    files = [(args.out, save_network(pruned_net)), (args.labelmap, save_labelmap(label_map))]
+    files = [
+        (args.out, _jsonio.dump_chunks(_network_fields(pruned_net))),
+        (args.labelmap, _jsonio.dump_chunks(_labelmap_fields(label_map))),
+    ]
     if args.report is not None:
-        files.append((args.report, save_report(rep)))
-    for path, data in files:
-        _write(path, data)
+        files.append((args.report, _jsonio.dump_chunks(_report_fields(rep))))
+    _write(files)
     return 0
 
 
@@ -174,7 +218,7 @@ def _cmd_sweep(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        _write(args.out, text.encode("utf-8"))
+        _write([(args.out, [text.encode("utf-8")])])
     return 0
 
 

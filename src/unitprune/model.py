@@ -277,6 +277,11 @@ def save_network(net: Network) -> bytes:
     The stream is valid JSON laid out for diffing: fixed key order, one
     weight row per line, floats in shortest round-trip decimal form.
     """
+    return _jsonio.dump_doc(_network_fields(net))
+
+
+def _network_fields(net: Network) -> dict:
+    """The fields of net's model document (the CLI streams them to a file)."""
     layers = [
         {
             "activation": lay.activation.value,
@@ -287,7 +292,7 @@ def save_network(net: Network) -> bytes:
         }
         for lay in net.layers
     ]
-    return _jsonio.dump_doc({"labels": net.labels, "layers": _jsonio.Lines(layers)})
+    return {"labels": net.labels, "layers": _jsonio.Lines(layers)}
 
 
 def load_network(data: bytes | str) -> Network:

@@ -526,19 +526,22 @@ def save_report(report: PruneReport) -> bytes:
     derived totals and reduction fractions are written too, for readers of
     the file, and load_report checks them against the per-layer counts.
     """
+    return _jsonio.dump_doc(_report_fields(report))
+
+
+def _report_fields(report: PruneReport) -> dict:
+    """The fields of report's document (the CLI streams them to a file)."""
     bound, channels = report.deviation_bound, report.channels
-    return _jsonio.dump_doc(
-        {
-            "kind": report.kind,
-            "layer_reduction": report.layer_reduction,
-            "total_reduction": report.total_reduction,
-            "deviation_bound": None if bound is None else float(bound),
-            "params_before": _params_doc(report.params_before),
-            "params_after": _params_doc(report.params_after),
-            "selections": _jsonio.Lines(map(asdict, report.selections)),
-            "channels": None if channels is None else asdict(channels),
-        }
-    )
+    return {
+        "kind": report.kind,
+        "layer_reduction": report.layer_reduction,
+        "total_reduction": report.total_reduction,
+        "deviation_bound": None if bound is None else float(bound),
+        "params_before": _params_doc(report.params_before),
+        "params_after": _params_doc(report.params_after),
+        "selections": _jsonio.Lines(map(asdict, report.selections)),
+        "channels": None if channels is None else asdict(channels),
+    }
 
 
 def _selection_from_doc(entry, where: str) -> PruneSelection:
@@ -609,7 +612,12 @@ def load_report(data: bytes | str) -> PruneReport:
 
 def save_labelmap(label_map: LabelMap) -> bytes:
     """Serialize a LabelMap to deterministic valid JSON."""
-    return _jsonio.dump_doc({"kept": label_map.indices, "labels": label_map.names})
+    return _jsonio.dump_doc(_labelmap_fields(label_map))
+
+
+def _labelmap_fields(label_map: LabelMap) -> dict:
+    """The fields of label_map's document (the CLI streams them to a file)."""
+    return {"kept": label_map.indices, "labels": label_map.names}
 
 
 def load_labelmap(data: bytes | str) -> LabelMap:

@@ -264,18 +264,21 @@ def save_scene(scene: Scene) -> bytes:
     Feature map data is written one (channel, row) per line; rois one per line
     as [x0, y0, x1, y1].
     """
+    return _jsonio.dump_doc(_scene_fields(scene))
+
+
+def _scene_fields(scene: Scene) -> dict:
+    """The fields of scene's document (the CLI streams them to a file)."""
     fm = scene.fmap
-    return _jsonio.dump_doc(
-        {
-            "C": fm.channels,
-            "H": fm.height,
-            "W": fm.width,
-            "pool_h": scene.pool_h,
-            "pool_w": scene.pool_w,
-            "data": _jsonio.Rows(fm.data.reshape(-1, fm.width)),
-            "rois": _jsonio.Lines([[r.x0, r.y0, r.x1, r.y1] for r in scene.rois]),
-        }
-    )
+    return {
+        "C": fm.channels,
+        "H": fm.height,
+        "W": fm.width,
+        "pool_h": scene.pool_h,
+        "pool_w": scene.pool_w,
+        "data": _jsonio.Rows(fm.data.reshape(-1, fm.width)),
+        "rois": _jsonio.Lines([[r.x0, r.y0, r.x1, r.y1] for r in scene.rois]),
+    }
 
 
 def load_scene(data: bytes | str) -> Scene:

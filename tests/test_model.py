@@ -293,10 +293,45 @@ def net_and_batch(draw):
     return Network(tuple(layers)), np.array(xs, dtype=float).reshape(n, sizes[0])
 
 
+@st.composite
+def wide_net_and_batch(draw):
+    """A first layer of 4096 inputs or more, then a narrow one, and an (n, d) batch.
+
+    Hypothesis cannot draw that many floats one by one, so a drawn seed fills
+    the arrays and drawn positions take ±0.0 and subnormals; weights are
+    scaled to 1e-300 or 1.7e308, where long sums underflow or overflow.
+    """
+    fan_in = draw(st.sampled_from([4096, 4097, 6000]))
+    units, outputs, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    scale = draw(st.sampled_from([1e-300, 1.7e308]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tiny = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308])
+    w = rng.uniform(-1.0, 1.0, (units, fan_in)) * scale
+    xs = rng.uniform(-1e10, 1e10, (n, fan_in))
+    for a in (w, xs):
+        for _ in range(draw(st.integers(0, 8)) if a.size else 0):
+            a.flat[draw(st.integers(0, a.size - 1))] = draw(tiny)
+    act = ActivationKind.IDENTITY if draw(st.booleans()) else ActivationKind.RELU
+    layers = (
+        DenseLayer(w, rng.uniform(-1.0, 1.0, units) * scale),
+        DenseLayer(rng.uniform(-1.0, 1.0, (outputs, units)) * scale, np.zeros(outputs), act),
+    )
+    return Network(layers), xs
+
+
 @settings(deadline=None, max_examples=300)
 @given(net_and_batch())
 def test_batch_forward_rows_equal_single_forwards(nx):
-    net, xs = nx
+    assert_rows_equal_single_forwards(*nx)
+
+
+@settings(deadline=None, max_examples=40)
+@given(wide_net_and_batch())
+def test_wide_batch_forward_rows_equal_single_forwards(nx):
+    assert_rows_equal_single_forwards(*nx)
+
+
+def assert_rows_equal_single_forwards(net, xs):
     # the overflow to inf/NaN is the result under test, not a fault
     with np.errstate(over="ignore", invalid="ignore"):
         batch = forward(net, xs).per_layer
