@@ -32,13 +32,10 @@ from .prune import (
     prune_units,
     select_units,
 )
-from .report import compare_outputs, deviation_json, sweep, sweep_csv
-from .scene import _scene_fields, channel_sums, gen_scene, load_scene, pool_regions
+from .report import _region_blocks, compare_outputs, deviation_json, sweep, sweep_csv
+from .scene import _scene_fields, channel_sums, gen_scene, load_scene
 
 __all__ = ["main", "build_parser"]
-
-# Regions pooled per pool_regions call in eval: bounds the pooled rows held at once.
-_POOL_ROWS = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,16 +104,11 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _parse_thresholds(text: str) -> list[float]:
+    # sweep checks the order and PruneConfig the sign, as for prune --tau
     try:
-        taus = [float(part) for part in text.split(",")]
+        return [float(part) for part in text.split(",")]
     except ValueError:
         raise UsageError(f"--thresholds must be comma-separated numbers, got {text!r}") from None
-    for a, b in zip(taus, taus[1:]):
-        if b < a:
-            raise UsageError(f"--thresholds must be ascending, got {a} before {b}")
-    if any(t < 0 for t in taus):
-        raise UsageError("--thresholds must be nonnegative")
-    return taus
 
 
 def _cmd_gen_net(args) -> int:
@@ -199,11 +191,7 @@ def _cmd_eval(args) -> int:
             f"model expects {original.input_dim} inputs but the scene pools to "
             f"{sc.pooled_width}"
         )
-    examples = (
-        x
-        for lo in range(0, len(sc.rois), _POOL_ROWS)
-        for x in pool_regions(sc.fmap, sc.rois[lo : lo + _POOL_ROWS], sc.pool_h, sc.pool_w)
-    )
+    examples = (x for xs in _region_blocks(sc, sc.fmap) for x in xs)
     dr = compare_outputs(
         original, pruned, examples, label_map=label_map, input_keep=input_keep, bound=bound
     )

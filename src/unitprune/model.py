@@ -222,19 +222,15 @@ def param_count(net: Network) -> ParamCount:
     return ParamCount(tuple((int(lay.weights.size), int(lay.bias.size)) for lay in net.layers))
 
 
-def gen_network(
-    sizes: Sequence[int],
-    sparsity: float = 0.0,
-    seed: int = 0,
-    activations: Sequence[ActivationKind] | None = None,
-) -> Network:
+def gen_network(sizes: Sequence[int], sparsity: float = 0.0, seed: int = 0) -> Network:
     """Deterministic random network for the given layer sizes.
 
-    sizes lists the input width followed by each layer's unit count.
-    sparsity is the fraction of each hidden layer's units whose weight row
-    and bias are forced to exact zero; those units output exactly 0.0 for
-    every input, which gives zero-threshold pruning known targets. The
-    count per layer is round(sparsity * units). Same seed, same bytes.
+    sizes lists the input width followed by each layer's unit count. Hidden
+    layers are relu and the last layer identity. sparsity is the fraction of
+    each hidden layer's units whose weight row and bias are forced to exact
+    zero; those units output exactly 0.0 for every input, which gives
+    zero-threshold pruning known targets. The count per layer is
+    round(sparsity * units). Same seed, same bytes.
     """
     sizes = [int(s) for s in sizes]
     if not sizes:
@@ -244,27 +240,20 @@ def gen_network(
     if not 0.0 <= float(sparsity) <= 1.0:
         raise ContractViolation(f"gen_network: sparsity must be in [0, 1], got {sparsity}")
     n_layers = len(sizes) - 1
-    if activations is None:
-        activations = [ActivationKind.RELU] * max(n_layers - 1, 0)
-        if n_layers:
-            activations.append(ActivationKind.IDENTITY)
-    if len(activations) != n_layers:
-        raise ContractViolation(
-            f"gen_network: {len(activations)} activations for {n_layers} layers"
-        )
     rng = np.random.default_rng(seed)
     layers = []
     for k in range(n_layers):
         fan_in, units = sizes[k], sizes[k + 1]
+        hidden = k < n_layers - 1
         w = rng.uniform(-1.0, 1.0, size=(units, fan_in))
         b = rng.uniform(-0.1, 0.1, size=units)
-        if k < n_layers - 1 and sparsity > 0.0 and units > 0:
+        if hidden and sparsity > 0.0 and units > 0:
             dead = int(round(float(sparsity) * units))
             if dead:
                 rows = np.sort(rng.choice(units, size=dead, replace=False))
                 w[rows, :] = 0.0
                 b[rows] = 0.0
-        layers.append(DenseLayer(w, b, activations[k]))
+        layers.append(DenseLayer(w, b, ActivationKind.RELU if hidden else ActivationKind.IDENTITY))
     return Network(tuple(layers))
 
 

@@ -147,9 +147,6 @@ class LabelMap:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "names", names)
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
 
 @dataclass(frozen=True)
 class PruneReport:
@@ -340,6 +337,8 @@ def prune_units(
     lay = net.layers[layer]
     nxt = net.layers[layer + 1]
     _check_covers(sel, lay.units, "units", f"layer {layer}")
+    if sel.layer != layer:
+        raise ContractViolation(f"selection is for layer {sel.layer}, not layer {layer}")
     bound = None
     if profile is not None:
         profile.check_finite()
@@ -411,8 +410,7 @@ def prune_output_topn(
         layer=len(net.layers) - 1, pruned=linalg.complement(kept, out_dim), kept=kept
     )
     pruned_net = backward_prune(net, len(net.layers) - 1, sel)
-    names = None if net.labels is None else tuple(net.labels[i] for i in kept)
-    label_map = LabelMap(indices=kept, names=names)
+    label_map = LabelMap(indices=kept, names=pruned_net.labels)
     report = PruneReport("topn", (sel,), param_count(net), param_count(pruned_net), 0.0)
     return pruned_net, label_map, report
 
@@ -463,15 +461,14 @@ def column_drop_bound(net: Network, layer: int, magnitudes, cols: Sequence[int])
         # every dropped product is +-0.0, so the accumulation is unchanged
         return 0.0
     amp = 1.0
-    for lay in net.layers[layer + 1 :]:
-        amp *= _inf_op_norm(lay.weights)
-
     u = float(np.finfo(np.float64).eps) / 2.0
     in_env = float(mags.max())
     real_gap = 0.0
     fp = 0.0
     for i, lay in enumerate(net.layers[layer:]):
         norm = _inf_op_norm(lay.weights)
+        if i:
+            amp *= norm
         bmax = float(np.abs(lay.bias).max()) if lay.bias.size else 0.0
         s = norm * (in_env + real_gap) + bmax
         fp = fp * norm + 2.0 * (lay.inputs + 1) * u * s

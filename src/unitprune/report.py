@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import _jsonio, linalg
+from . import _jsonio, linalg, prune
 from .errors import ContractViolation
 from .model import DenseLayer, Network, output
 from .prune import LabelMap, PruneConfig, channel_columns, channel_drop_bound, select_channels
@@ -31,8 +31,8 @@ __all__ = [
     "SWEEP_CSV_HEADER",
 ]
 
-# Rows scored per batched forward pass: bounds the per-block copies and
-# accumulators while keeping the per-column loop in linalg.matmat long.
+# Regions pooled per call and rows scored per batched forward pass: bounds the
+# per-block copies and accumulators while keeping the per-column loop long.
 _BLOCK_ROWS = 256
 
 SWEEP_CSV_HEADER = "tau,pruned_units,param_reduction,mac_reduction,max_abs,argmax_agreement"
@@ -92,13 +92,22 @@ def _finish(first: DenseLayer, rest: Network, acc: np.ndarray) -> np.ndarray:
 
 def _same_first_layer(original: DenseLayer, pruned: DenseLayer, keep: list[int] | None) -> bool:
     """Whether pruned is original on the keep columns, byte for byte."""
-    w = original.weights if keep is None else original.weights[:, keep]
-    return (
-        original.activation is pruned.activation
-        and original.bias.tobytes() == pruned.bias.tobytes()
-        and w.shape == pruned.weights.shape
-        and w.tobytes() == pruned.weights.tobytes()
-    )
+    return pruned == (original if keep is None else prune._drop_inputs(original, keep))
+
+
+def _region_blocks(scene: Scene, fmap: FeatureMap | None) -> Iterator[np.ndarray]:
+    """The scene's regions max-pooled from fmap, _BLOCK_ROWS rows at a time.
+
+    fmap is the scene's map or a map of some of its channels; with None,
+    nothing is pooled and each block has shape (rows, 0).
+    """
+    rois = scene.rois
+    for lo in range(0, len(rois), _BLOCK_ROWS):
+        block = rois[lo : lo + _BLOCK_ROWS]
+        if fmap is None:
+            yield np.zeros((len(block), 0))
+        else:
+            yield pool_regions(fmap, block, scene.pool_h, scene.pool_w)
 
 
 class _Deviation:
@@ -253,8 +262,9 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
     by the original network and every threshold: each pruned first layer is
     the original one on a nested subset of its columns, so one
     linalg.nested_matmat pass over the block gives every network's
-    first-layer sums, byte for byte what each pruned network computes.
-    Networks whose sums agree share the rest of the forward pass. Only the
+    first-layer sums, byte for byte what each pruned network computes. A
+    pruned network whose sums are the original's (it drops no live column)
+    reuses the original's outputs, as in compare_outputs. Only the
     channels with a nonzero sum are pooled and multiplied: a zero-sum
     channel of the nonnegative map pools to exact zeros in every region,
     columns the pass would skip anyway.
@@ -295,21 +305,11 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
         fmap = FeatureMap(fmap.data[live]) if live.size else None
 
     devs = [_Deviation() for _ in taus]
-    rois = scene.rois
-    for lo in range(0, len(rois), _BLOCK_ROWS):
-        block = rois[lo : lo + _BLOCK_ROWS]
-        if fmap is None:
-            xs = np.zeros((len(block), 0))
-        else:
-            xs = pool_regions(fmap, block, scene.pool_h, scene.pool_w)
+    for xs in _region_blocks(scene, fmap):
         accs = linalg.nested_matmat(weights, xs, depth, len(taus) + 1)
-        outs = {}
-        for acc in accs:
-            if id(acc) not in outs:
-                outs[id(acc)] = _finish(first, rest, acc)
-        base = outs[id(accs[0])]
+        base = _finish(first, rest, accs[0])
         for dev, acc in zip(devs, accs[1:]):
-            dev.add(base, outs[id(acc)])
+            dev.add(base, base if acc is accs[0] else _finish(first, rest, acc))
     # a pruned first layer keeps every unit and bias, and cells columns per kept channel
     w0, b0 = first.weights.size, first.bias.size
     points = []

@@ -20,7 +20,8 @@ from unitprune.model import (
     save_network,
 )
 from unitprune.prune import load_labelmap, load_report
-from unitprune.scene import channel_sums, load_scene
+from unitprune.report import compare_outputs, deviation_json, sweep, sweep_csv
+from unitprune.scene import channel_sums, load_scene, roi_pool
 
 
 def run(*argv):
@@ -303,6 +304,45 @@ class TestSweep:
         assert run("sweep", "--model", model, "--scene", scene, "--thresholds", "a,b") == 1
 
 
+class TestManyRegions:
+    """600 regions, so eval and sweep score them in more than one block."""
+
+    def setup(self, tmp_path):
+        scene = gen_scene_file(tmp_path / "s.scene", c=8, h=5, w=5, zero_channels=3,
+                               n_rois=600, pool_h=2, pool_w=2, seed=3)
+        model = gen_net(tmp_path / "m.net", sizes="32,6,4", sparsity=0.0, seed=2)
+        return scene, model
+
+    @pytest.mark.parametrize("tau", [0, 6.0])
+    def test_eval_matches_compare_outputs_one_region_at_a_time(self, tmp_path, capsys, tau):
+        scene, model = self.setup(tmp_path)
+        out, report = tmp_path / "p.net", tmp_path / "p.report"
+        assert run("prune", "--model", model, "--scene", scene, "--tau", tau,
+                   "--out", out, "--report", report) == 0
+        capsys.readouterr()
+        assert run("eval", "--model-a", model, "--model-b", out, "--scene", scene,
+                   "--report", report) == 0
+        sc = load_scene(scene.read_bytes())
+        rep = load_report(report.read_bytes())
+        assert len(rep.channels.pruned) == (6 if tau else 3)
+        examples = [roi_pool(sc.fmap, roi, sc.pool_h, sc.pool_w) for roi in sc.rois]
+        want = compare_outputs(load_network(model.read_bytes()), load_network(out.read_bytes()),
+                               examples, input_keep=rep.selections[0].kept,
+                               bound=rep.deviation_bound)
+        assert want.n_examples == 600 and (want.max_abs > 0.0) == bool(tau)
+        assert capsys.readouterr().out == deviation_json(want) + "\n"
+
+    def test_sweep_csv_matches_the_library(self, tmp_path):
+        scene, model = self.setup(tmp_path)
+        csv = tmp_path / "sweep.csv"
+        assert run("sweep", "--model", model, "--scene", scene, "--thresholds", "0,2,6,inf",
+                   "--out", csv) == 0
+        points = sweep(load_network(model.read_bytes()), load_scene(scene.read_bytes()),
+                       [0.0, 2.0, 6.0, float("inf")])
+        assert csv.read_text() == sweep_csv(points)
+        assert points[2].max_abs > 0.0
+
+
 class TestErrorPaths:
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("prune", "--model", tmp_path / "nope.net", "--probe", tmp_path / "p.json",
@@ -466,6 +506,27 @@ def test_overflowing_sweep_prints_only_the_error(tmp_path):
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr == "error: sweep at tau 0.0: max_abs is nan\n"
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--thresholds", "3,1"], "error: thresholds must be ascending, got 3.0 before 1.0\n"),
+    (["--thresholds=-2,1"], "error: threshold must be nonnegative, got -2.0\n"),
+])
+def test_unordered_or_negative_thresholds_are_one_error_line(tmp_path, flag, message):
+    model = gen_net(tmp_path / "m.net", sizes="16,5,3", sparsity=0.0)
+    scene = gen_scene_file(tmp_path / "s.scene", c=4, h=4, w=4, n_rois=3,
+                           pool_h=2, pool_w=2, seed=1)
+    csv = tmp_path / "sweep.csv"
+    src = Path(unitprune.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "unitprune.cli", "sweep", "--model", str(model),
+         "--scene", str(scene), *flag, "--out", str(csv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == message
+    assert not csv.exists()
 
 
 def test_overflowing_probe_is_refused_by_layer(tmp_path):

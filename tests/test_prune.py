@@ -237,6 +237,12 @@ class TestPruneUnits:
         with pytest.raises(ContractViolation, match="hidden"):
             prune_units(net, 1, PruneSelection.from_pruned((), 2))
 
+    def test_selection_for_another_layer_rejected(self):
+        # the selection covers layer 1's 4 units but was made for layer 0
+        net = gen_network([6, 5, 4, 3], seed=1)
+        with pytest.raises(ContractViolation, match="selection is for layer 0, not layer 1"):
+            prune_units(net, 1, PruneSelection.from_pruned((0,), 4))
+
     def test_accounting_closed_form(self):
         rng = np.random.default_rng(40)
         for _ in range(20):
