@@ -292,11 +292,10 @@ def labels(obj: dict, where: str) -> tuple[str, ...] | None:
 
 
 def int_list(val, where: str) -> list[int]:
+    """A JSON array of integers, checked in one pass as number_list does; bool is not int."""
     if not isinstance(val, list):
         raise FormatError(f"{where}: expected an array of integers")
-    out = []
-    for v in val:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise FormatError(f"{where}: expected integers, found {type(v).__name__}")
-        out.append(v)
-    return out
+    if not set(map(type, val)) <= {int}:
+        bad = next(v for v in val if type(v) is not int)
+        raise FormatError(f"{where}: expected integers, found {type(bad).__name__}")
+    return val

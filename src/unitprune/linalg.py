@@ -41,10 +41,12 @@ is commutative bit for bit (with finite weights at most one operand is NaN,
 and that NaN is what comes out either way), so the bytes do not change; only
 numpy's slower three-operand broadcast loop is avoided.
 
-Index sets are checked as numpy arrays when they arrive as integers (an
-integer array, or a list or tuple that numpy reads as one), one vectorized
-comparison per rule; anything else goes through int() one entry at a time.
-Both paths accept the same sets and raise the same messages.
+An index set is checked once, by index_array, which returns it as a new
+read-only intp array; callers keep that array and index with it directly.
+Sets that arrive as integers (an integer array, or a list or tuple that numpy
+reads as one) are compared as they are; anything else goes through int() one
+entry at a time into an object array first. The same vectorized comparisons
+then check both, so both accept the same sets and raise the same messages.
 """
 
 from __future__ import annotations
@@ -63,10 +65,6 @@ __all__ = [
     "matmat",
     "nested_matmat",
     "relu",
-    "drop_rows",
-    "drop_cols",
-    "subvector",
-    "check_index_set",
     "index_array",
     "complement",
     "fmt_float",
@@ -232,68 +230,35 @@ def _int_array(indices) -> np.ndarray | None:
 
 
 def index_array(indices: Sequence[int], size: int, what: str = "index set") -> np.ndarray:
-    """check_index_set's checks, returning the indices as a 1-D intp array."""
+    """A strictly ascending index set in range(size), as a new read-only intp array."""
     a = _int_array(indices)
     if a is None:
-        return np.array(_check_items(indices, size, what), dtype=np.intp)
-    if a.size > 1:
-        down = np.flatnonzero(a[1:] <= a[:-1])
-        if down.size:
-            k = int(down[0])
-            raise ContractViolation(
-                f"{what} must be strictly ascending without duplicates, "
-                f"got {int(a[k])} followed by {int(a[k + 1])}"
-            )
+        # int() of every entry; an object array holds Python ints of any size
+        try:
+            a = np.array([int(i) for i in indices], dtype=object)
+        except (TypeError, ValueError) as e:
+            raise ContractViolation(f"{what} must contain integers") from e
+    down = np.flatnonzero(a[1:] <= a[:-1])
+    if down.size:
+        k = int(down[0])
+        raise ContractViolation(
+            f"{what} must be strictly ascending without duplicates, "
+            f"got {int(a[k])} followed by {int(a[k + 1])}"
+        )
     if a.size and (a[0] < 0 or a[-1] >= size):
         raise ContractViolation(
             f"{what} has index outside range 0..{size - 1}: {int(a[0] if a[0] < 0 else a[-1])}"
         )
-    return a.astype(np.intp, copy=False)
+    a = a.astype(np.intp)
+    a.flags.writeable = False
+    return a
 
 
-def _check_items(indices: Sequence[int], size: int, what: str) -> tuple[int, ...]:
-    """The per-entry path: int() of every entry, then the same checks."""
-    try:
-        idx = tuple(int(i) for i in indices)
-    except (TypeError, ValueError) as e:
-        raise ContractViolation(f"{what} must contain integers") from e
-    for a, b in zip(idx, idx[1:]):
-        if b <= a:
-            raise ContractViolation(
-                f"{what} must be strictly ascending without duplicates, got {a} followed by {b}"
-            )
-    if idx and (idx[0] < 0 or idx[-1] >= size):
-        raise ContractViolation(
-            f"{what} has index outside range 0..{size - 1}: {idx[0] if idx[0] < 0 else idx[-1]}"
-        )
-    return idx
-
-
-def check_index_set(indices: Sequence[int], size: int, what: str = "index set") -> tuple[int, ...]:
-    """Validate a strictly ascending, in-range index tuple and return it."""
-    return tuple(index_array(indices, size, what).tolist())
-
-
-def complement(indices: Sequence[int], size: int) -> tuple[int, ...]:
-    """Ascending indices in range(size) not present in `indices`."""
+def complement(indices: Sequence[int], size: int) -> np.ndarray:
+    """Ascending indices in range(size) not present in `indices`, as an intp array."""
     mask = np.ones(size, dtype=bool)
     mask[index_array(indices, size)] = False
-    return tuple(np.flatnonzero(mask).tolist())
-
-
-def drop_rows(m: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """New matrix containing only the kept rows, in their original order."""
-    return m[index_array(keep, m.shape[0], "row keep set"), :]
-
-
-def drop_cols(m: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """New matrix containing only the kept columns, in their original order."""
-    return np.ascontiguousarray(m[:, index_array(keep, m.shape[1], "column keep set")])
-
-
-def subvector(v: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """New vector containing only the kept entries, in their original order."""
-    return v[index_array(keep, v.shape[0], "keep set")]
+    return np.flatnonzero(mask)
 
 
 def fmt_float(x: float) -> str:

@@ -92,12 +92,13 @@ class PruneSelection:
     """A partition of range(size) into pruned and kept indices, both ascending.
 
     layer records which layer's units (or, for column selections, whose
-    inputs) the indices refer to.
+    inputs) the indices refer to. pruned and kept are read-only intp arrays,
+    so selections compare by value.
     """
 
     layer: int
-    pruned: tuple[int, ...]
-    kept: tuple[int, ...]
+    pruned: np.ndarray
+    kept: np.ndarray
 
     def __post_init__(self):
         size = len(self.pruned) + len(self.kept)
@@ -110,8 +111,17 @@ class PruneSelection:
             raise ContractViolation(f"index {int(kept[both.argmax()])} is both pruned and kept")
         # lengths add up to size and there is no overlap, so coverage follows
         object.__setattr__(self, "layer", int(self.layer))
-        object.__setattr__(self, "pruned", tuple(pruned.tolist()))
-        object.__setattr__(self, "kept", tuple(kept.tolist()))
+        object.__setattr__(self, "pruned", pruned)
+        object.__setattr__(self, "kept", kept)
+
+    def __eq__(self, other):
+        if not isinstance(other, PruneSelection):
+            return NotImplemented
+        return (
+            self.layer == other.layer
+            and np.array_equal(self.pruned, other.pruned)
+            and np.array_equal(self.kept, other.kept)
+        )
 
     @property
     def size(self) -> int:
@@ -125,18 +135,14 @@ class PruneSelection:
 
 @dataclass(frozen=True)
 class LabelMap:
-    """Kept output indices (ascending) with their names, if the model had any."""
+    """Kept output indices (a read-only ascending intp array) with their names, if any."""
 
-    indices: tuple[int, ...]
+    indices: np.ndarray
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        for a, b in zip(idx, idx[1:]):
-            if b <= a:
-                raise ContractViolation("label map indices must be strictly ascending")
-        if idx and idx[0] < 0:
-            raise ContractViolation("label map indices must be nonnegative")
+        # the original output width is not known here; compare_outputs checks it
+        idx = linalg.index_array(self.indices, np.iinfo(np.intp).max, "label map indices")
         names = self.names
         if names is not None:
             names = tuple(str(s) for s in names)
@@ -146,6 +152,11 @@ class LabelMap:
                 )
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "names", names)
+
+    def __eq__(self, other):
+        if not isinstance(other, LabelMap):
+            return NotImplemented
+        return np.array_equal(self.indices, other.indices) and self.names == other.names
 
 
 @dataclass(frozen=True)
@@ -158,7 +169,9 @@ class PruneReport:
     and otherwise an upper bound on the infinity-norm output change for the
     probe (or, for input-channels pruning, for every region of the scene at
     once), so it is never negative. The reduction fractions are derived from
-    the counts, which may only shrink.
+    the counts, which may only shrink. In an input-channels report the
+    selection prunes exactly the columns of the pruned channels, each
+    channel owning the same whole number of columns.
     """
 
     kind: str
@@ -176,6 +189,17 @@ class PruneReport:
             raise ValidationError(f"a report holds exactly one selection, got {len(sels)}")
         if (self.channels is None) == (self.kind == "input-channels"):
             raise ValidationError("channels are present exactly in input-channels reports")
+        if self.channels is not None:
+            cols, chans = sels[0], self.channels
+            cells = cols.size // chans.size if chans.size else 1
+            if not (
+                cells >= 1
+                and cells * chans.size == cols.size
+                and np.array_equal(cols.pruned, channel_columns(chans, chans.size, cells, 1))
+            ):
+                raise ValidationError(
+                    "selection 0 does not prune exactly the columns of the pruned channels"
+                )
         if self.deviation_bound is not None and self.deviation_bound < 0.0:
             raise ValidationError(
                 f"deviation_bound must be nonnegative, got {self.deviation_bound}"
@@ -236,13 +260,13 @@ def select_channels(sums, config: PruneConfig) -> PruneSelection:
 
 def channel_columns(
     channels: PruneSelection | Sequence[int], n_channels: int, pool_h: int, pool_w: int
-) -> tuple[int, ...]:
+) -> np.ndarray:
     """Input columns owned by the given channels under channel-major pooling.
 
     channels is either a channel-level PruneSelection (its pruned set is
     mapped) or a plain ascending index sequence. Channel c owns the
     contiguous block [c * pool_h * pool_w, (c + 1) * pool_h * pool_w); the
-    result is ascending because the channel indices are.
+    result is an intp array, ascending because the channel indices are.
     """
     if isinstance(channels, PruneSelection):
         channels = channels.pruned
@@ -250,7 +274,7 @@ def channel_columns(
     if pool_h < 1 or pool_w < 1:
         raise ContractViolation(f"pool grid must be at least 1x1, got {pool_h}x{pool_w}")
     cells = pool_h * pool_w
-    return tuple((idx[:, None] * cells + np.arange(cells)).ravel().tolist())
+    return (idx[:, None] * cells + np.arange(cells)).ravel()
 
 
 # -- transforms -------------------------------------------------------------
@@ -263,19 +287,19 @@ def _check_layer(net: Network, layer: int) -> None:
         )
 
 
-def _check_covers(sel: PruneSelection, count: int, what: str, where: str) -> None:
+def _check_covers(sel: PruneSelection, layer: int, count: int, what: str, where: str) -> None:
     if sel.size != count:
         raise ContractViolation(f"selection covers {sel.size} {what} but {where} has {count}")
+    if sel.layer != layer:
+        raise ContractViolation(f"selection is for layer {sel.layer}, not layer {layer}")
 
 
-def _drop_units(lay: DenseLayer, keep: Sequence[int]) -> DenseLayer:
-    return DenseLayer(
-        linalg.drop_rows(lay.weights, keep), linalg.subvector(lay.bias, keep), lay.activation
-    )
+def _drop_units(lay: DenseLayer, keep: np.ndarray) -> DenseLayer:
+    return DenseLayer(lay.weights[keep], lay.bias[keep], lay.activation)
 
 
-def _drop_inputs(lay: DenseLayer, keep: Sequence[int]) -> DenseLayer:
-    return DenseLayer(linalg.drop_cols(lay.weights, keep), lay.bias, lay.activation)
+def _drop_inputs(lay: DenseLayer, keep: np.ndarray) -> DenseLayer:
+    return DenseLayer(np.ascontiguousarray(lay.weights[:, keep]), lay.bias, lay.activation)
 
 
 def backward_prune(net: Network, layer: int, sel: PruneSelection) -> Network:
@@ -289,7 +313,7 @@ def backward_prune(net: Network, layer: int, sel: PruneSelection) -> Network:
     """
     _check_layer(net, layer)
     lay = net.layers[layer]
-    _check_covers(sel, lay.units, "units", f"layer {layer}")
+    _check_covers(sel, layer, lay.units, "units", f"layer {layer}")
     new = _drop_units(lay, sel.kept)
     labels = net.labels
     if labels is not None and layer == len(net.layers) - 1:
@@ -307,7 +331,7 @@ def forward_prune(net: Network, layer: int, sel: PruneSelection) -> Network:
     """
     _check_layer(net, layer)
     lay = net.layers[layer]
-    _check_covers(sel, lay.inputs, "inputs", f"layer {layer}")
+    _check_covers(sel, layer, lay.inputs, "inputs", f"layer {layer}")
     new = _drop_inputs(lay, sel.kept)
     return Network(net.layers[:layer] + (new,) + net.layers[layer + 1 :], labels=net.labels)
 
@@ -336,9 +360,7 @@ def prune_units(
         )
     lay = net.layers[layer]
     nxt = net.layers[layer + 1]
-    _check_covers(sel, lay.units, "units", f"layer {layer}")
-    if sel.layer != layer:
-        raise ContractViolation(f"selection is for layer {sel.layer}, not layer {layer}")
+    _check_covers(sel, layer, lay.units, "units", f"layer {layer}")
     bound = None
     if profile is not None:
         profile.check_finite()
@@ -405,12 +427,10 @@ def prune_output_topn(
         raise ContractViolation(f"n must be in 1..{out_dim}, got {n}")
     # stable sort on negated scores: ties resolve to the lower index
     order = np.argsort(-s, kind="stable")
-    kept = tuple(sorted(int(i) for i in order[: int(n)]))
-    sel = PruneSelection(
-        layer=len(net.layers) - 1, pruned=linalg.complement(kept, out_dim), kept=kept
-    )
-    pruned_net = backward_prune(net, len(net.layers) - 1, sel)
-    label_map = LabelMap(indices=kept, names=pruned_net.labels)
+    last = len(net.layers) - 1
+    sel = PruneSelection.from_pruned(np.sort(order[int(n) :]), out_dim, layer=last)
+    pruned_net = backward_prune(net, last, sel)
+    label_map = LabelMap(indices=sel.kept, names=pruned_net.labels)
     report = PruneReport("topn", (sel,), param_count(net), param_count(pruned_net), 0.0)
     return pruned_net, label_map, report
 
@@ -505,7 +525,7 @@ def deviation_bound(
     if layer >= len(net.layers) - 1:
         raise ContractViolation("deviation_bound applies to hidden layers only")
     h = profile.layer(layer)
-    _check_covers(sel, h.shape[0], "units", "the profile")
+    _check_covers(sel, layer, h.shape[0], "units", "the profile")
     return column_drop_bound(net, layer + 1, np.abs(h), sel.pruned)
 
 
@@ -546,7 +566,7 @@ def _selection_from_doc(entry, where: str) -> PruneSelection:
     pruned = _jsonio.int_list(_jsonio.get(entry, "pruned", list, where), f"{where} pruned")
     kept = _jsonio.int_list(_jsonio.get(entry, "kept", list, where), f"{where} kept")
     with _jsonio.building(where):
-        return PruneSelection(layer=layer, pruned=tuple(pruned), kept=tuple(kept))
+        return PruneSelection(layer=layer, pruned=pruned, kept=kept)
 
 
 def _params_from_doc(entry, where: str) -> ParamCount:
@@ -622,4 +642,4 @@ def load_labelmap(data: bytes | str) -> LabelMap:
     doc = _jsonio.parse_doc(data, "label map")
     kept = _jsonio.int_list(_jsonio.get(doc, "kept", list, "label map"), "label map kept")
     with _jsonio.building("label map"):
-        return LabelMap(indices=tuple(kept), names=_jsonio.labels(doc, "label map"))
+        return LabelMap(indices=kept, names=_jsonio.labels(doc, "label map"))

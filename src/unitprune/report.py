@@ -77,7 +77,7 @@ class SweepPoint:
     bound: float = 0.0
 
 
-def _columns(xs: np.ndarray, keep: list[int] | None) -> np.ndarray:
+def _columns(xs: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
     """xs[:, keep], gathered column-major: the layout linalg.matmat reads in place."""
     return xs if keep is None else xs.T[keep].T
 
@@ -90,7 +90,7 @@ def _finish(first: DenseLayer, rest: Network, acc: np.ndarray) -> np.ndarray:
     return output(rest, first.activate(acc))
 
 
-def _same_first_layer(original: DenseLayer, pruned: DenseLayer, keep: list[int] | None) -> bool:
+def _same_first_layer(original: DenseLayer, pruned: DenseLayer, keep: np.ndarray | None) -> bool:
     """Whether pruned is original on the keep columns, byte for byte."""
     return pruned == (original if keep is None else prune._drop_inputs(original, keep))
 
@@ -118,7 +118,7 @@ class _Deviation:
     that max() would drop.
     """
 
-    def __init__(self, kept: Sequence[int] | None = None):
+    def __init__(self, kept: np.ndarray | None = None):
         self.kept = kept
         self.n = self.agree = self.coords = 0
         self.max_abs = self.total_abs = 0.0
@@ -140,7 +140,7 @@ class _Deviation:
         elif ob.shape[1]:
             picked = np.argmax(ob, axis=1)
             if kept is not None:
-                picked = np.asarray(kept)[picked]
+                picked = kept[picked]
             self.agree += int(np.count_nonzero(picked == np.argmax(oa, axis=1)))
         self.n += rows
 
@@ -180,14 +180,12 @@ def compare_outputs(
     """
     kept_out = None
     if label_map is not None:
-        kept_out = list(label_map.indices)
-        if len(kept_out) != pruned.output_dim:
+        kept_out = linalg.index_array(label_map.indices, original.output_dim, "label map")
+        if kept_out.size != pruned.output_dim:
             raise ContractViolation(
-                f"label map keeps {len(kept_out)} outputs but the pruned "
+                f"label map keeps {kept_out.size} outputs but the pruned "
                 f"network has {pruned.output_dim}"
             )
-        if kept_out and kept_out[-1] >= original.output_dim:
-            raise ContractViolation("label map index exceeds the original output width")
     elif original.output_dim != pruned.output_dim:
         raise ContractViolation(
             f"output widths differ ({original.output_dim} vs {pruned.output_dim}); "
@@ -195,10 +193,10 @@ def compare_outputs(
         )
     keep = None
     if input_keep is not None:
-        keep = list(linalg.check_index_set(input_keep, original.input_dim, "input keep set"))
-        if len(keep) != pruned.input_dim:
+        keep = linalg.index_array(input_keep, original.input_dim, "input keep set")
+        if keep.size != pruned.input_dim:
             raise ContractViolation(
-                f"input keep set has {len(keep)} indices but the pruned "
+                f"input keep set has {keep.size} indices but the pruned "
                 f"network expects {pruned.input_dim} inputs"
             )
     elif original.input_dim != pruned.input_dim:
@@ -290,7 +288,7 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
     selections, bounds = [], []
     for tau in taus:
         sel = select_channels(sums, PruneConfig(tau))
-        channel_depth[list(sel.kept)] += 1
+        channel_depth[sel.kept] += 1
         # the bound prune_input_channels certifies, without building the pruned network
         bounds.append(channel_drop_bound(net, sums, scene.pool_h, scene.pool_w, sel))
         selections.append(sel)
@@ -299,7 +297,7 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
     fmap, weights = scene.fmap, first.weights
     live = np.flatnonzero(sums)
     if live.size < sums.size:
-        cols = list(channel_columns(live, sums.size, scene.pool_h, scene.pool_w))
+        cols = channel_columns(live, sums.size, scene.pool_h, scene.pool_w)
         weights, depth = weights[:, cols], depth[cols]
         # a feature map has at least one channel; with none live, nothing is pooled
         fmap = FeatureMap(fmap.data[live]) if live.size else None
@@ -315,12 +313,12 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
     points = []
     for tau, sel, bound, dev in zip(taus, selections, bounds, devs):
         measured = dev.report()
-        wa = first.units * len(sel.kept) * cells
+        wa = first.units * sel.kept.size * cells
         layer_params = w0 + b0
         points.append(
             SweepPoint(
                 tau=tau,
-                pruned_units=len(sel.pruned),
+                pruned_units=sel.pruned.size,
                 param_reduction=(layer_params - wa - b0) / layer_params if layer_params else 0.0,
                 mac_reduction=(w0 - wa) / w0 if w0 else 0.0,
                 max_abs=measured.max_abs,

@@ -99,8 +99,8 @@ class TestPrune:
         rep = load_report(report.read_bytes())
         assert rep.kind == "input-channels"
         assert rep.deviation_bound == 0.0
-        assert rep.channels.pruned == tuple(
-            int(i) for i in np.flatnonzero(channel_sums(load_scene(scene.read_bytes()).fmap) == 0.0)
+        assert rep.channels.pruned.tolist() == (
+            np.flatnonzero(channel_sums(load_scene(scene.read_bytes()).fmap) == 0.0).tolist()
         )
         pruned = load_network(out.read_bytes())
         assert pruned.input_dim == 32 - 3 * 4
@@ -141,7 +141,7 @@ class TestPrune:
         assert run("prune", "--model", first, "--probe", probe, "--tau", 0,
                    "--layer", 0, "--out", second, "--report", rep2) == 0
         r2 = load_report(rep2.read_bytes())
-        assert r2.selections[0].pruned == ()
+        assert r2.selections[0].pruned.tolist() == []
         assert r2.total_reduction == 0.0
         assert second.read_bytes() == first.read_bytes()
 
@@ -163,7 +163,7 @@ class TestTopn:
         assert run("topn", "--model", model, "--scores", scores, "--n", 20,
                    "--out", out, "--labelmap", lmap) == 0
         assert out.read_bytes() == model.read_bytes()
-        assert load_labelmap(lmap.read_bytes()).indices == tuple(range(20))
+        assert load_labelmap(lmap.read_bytes()).indices.tolist() == list(range(20))
 
     def test_keep_six_of_twenty(self, tmp_path):
         model = gen_net(tmp_path / "m.net", sizes="5,20", sparsity=0.0, seed=9)
@@ -177,7 +177,7 @@ class TestTopn:
         rep = load_report(rep_path.read_bytes())
         assert rep.kind == "topn"
         assert rep.layer_reduction == ((0, 0.7),)
-        assert load_labelmap(lmap.read_bytes()).indices == tuple(range(6))
+        assert load_labelmap(lmap.read_bytes()).indices.tolist() == list(range(6))
 
     def test_invalid_n(self, tmp_path):
         model = gen_net(tmp_path / "m.net", sizes="5,20", sparsity=0.0)
@@ -629,3 +629,29 @@ def test_negative_deviation_bound_in_a_report_is_a_format_error(tmp_path):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "format error: report: deviation_bound must be nonnegative, got -5.0\n"
+
+
+def test_input_channels_report_with_other_columns_is_a_format_error(tmp_path):
+    # eval would print the channels' bound next to a measurement on other columns
+    model = gen_net(tmp_path / "m.net", sizes="16,5,3", sparsity=0.0)
+    scene = gen_scene_file(tmp_path / "s.scene", c=4, h=4, w=4, zero_channels=1, n_rois=3,
+                           pool_h=2, pool_w=2, seed=1)
+    report = tmp_path / "p.report"
+    assert run("prune", "--model", model, "--scene", scene, "--tau", 0,
+               "--out", tmp_path / "p.net", "--report", report) == 0
+    doc = json.loads(report.read_text())
+    assert doc["channels"]["pruned"]
+    doc["selections"][0] = {"layer": 0, "pruned": [], "kept": list(range(16))}
+    report.write_text(json.dumps(doc))
+    src = Path(unitprune.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "unitprune.cli", "eval", "--model-a", str(model),
+         "--model-b", str(model), "--scene", str(scene), "--report", str(report)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        "format error: report: selection 0 does not prune exactly the columns "
+        "of the pruned channels\n"
+    )

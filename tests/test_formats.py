@@ -18,7 +18,9 @@ from unitprune import (
     FeatureMap,
     LabelMap,
     Network,
+    ParamCount,
     PruneConfig,
+    PruneReport,
     PruneSelection,
     Roi,
     Scene,
@@ -291,3 +293,60 @@ def test_integers_too_large_for_a_float_are_format_errors():
     doc = save_report(rep).replace(b'"deviation_bound": 0.0', b'"deviation_bound": 1' + b"0" * 400)
     with pytest.raises(FormatError, match="'deviation_bound' is too large for a float"):
         load_report(doc)
+
+
+# -- index sets ------------------------------------------------------------------
+
+INDEX_KINDS = ("list", "tuple", "int8", "int32", "int64", "uint64")
+
+
+@st.composite
+def index_partitions(draw):
+    """(layer, pruned, kept, kind): a partition of range(size) and the form to pass it in."""
+    size = draw(st.integers(0, 40))
+    pruned = sorted(draw(st.sets(st.integers(0, max(size - 1, 0)), max_size=size)))
+    kept = [i for i in range(size) if i not in pruned]
+    return draw(st.integers(0, 3)), pruned, kept, draw(st.sampled_from(INDEX_KINDS))
+
+
+def as_kind(values, kind):
+    if kind == "list":
+        return list(values)
+    if kind == "tuple":
+        return tuple(values)
+    return np.array(values, dtype=kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(index_partitions())
+def test_index_sets_write_as_lists_of_python_ints(case):
+    layer, pruned, kept, kind = case
+    sel = PruneSelection(layer=layer, pruned=as_kind(pruned, kind), kept=as_kind(kept, kind))
+    params = ParamCount(((6, 2),))
+    rep = PruneReport("units", (sel,), params, params, None)
+    counts = {"per_layer": [[6, 2]], "total": 8, "macs": 6}
+    fields = {
+        "kind": "units",
+        "layer_reduction": [],
+        "total_reduction": 0.0,
+        "deviation_bound": None,
+        "params_before": counts,
+        "params_after": counts,
+        "selections": _jsonio.Lines([{"layer": layer, "pruned": pruned, "kept": kept}]),
+        "channels": None,
+    }
+    assert save_report(rep) == _jsonio.dump_doc(fields)
+    names = tuple(f"n{i}" for i in kept)
+    lm = LabelMap(as_kind(kept, kind), names)
+    assert save_labelmap(lm) == _jsonio.dump_doc({"kept": kept, "labels": list(names)})
+    for stored in (sel.pruned, sel.kept, lm.indices):
+        assert stored.dtype == np.intp and not stored.flags.writeable
+
+    # a caller's writable intp array is copied, never frozen or changed
+    mine = np.array(kept, dtype=np.intp)
+    sel2 = PruneSelection(layer=layer, pruned=np.array(pruned, dtype=np.intp), kept=mine)
+    lm2 = LabelMap(mine)
+    assert mine.flags.writeable and mine.tolist() == kept
+    assert sel2 == sel and lm2.indices.tolist() == kept
+    mine += 1
+    assert sel2.kept.tolist() == kept and lm2.indices.tolist() == kept

@@ -11,17 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from unitprune.errors import ContractViolation
 from unitprune.linalg import (
-    check_index_set,
     complement,
-    drop_cols,
-    drop_rows,
     fmt_float,
+    index_array,
     matmat,
     matrix,
     matvec,
     nested_matmat,
     relu,
-    subvector,
     vector,
 )
 
@@ -99,7 +96,7 @@ class TestMatvec:
             v[j] = 0.0
         keep = complement(sorted(zero_at), cols)
         full = matvec(m, v)
-        compact = matvec(drop_cols(m, keep), subvector(v, keep))
+        compact = matvec(m[:, keep], v[keep])
         assert compact.tobytes() == full.tobytes()
 
 
@@ -191,44 +188,45 @@ class TestZeroSkip:
 
 
 class TestDrops:
+    # the prune transforms drop rows and columns by indexing with a checked set
     def test_drop_rows_example(self):
         m = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-        assert drop_rows(m, (1, 2)).tolist() == [[0.0, 1.0], [2.0, 2.0]]
+        assert m[index_array((1, 2), 3)].tolist() == [[0.0, 1.0], [2.0, 2.0]]
 
     def test_drop_rows_identity(self):
         m = np.arange(6.0).reshape(3, 2)
-        assert drop_rows(m, (0, 1, 2)).tobytes() == m.tobytes()
+        assert m[index_array((0, 1, 2), 3)].tobytes() == m.tobytes()
 
     def test_drop_rows_empty(self):
-        assert drop_rows(np.ones((3, 2)), ()).shape == (0, 2)
+        assert np.ones((3, 2))[index_array((), 3)].shape == (0, 2)
 
     def test_drop_cols_example(self):
         m = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        assert drop_cols(m, (1,)).tolist() == [[2.0], [5.0]]
+        assert m[:, index_array((1,), 3)].tolist() == [[2.0], [5.0]]
 
     def test_drop_cols_identity(self):
         m = np.arange(6.0).reshape(2, 3)
-        assert drop_cols(m, (0, 1, 2)).tobytes() == m.tobytes()
+        assert m[:, index_array((0, 1, 2), 3)].tobytes() == m.tobytes()
 
     def test_drop_cols_empty(self):
-        assert drop_cols(np.ones((2, 3)), ()).shape == (2, 0)
+        assert np.ones((2, 3))[:, index_array((), 3)].shape == (2, 0)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ContractViolation):
-            drop_rows(np.ones((2, 2)), (0, 2))
-        with pytest.raises(ContractViolation):
-            drop_cols(np.ones((2, 2)), (-1,))
+        with pytest.raises(ContractViolation, match="row keep set has index outside range 0..1: 2"):
+            index_array((0, 2), 2, "row keep set")
+        with pytest.raises(ContractViolation, match="outside range 0..1: -1"):
+            index_array((-1,), 2, "column keep set")
 
     def test_unsorted_and_duplicates_rejected(self):
         with pytest.raises(ContractViolation):
-            check_index_set((1, 0), 3)
+            index_array((1, 0), 3)
         with pytest.raises(ContractViolation):
-            check_index_set((1, 1), 3)
+            index_array((1, 1), 3)
 
     def test_complement(self):
-        assert complement((0, 2), 4) == (1, 3)
-        assert complement((), 3) == (0, 1, 2)
-        assert complement((0, 1, 2), 3) == ()
+        assert complement((0, 2), 4).tolist() == [1, 3]
+        assert complement((), 3).tolist() == [0, 1, 2]
+        assert complement((0, 1, 2), 3).tolist() == []
 
 
 class TestRelu:
@@ -373,8 +371,8 @@ class TestNestedMatmat:
 
 # -- vectorized index-set checks ------------------------------------------------
 # The per-entry checks as they were before the numpy path: the vectorized
-# check_index_set and complement must accept the same sets, return the same
-# tuples of Python ints and raise the same messages.
+# index_array and complement must accept the same sets, return the same
+# indices (as intp arrays) and raise the same messages.
 
 
 def ref_check_index_set(indices, size, what="index set"):
@@ -404,6 +402,9 @@ def outcome(fn, *args):
         got = fn(*args)
     except ContractViolation as e:
         return ("error", str(e))
+    if isinstance(got, np.ndarray):
+        assert got.dtype == np.intp and got.ndim == 1
+        got = tuple(got.tolist())
     assert isinstance(got, tuple) and all(type(i) is int for i in got)
     return ("ok", got)
 
@@ -436,7 +437,7 @@ class TestIndexSetPaths:
     @given(index_inputs())
     def test_check_index_set_matches_per_entry_code(self, case):
         indices, size = case
-        assert outcome(check_index_set, indices, size, "kept set") == outcome(
+        assert outcome(index_array, indices, size, "kept set") == outcome(
             ref_check_index_set, indices, size, "kept set"
         )
 
@@ -457,4 +458,4 @@ class TestIndexSetPaths:
         ],
     )
     def test_odd_inputs_match_per_entry_code(self, make):
-        assert outcome(check_index_set, make(), 4) == outcome(ref_check_index_set, make(), 4)
+        assert outcome(index_array, make(), 4) == outcome(ref_check_index_set, make(), 4)

@@ -245,6 +245,26 @@ def test_scene_errors_are_unchanged(text, want):
     assert raises(load_scene, text) == (FormatError, want)
 
 
+@pytest.mark.parametrize("path,value,want", [
+    (("selections", 0, "pruned"), [0, 1.0], "selection 0 pruned: expected integers, found float"),
+    (("selections", 0, "kept"), [True], "selection 0 kept: expected integers, found bool"),
+    (("channels", "pruned"), ["0"], "channels pruned: expected integers, found str"),
+    (("params_before", "per_layer", 0), 8,
+     "params_before per_layer[0]: expected an array of integers"),
+])
+def test_report_integer_lists(path, value, want):
+    from unitprune import PruneConfig, load_report, prune_input_channels, save_report
+
+    _, rep = prune_input_channels(gen_network([4, 3], seed=1), [0.0, 1.0], 1, 2, PruneConfig(0.0))
+    doc = json.loads(save_report(rep))
+    *keys, last = path
+    entry = doc
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
+    assert raises(load_report, json.dumps(doc)) == (FormatError, want)
+
+
 @pytest.mark.parametrize("load,what", [(load_network, "model"), (load_scene, "scene")])
 def test_bytes_that_are_not_utf8_are_a_format_error(load, what):
     data = b"\xff\xfe" + model_text([GOOD]).encode("utf-16-le")

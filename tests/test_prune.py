@@ -70,40 +70,40 @@ class TestPruneSelection:
 
     def test_from_pruned(self):
         sel = PruneSelection.from_pruned((1, 3), 5, layer=2)
-        assert sel.kept == (0, 2, 4)
+        assert sel.kept.tolist() == [0, 2, 4]
         assert sel.size == 5 and sel.layer == 2
 
     def test_empty_and_full(self):
-        assert PruneSelection.from_pruned((), 3).kept == (0, 1, 2)
-        assert PruneSelection.from_pruned((0, 1, 2), 3).kept == ()
+        assert PruneSelection.from_pruned((), 3).kept.tolist() == [0, 1, 2]
+        assert PruneSelection.from_pruned((0, 1, 2), 3).kept.tolist() == []
 
 
 class TestSelection:
     def test_thresholded(self):
         sel = select_units([0.0, 0.003, 0.8, 0.0005], PruneConfig.thresholded(0.001))
-        assert sel.pruned == (0, 3)
+        assert sel.pruned.tolist() == [0, 3]
 
     def test_exact_zero_only(self):
         sel = select_units([0.0, 0.003, 0.8, 0.0005], PruneConfig.exact_zero())
-        assert sel.pruned == (0,)
+        assert sel.pruned.tolist() == [0]
 
     def test_threshold_above_max_prunes_all(self):
         sel = select_units([0.5, 0.2], PruneConfig.thresholded(0.5))
-        assert sel.pruned == (0, 1)
+        assert sel.pruned.tolist() == [0, 1]
 
     def test_absolute_value_rule(self):
         # identity-layer profiles can be negative; magnitude decides
         sel = select_units([-0.01, 0.5, -0.9], PruneConfig.thresholded(0.05))
-        assert sel.pruned == (0,)
+        assert sel.pruned.tolist() == [0]
 
     def test_negative_zero_is_zero(self):
         sel = select_units([-0.0, 1.0], PruneConfig.exact_zero())
-        assert sel.pruned == (0,)
+        assert sel.pruned.tolist() == [0]
 
     def test_select_channels(self):
-        assert select_channels([0.0, 10.0], PruneConfig.exact_zero()).pruned == (0,)
+        assert select_channels([0.0, 10.0], PruneConfig.exact_zero()).pruned.tolist() == [0]
         sel = select_channels([0.5, 10.0, 0.2], PruneConfig.thresholded(0.5))
-        assert sel.pruned == (0, 2)
+        assert sel.pruned.tolist() == [0, 2]
 
     def test_select_channels_rejects_negative(self):
         with pytest.raises(ContractViolation):
@@ -124,17 +124,17 @@ class TestSelection:
 
 class TestChannelColumns:
     def test_middle_channel(self):
-        assert channel_columns((1,), 3, 2, 2) == (4, 5, 6, 7)
+        assert channel_columns((1,), 3, 2, 2).tolist() == [4, 5, 6, 7]
 
     def test_empty(self):
-        assert channel_columns((), 3, 2, 2) == ()
+        assert channel_columns((), 3, 2, 2).tolist() == []
 
     def test_first_channel_wide_pool(self):
-        assert channel_columns((0,), 512, 7, 7) == tuple(range(49))
+        assert channel_columns((0,), 512, 7, 7).tolist() == list(range(49))
 
     def test_accepts_selection(self):
         sel = PruneSelection.from_pruned((1,), 3)
-        assert channel_columns(sel, 3, 2, 2) == (4, 5, 6, 7)
+        assert channel_columns(sel, 3, 2, 2).tolist() == [4, 5, 6, 7]
 
     def test_out_of_range(self):
         with pytest.raises(ContractViolation):
@@ -172,7 +172,7 @@ class TestForwardPrune:
     def test_hidden_layer_breaks_chain(self):
         net = gen_network([4, 3, 2], seed=0)
         with pytest.raises(ContractViolation, match="layer 0"):
-            forward_prune(net, 1, PruneSelection.from_pruned((0,), 3))
+            forward_prune(net, 1, PruneSelection.from_pruned((0,), 3, layer=1))
 
 
 class TestBackwardPrune:
@@ -243,6 +243,22 @@ class TestPruneUnits:
         with pytest.raises(ContractViolation, match="selection is for layer 0, not layer 1"):
             prune_units(net, 1, PruneSelection.from_pruned((0,), 4))
 
+    def test_backward_prune_checks_the_layer(self):
+        net = gen_network([6, 5, 4, 3], seed=1)
+        with pytest.raises(ContractViolation, match="selection is for layer 0, not layer 2"):
+            backward_prune(net, 2, PruneSelection.from_pruned((0,), 3))
+
+    def test_forward_prune_checks_the_layer(self):
+        net = gen_network([6, 5, 4, 3], seed=1)
+        with pytest.raises(ContractViolation, match="selection is for layer 2, not layer 0"):
+            forward_prune(net, 0, PruneSelection.from_pruned((0,), 6, layer=2))
+
+    def test_deviation_bound_checks_the_layer(self):
+        net = gen_network([6, 5, 4, 3], seed=1)
+        prof = forward(net, np.ones(6))
+        with pytest.raises(ContractViolation, match="selection is for layer 0, not layer 1"):
+            deviation_bound(net, 1, prof, PruneSelection.from_pruned((0,), 4, layer=0))
+
     def test_accounting_closed_form(self):
         rng = np.random.default_rng(40)
         for _ in range(20):
@@ -272,7 +288,7 @@ class TestPruneInputChannels:
         sums = channel_sums(fm)
         net = gen_network([sc_channels * pool * pool, 7, 3], seed=2)
         pruned, rep = prune_input_channels(net, sums, pool, pool, PruneConfig.exact_zero())
-        assert rep.channels.pruned == (1, 4)
+        assert rep.channels.pruned.tolist() == [1, 4]
         assert len(rep.selections[0].pruned) == 2 * pool * pool
         assert rep.deviation_bound == 0.0
         keep = list(rep.selections[0].kept)
@@ -310,7 +326,7 @@ class TestTopN:
     def test_selection_and_weights(self):
         net = Network((id_layer([[1, 0], [0, 1], [2, 2]], [0, 0, 1]),))
         pruned, lm, rep = prune_output_topn(net, [0.1, 0.3, 0.6], 2)
-        assert lm.indices == (1, 2)
+        assert lm.indices.tolist() == [1, 2]
         assert pruned.layers[0].weights.tolist() == [[0, 1], [2, 2]]
         assert pruned.layers[0].bias.tolist() == [0, 1]
         assert rep.kind == "topn"
@@ -319,13 +335,13 @@ class TestTopN:
         net = gen_network([3, 5], seed=4)
         pruned, lm, rep = prune_output_topn(net, [5.0, 4.0, 3.0, 2.0, 1.0], 5)
         assert pruned == net
-        assert lm.indices == (0, 1, 2, 3, 4)
+        assert lm.indices.tolist() == [0, 1, 2, 3, 4]
         assert rep.params_before == rep.params_after
 
     def test_tie_break_lower_index(self):
         net = gen_network([3, 2], seed=0)
         _, lm, _ = prune_output_topn(net, [0.5, 0.5], 1)
-        assert lm.indices == (0,)
+        assert lm.indices.tolist() == [0]
 
     def test_n_out_of_range(self):
         net = gen_network([3, 2], seed=0)
@@ -337,7 +353,7 @@ class TestTopN:
     def test_labels_carried(self):
         net = Network((id_layer([[1], [2], [3]], [0, 0, 0]),), labels=("a", "b", "c"))
         pruned, lm, _ = prune_output_topn(net, [3.0, 1.0, 2.0], 2)
-        assert lm.indices == (0, 2)
+        assert lm.indices.tolist() == [0, 2]
         assert lm.names == ("a", "c")
         assert pruned.labels == ("a", "c")
 
@@ -461,7 +477,7 @@ class TestReportSerialization:
         blob = save_report(rep)
         back = load_report(blob)
         assert save_report(back) == blob
-        assert back.channels.pruned == (0, 2)
+        assert back.channels.pruned.tolist() == [0, 2]
 
     def test_report_without_bound(self):
         net = gen_network([3, 4, 2], seed=0)
@@ -583,6 +599,35 @@ def test_negative_deviation_bound_refused():
     doc = json.loads(save_report(rep))
     doc["deviation_bound"] = -5.0
     with pytest.raises(FormatError, match="^report: deviation_bound must be nonnegative"):
+        load_report(json.dumps(doc))
+
+
+def test_input_channels_report_prunes_the_columns_of_its_channels():
+    net = gen_network([12, 5, 3], seed=4)
+    _, rep = prune_input_channels(net, [0.0, 2.5, 7.0, 1.0], 1, 3, PruneConfig(0.0))
+    assert rep.channels.pruned.tolist() == [0]
+    rest = (rep.params_before, rep.params_after, rep.deviation_bound)
+
+    def report(cols, channels=rep.channels):
+        return PruneReport("input-channels", (cols,), *rest, channels)
+
+    assert report(rep.selections[0]) == rep
+    for cols in (
+        PruneSelection.from_pruned((), 12),  # keeps every column of channel 0
+        PruneSelection.from_pruned((1, 2, 3), 12),  # another channel's columns
+        PruneSelection.from_pruned((0, 1), 11),  # 11 columns are no whole cells
+        PruneSelection.from_pruned((0,), 3),  # fewer columns than channels
+    ):
+        with pytest.raises(ValidationError, match="columns of the pruned channels"):
+            report(cols)
+    # no channels and no columns is consistent; columns without channels are not
+    none = PruneSelection.from_pruned((), 0)
+    assert report(none, none).channels == none
+    with pytest.raises(ValidationError, match="columns of the pruned channels"):
+        report(PruneSelection.from_pruned((), 3), none)
+    doc = json.loads(save_report(rep))
+    doc["selections"][0] = {"layer": 0, "pruned": [], "kept": list(range(12))}
+    with pytest.raises(FormatError, match="^report: selection 0 does not prune exactly"):
         load_report(json.dumps(doc))
 
 

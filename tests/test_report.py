@@ -68,7 +68,7 @@ class TestCompareOutputs:
     def test_topn_excluding_a_winner_counts_against(self):
         net = id_net([[1, 0], [0, 1], [0, 0]], [0, 0, 0])
         pruned, lm, _ = prune_output_topn(net, [0.9, 0.1, 0.5], 1)
-        assert lm.indices == (0,)
+        assert lm.indices.tolist() == [0]
         xs = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]  # winners 1 then 0
         rep = compare_outputs(net, pruned, xs, label_map=lm)
         assert rep.argmax_agreement == 0.5
@@ -265,7 +265,7 @@ def ref_deviation(pairs, kept=None, bound=None):
 
 
 def ref_compare(original, pruned, examples, label_map=None, input_keep=None, bound=None):
-    kept = None if label_map is None else list(label_map.indices)
+    kept = None if label_map is None else label_map.indices.tolist()
     keep = None if input_keep is None else list(input_keep)
     pairs = (
         (output(original, x), output(pruned, x if keep is None else x[keep]))
