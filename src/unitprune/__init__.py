@@ -52,7 +52,6 @@ from .report import (
 )
 from .scene import (
     FeatureMap,
-    Roi,
     Scene,
     channel_sums,
     gen_scene,
@@ -78,7 +77,6 @@ __all__ = [
     "PruneConfig",
     "PruneReport",
     "PruneSelection",
-    "Roi",
     "Scene",
     "SweepPoint",
     "UsageError",

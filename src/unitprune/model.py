@@ -239,6 +239,8 @@ def gen_network(sizes: Sequence[int], sparsity: float = 0.0, seed: int = 0) -> N
         raise ContractViolation(f"gen_network: sizes must be nonnegative, got {sizes}")
     if not 0.0 <= float(sparsity) <= 1.0:
         raise ContractViolation(f"gen_network: sparsity must be in [0, 1], got {sparsity}")
+    if seed < 0:
+        raise ContractViolation(f"seed must be nonnegative, got {seed}")
     n_layers = len(sizes) - 1
     rng = np.random.default_rng(seed)
     layers = []

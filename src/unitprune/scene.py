@@ -1,10 +1,12 @@
 """Scenes: a nonnegative feature map plus regions pooled to fixed-size inputs.
 
 A scene stands in for one image as seen by a convolutional trunk: a (C, H, W)
-feature map that is nonnegative because it sits after a relu, and a list of
-regions of interest. Each region is max-pooled per channel onto a fixed
-pool_h x pool_w grid and flattened channel-major, giving the fixed-width
-vectors a dense head network consumes.
+feature map that is nonnegative because it sits after a relu, and its
+regions of interest: one read-only (n, 4) intp array of [x0, y0, x1, y1]
+rows, each the half-open box of columns [x0, x1) and rows [y0, y1). Scene
+and pool_regions check regions the same way, all at once. Each region is
+max-pooled per channel onto a fixed pool_h x pool_w grid and flattened
+channel-major, giving the fixed-width vectors a dense head network consumes.
 
 The property everything downstream leans on: max over a sub-rectangle never
 exceeds max over the whole channel, and a channel that is zero everywhere
@@ -23,7 +25,6 @@ from .errors import ContractViolation, FormatError, ValidationError
 
 __all__ = [
     "FeatureMap",
-    "Roi",
     "Scene",
     "pool_regions",
     "roi_pool",
@@ -70,50 +71,49 @@ class FeatureMap:
         return self.data.shape == other.data.shape and self.data.tobytes() == other.data.tobytes()
 
 
-@dataclass(frozen=True)
-class Roi:
-    """Rectangle in feature map cells: columns [x0, x1), rows [y0, y1)."""
+def _boxes(rois, fmap: FeatureMap) -> np.ndarray:
+    """rois as a new read-only (n, 4) intp array of [x0, y0, x1, y1] rows within fmap.
 
-    x0: int
-    y0: int
-    x1: int
-    y1: int
-
-    def __post_init__(self):
-        for name in ("x0", "y0", "x1", "y1"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ContractViolation(f"roi {name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
-        if self.x0 < 0 or self.y0 < 0 or self.x1 <= self.x0 or self.y1 <= self.y0:
-            raise ContractViolation(
-                f"roi must satisfy 0 <= x0 < x1 and 0 <= y0 < y1, "
-                f"got ({self.x0}, {self.y0}, {self.x1}, {self.y1})"
-            )
-
-    @property
-    def width(self) -> int:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> int:
-        return self.y1 - self.y0
-
-
-def _check_roi(roi: Roi, fmap: FeatureMap) -> None:
-    if roi.x1 > fmap.width or roi.y1 > fmap.height:
-        raise ContractViolation(
-            f"roi ({roi.x0}, {roi.y0}, {roi.x1}, {roi.y1}) exceeds "
-            f"feature map extent {fmap.height}x{fmap.width}"
-        )
+    Anything but a numpy array is read entry by entry into an object array, so
+    a bool or a float is rejected rather than cast, and an integer of any size
+    is compared before it is narrowed. Each message names the first bad region.
+    """
+    try:
+        a = rois if isinstance(rois, np.ndarray) else np.array(rois, dtype=object)
+    except ValueError:
+        raise ContractViolation("rois must be rows of four integers [x0, y0, x1, y1]") from None
+    a = a.reshape(0, 4) if a.shape == (0,) else a
+    if a.ndim != 2 or a.shape[1] != 4:
+        rows = a if a.ndim == 1 else ()
+        i = next((i for i, r in enumerate(rows)
+                  if not isinstance(r, (list, tuple, np.ndarray)) or len(r) != 4), 0)
+        raise ContractViolation(f"roi {i} must be a row of four integers [x0, y0, x1, y1]")
+    flat = a.ravel().tolist() if a.dtype.kind not in "iu" else ()
+    if not set(map(type, flat)) <= {int}:
+        # numpy integers pass too; search entry by entry only off the Python-int path
+        k = next((k for k, v in enumerate(flat)
+                  if isinstance(v, bool) or not isinstance(v, (int, np.integer))), None)
+        if k is not None:
+            raise ContractViolation(f"roi {k // 4} coordinates must be integers, got {flat[k]!r}")
+    x0, y0, x1, y1 = a.T
+    degenerate = (x0 < 0) | (y0 < 0) | (x1 <= x0) | (y1 <= y0)
+    outside = (x1 > fmap.width) | (y1 > fmap.height)
+    for bad, rule in ((degenerate, "must satisfy 0 <= x0 < x1 and 0 <= y0 < y1"),
+                      (outside, f"exceeds feature map extent {fmap.height}x{fmap.width}")):
+        if bad.any():
+            i = int(bad.argmax())
+            raise ContractViolation(f"roi {i} {tuple(map(int, a[i].tolist()))} {rule}")
+    a = a.astype(np.intp)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """A feature map, its regions, and the pooling grid they share."""
+    """A feature map, its regions as one (n, 4) intp array, and the pooling grid they share."""
 
     fmap: FeatureMap
-    rois: tuple[Roi, ...]
+    rois: np.ndarray
     pool_h: int
     pool_w: int
 
@@ -124,12 +124,7 @@ class Scene:
             raise ValidationError(
                 f"pool grid must be at least 1x1, got {self.pool_h}x{self.pool_w}"
             )
-        rois = tuple(self.rois)
-        for r in rois:
-            if not isinstance(r, Roi):
-                raise ValidationError(f"rois must be Roi, got {type(r).__name__}")
-            _check_roi(r, self.fmap)
-        object.__setattr__(self, "rois", rois)
+        object.__setattr__(self, "rois", _boxes(self.rois, self.fmap))
         object.__setattr__(self, "pool_h", int(self.pool_h))
         object.__setattr__(self, "pool_w", int(self.pool_w))
 
@@ -171,9 +166,7 @@ def pool_regions(fmap: FeatureMap, rois, pool_h: int, pool_w: int) -> np.ndarray
     """
     if pool_h < 1 or pool_w < 1:
         raise ContractViolation(f"pool grid must be at least 1x1, got {pool_h}x{pool_w}")
-    for roi in rois:
-        _check_roi(roi, fmap)
-    box = np.array([(r.x0, r.y0, r.x1, r.y1) for r in rois], dtype=np.intp).reshape(-1, 4)
+    box = _boxes(rois, fmap)
     ylo, yhi = _cell_spans(box[:, 1], box[:, 3], pool_h)
     xlo, xhi = _cell_spans(box[:, 0], box[:, 2], pool_w)
     # index arrays shaped (pool_h, pool_w, regions): data[:, y, x] is then the
@@ -189,9 +182,9 @@ def pool_regions(fmap: FeatureMap, rois, pool_h: int, pool_w: int) -> np.ndarray
     return out.reshape(fmap.channels * pool_h * pool_w, len(box)).T
 
 
-def roi_pool(fmap: FeatureMap, roi: Roi, pool_h: int, pool_w: int) -> np.ndarray:
-    """Max-pool one region: pool_regions for a single region, as a 1-D vector."""
-    return pool_regions(fmap, (roi,), pool_h, pool_w)[0]
+def roi_pool(fmap: FeatureMap, roi, pool_h: int, pool_w: int) -> np.ndarray:
+    """Max-pool one [x0, y0, x1, y1] region: pool_regions for it alone, as a 1-D vector."""
+    return pool_regions(fmap, [roi], pool_h, pool_w)[0]
 
 
 def channel_sums(fmap: FeatureMap) -> np.ndarray:
@@ -231,6 +224,8 @@ def gen_scene(
         )
     if n_rois < 0:
         raise ContractViolation(f"n_rois must be nonnegative, got {n_rois}")
+    if seed < 0:
+        raise ContractViolation(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     data = rng.uniform(0.0, 1.0, size=(channels, height, width))
     # thin the maps out so thresholded pruning has something to bite on
@@ -251,8 +246,8 @@ def gen_scene(
         x1 = int(rng.integers(x0 + 1, width + 1))
         y0 = int(rng.integers(0, height))
         y1 = int(rng.integers(y0 + 1, height + 1))
-        rois.append(Roi(x0, y0, x1, y1))
-    return Scene(FeatureMap(data), tuple(rois), pool_h, pool_w)
+        rois.append((x0, y0, x1, y1))
+    return Scene(FeatureMap(data), rois, pool_h, pool_w)
 
 
 # -- serialization ----------------------------------------------------------
@@ -277,7 +272,7 @@ def _scene_fields(scene: Scene) -> dict:
         "pool_h": scene.pool_h,
         "pool_w": scene.pool_w,
         "data": _jsonio.Rows(fm.data.reshape(-1, fm.width)),
-        "rois": _jsonio.Lines([[r.x0, r.y0, r.x1, r.y1] for r in scene.rois]),
+        "rois": _jsonio.Lines(scene.rois),
     }
 
 
@@ -295,12 +290,8 @@ def load_scene(data: bytes | str) -> Scene:
     if len(flat) != c * h * w:
         raise FormatError(f"scene data: expected {c * h * w} values, got {len(flat)}")
     raw_rois = _jsonio.get(doc, "rois", list, "scene")
-    rois = []
     for i, entry in enumerate(raw_rois):
-        coords = _jsonio.int_list(entry, f"roi {i}")
-        if len(coords) != 4:
+        if len(_jsonio.int_list(entry, f"roi {i}")) != 4:
             raise FormatError(f"roi {i}: expected four integers [x0, y0, x1, y1]")
-        with _jsonio.building(f"roi {i}"):
-            rois.append(Roi(coords[0], coords[1], coords[2], coords[3]))
     with _jsonio.building("scene"):
-        return Scene(FeatureMap(flat.reshape(c, h, w)), tuple(rois), pool_h, pool_w)
+        return Scene(FeatureMap(flat.reshape(c, h, w)), raw_rois, pool_h, pool_w)

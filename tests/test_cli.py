@@ -79,7 +79,7 @@ class TestGenScene:
 
     def test_empty_collection_legal(self, tmp_path):
         path = gen_scene_file(tmp_path / "s.scene", c=4, h=3, w=3)
-        assert load_scene(path.read_bytes()).rois == ()
+        assert load_scene(path.read_bytes()).rois.shape == (0, 4)
 
     def test_deterministic(self, tmp_path):
         a = gen_scene_file(tmp_path / "a.scene", c=8, h=5, w=5, n_rois=4, seed=3)
@@ -655,3 +655,20 @@ def test_input_channels_report_with_other_columns_is_a_format_error(tmp_path):
         "format error: report: selection 0 does not prune exactly the columns "
         "of the pruned channels\n"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-net", "--sizes", "4,3"],
+    ["gen-scene", "--c", "4"],
+], ids=["gen-net", "gen-scene"])
+def test_negative_seed_is_one_error_line(tmp_path, argv):
+    out = tmp_path / "x.out"
+    src = Path(unitprune.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "unitprune.cli", *argv, "--seed", "-1", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()

@@ -22,7 +22,6 @@ from unitprune import (
     PruneConfig,
     PruneReport,
     PruneSelection,
-    Roi,
     Scene,
     prune_input_channels,
     prune_output_topn,
@@ -113,7 +112,7 @@ def test_scene_without_rois():
 
 
 def test_scene_with_two_rois():
-    text = save_scene(scene([Roi(0, 1, 3, 2), Roi(1, 0, 2, 2)]))
+    text = save_scene(scene([(0, 1, 3, 2), (1, 0, 2, 2)]))
     assert text.endswith(b'"rois": [\n[0, 1, 3, 2],\n[1, 0, 2, 2]\n]\n}\n')
 
 

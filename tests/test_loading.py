@@ -17,7 +17,6 @@ from unitprune import (
     DenseLayer,
     FeatureMap,
     Network,
-    Roi,
     Scene,
     gen_network,
     gen_scene,
@@ -123,7 +122,7 @@ def test_generated_scene_equals_the_plain_parse(c, h, w, n_rois):
         got = load_scene(given)
         assert got.fmap.data.tobytes() == want.tobytes()
         assert got.fmap.data.shape == want.shape
-        assert got.rois == tuple(Roi(*r) for r in doc["rois"])
+        assert got.rois.tolist() == doc["rois"]
         assert (got.pool_h, got.pool_w) == (2, 2)
         assert save_scene(got) == data
 
@@ -134,9 +133,9 @@ def test_hand_written_scene_numbers_equal_the_plain_parse():
                        "data": values, "rois": [[0, 0, 3, 2]]})
     got = load_scene(text)
     want = Scene(FeatureMap(np.array(values, dtype=np.float64).reshape(1, 2, 3)),
-                 (Roi(0, 0, 3, 2),), 1, 1)
+                 ((0, 0, 3, 2),), 1, 1)
     assert got.fmap.data.tobytes() == want.fmap.data.tobytes()
-    assert got.rois == want.rois
+    assert got.rois.tolist() == want.rois.tolist()
 
 
 # -- malformed files: same class, same message ----------------------------------

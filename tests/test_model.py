@@ -191,6 +191,10 @@ class TestGen:
         with pytest.raises(ContractViolation):
             gen_network([])
 
+    def test_negative_seed(self):
+        with pytest.raises(ContractViolation, match="^seed must be nonnegative, got -1$"):
+            gen_network([3, 2], seed=-1)
+
 
 class TestSerialization:
     def test_round_trip_equality(self):

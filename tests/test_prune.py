@@ -282,7 +282,7 @@ class TestPruneInputChannels:
         rng = np.random.default_rng(8)
         data = rng.uniform(0, 1, size=(sc_channels, 5, 5))
         data[[1, 4]] = 0.0
-        from unitprune.scene import FeatureMap, Roi, channel_sums, roi_pool
+        from unitprune.scene import FeatureMap, channel_sums, roi_pool
 
         fm = FeatureMap(data)
         sums = channel_sums(fm)
@@ -292,7 +292,7 @@ class TestPruneInputChannels:
         assert len(rep.selections[0].pruned) == 2 * pool * pool
         assert rep.deviation_bound == 0.0
         keep = list(rep.selections[0].kept)
-        for roi in (Roi(0, 0, 5, 5), Roi(1, 2, 3, 4), Roi(4, 4, 5, 5)):
+        for roi in ((0, 0, 5, 5), (1, 2, 3, 4), (4, 4, 5, 5)):
             x = roi_pool(fm, roi, pool, pool)
             assert output(pruned, x[keep]).tobytes() == output(net, x).tobytes()
 

@@ -1,5 +1,7 @@
 """scene tests: ROI max pooling, channel sums, generation, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from unitprune.errors import ContractViolation, FormatError
 from unitprune.scene import (
     FeatureMap,
-    Roi,
     Scene,
     channel_sums,
     gen_scene,
@@ -25,7 +26,8 @@ def ref_roi_pool(data, roi, pool_h, pool_w):
     smaller than the grid, mirroring the documented cell partition.
     """
     c, _, _ = data.shape
-    rh, rw = roi.y1 - roi.y0, roi.x1 - roi.x0
+    x0, y0, x1, y1 = roi
+    rh, rw = y1 - y0, x1 - x0
 
     def spans(extent, cells):
         out = []
@@ -44,7 +46,7 @@ def ref_roi_pool(data, roi, pool_h, pool_w):
                 best = None
                 for y in range(ylo, yhi):
                     for x in range(xlo, xhi):
-                        v = data[ch, roi.y0 + y, roi.x0 + x]
+                        v = data[ch, y0 + y, x0 + x]
                         best = v if best is None or v > best else best
                 out.append(best)
     return np.array(out)
@@ -57,39 +59,39 @@ def one_channel(rows):
 class TestRoiPool:
     def test_global_max(self):
         fm = one_channel([[1, 2], [3, 4]])
-        assert roi_pool(fm, Roi(0, 0, 2, 2), 1, 1).tolist() == [4.0]
+        assert roi_pool(fm, (0, 0, 2, 2), 1, 1).tolist() == [4.0]
 
     def test_all_zero_channel(self):
         data = np.zeros((2, 3, 3))
         data[1] = 5.0
         fm = FeatureMap(data)
-        got = roi_pool(fm, Roi(0, 1, 3, 3), 2, 2)
+        got = roi_pool(fm, (0, 1, 3, 3), 2, 2)
         assert got[:4].tolist() == [0.0, 0.0, 0.0, 0.0]
         assert got[4:].tolist() == [5.0] * 4
 
     def test_2x2_partition(self):
         fm = one_channel([[1, 2], [3, 4]])
-        assert roi_pool(fm, Roi(0, 0, 2, 2), 2, 2).tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert roi_pool(fm, (0, 0, 2, 2), 2, 2).tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_1x1_roi_pool_1x1_exact_value(self):
         fm = one_channel([[1, 2], [3, 4]])
-        assert roi_pool(fm, Roi(1, 0, 2, 1), 1, 1).tolist() == [2.0]
+        assert roi_pool(fm, (1, 0, 2, 1), 1, 1).tolist() == [2.0]
 
     def test_small_roi_replicates(self):
         fm = one_channel([[1, 2], [3, 4]])
         # a single cell pooled onto 2x2 repeats that cell's value
-        assert roi_pool(fm, Roi(0, 1, 1, 2), 2, 2).tolist() == [3.0] * 4
+        assert roi_pool(fm, (0, 1, 1, 2), 2, 2).tolist() == [3.0] * 4
 
     def test_channel_major_flatten(self):
         data = np.arange(8.0).reshape(2, 2, 2)
         fm = FeatureMap(data)
-        got = roi_pool(fm, Roi(0, 0, 2, 2), 2, 2)
+        got = roi_pool(fm, (0, 0, 2, 2), 2, 2)
         assert got.tolist() == data.reshape(-1).tolist()
 
     def test_invalid_roi_rejected(self):
         fm = one_channel([[1, 2], [3, 4]])
         with pytest.raises(ContractViolation):
-            roi_pool(fm, Roi(0, 0, 3, 1), 1, 1)
+            roi_pool(fm, (0, 0, 3, 1), 1, 1)
 
     def test_matches_reference(self):
         rng = np.random.default_rng(12)
@@ -102,7 +104,7 @@ class TestRoiPool:
             (10, 8, 11, 9, 2, 3),
             (3, 3, 4, 4, 1, 1),
         ]:
-            roi = Roi(x0, y0, x1, y1)
+            roi = (x0, y0, x1, y1)
             got = roi_pool(fm, roi, ph, pw)
             want = ref_roi_pool(data, roi, ph, pw)
             assert got.tobytes() == want.tobytes()
@@ -165,15 +167,84 @@ class TestFeatureMap:
 
 class TestRoi:
     def test_degenerate_rejected(self):
-        with pytest.raises(ContractViolation):
-            Roi(2, 0, 2, 1)
-        with pytest.raises(ContractViolation):
-            Roi(-1, 0, 1, 1)
+        fm = FeatureMap(np.zeros((1, 3, 3)))
+        with pytest.raises(ContractViolation, match="must satisfy"):
+            Scene(fm, [(2, 0, 2, 1)], 1, 1)
+        with pytest.raises(ContractViolation, match="must satisfy"):
+            Scene(fm, [(-1, 0, 1, 1)], 1, 1)
 
     def test_scene_rejects_out_of_bounds_roi(self):
         fm = FeatureMap(np.zeros((1, 2, 2)))
         with pytest.raises(ContractViolation):
-            Scene(fm, (Roi(0, 0, 3, 1),), 1, 1)
+            Scene(fm, ((0, 0, 3, 1),), 1, 1)
+
+
+def scene_doc(*rois):
+    """A 1x3x3 scene file with the given regions."""
+    return json.dumps({"version": 1, "C": 1, "H": 3, "W": 3, "pool_h": 1, "pool_w": 1,
+                       "data": [0.0] * 9, "rois": list(rois)})
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda fm: Scene(fm, [(0, 0, 1, 1), (True, 0, 1, 1)], 1, 1),
+     ContractViolation, "roi 1 coordinates must be integers, got True"),
+    (lambda fm: Scene(fm, np.array([[0, 0, 1, 1]], dtype=bool), 1, 1),
+     ContractViolation, "roi 0 coordinates must be integers, got False"),
+    (lambda fm: Scene(fm, [(0, 0, 1, 1), (0, 0, 1)], 1, 1),
+     ContractViolation, r"roi 1 must be a row of four integers \[x0, y0, x1, y1\]"),
+    (lambda fm: Scene(fm, [(0, 0, 1, 1, 1)], 1, 1),
+     ContractViolation, "roi 0 must be a row of four integers"),
+    (lambda fm: Scene(fm, [0, 0, 1, 1], 1, 1),
+     ContractViolation, "roi 0 must be a row of four integers"),
+    (lambda fm: pool_regions(fm, [np.zeros((4, 2)), np.zeros(4)], 1, 1),
+     ContractViolation, "rois must be rows of four integers"),
+    (lambda fm: Scene(fm, [(0, 0, 1, 1), (0, 0, 1.0, 1)], 1, 1),
+     ContractViolation, "roi 1 coordinates must be integers, got 1.0"),
+    (lambda fm: roi_pool(fm, np.array([0.0, 0.0, 1.0, 1.0]), 1, 1),
+     ContractViolation, "roi 0 coordinates must be integers, got 0.0"),
+    (lambda fm: load_scene(scene_doc([0, 0, 1, 1], [0, 0, 1, 1], [2, 0, 10**30, 1])),
+     FormatError, r"^scene: roi 2 \(2, 0, 10{30}, 1\) exceeds feature map extent 3x3$"),
+], ids=["bool", "bool-array", "ragged", "five-wide", "flat", "ragged-arrays", "float",
+        "float-array", "beyond-int64-in-file"])
+def test_what_is_not_a_region_is_rejected(build, error, match):
+    with pytest.raises(error, match=match):
+        build(FeatureMap(np.zeros((1, 3, 3))))
+
+
+@st.composite
+def rows_in_a_map(draw):
+    """A map height and width, and rows of Python ints inside it."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        x0, y0 = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+        rows.append([x0, y0, draw(st.integers(x0 + 1, w)), draw(st.integers(y0 + 1, h))])
+    return h, w, rows
+
+
+class TestRegionForms:
+    @settings(deadline=None, max_examples=100)
+    @given(rows_in_a_map(), st.sampled_from(["int32", "int64", "uint64"]))
+    def test_every_form_saves_the_same_bytes(self, case, dtype):
+        h, w, rows = case
+        fm = FeatureMap(np.ones((1, h, w)))
+        want = save_scene(Scene(fm, rows, 1, 1))
+        array = np.array(rows, dtype=dtype).reshape(-1, 4)
+        before = array.copy()
+        forms = [list(map(tuple, rows)), tuple(map(tuple, rows)),
+                 [list(map(np.int64, r)) for r in rows], array]
+        for form in forms:
+            sc = Scene(fm, form, 1, 1)
+            assert save_scene(sc) == want
+            assert sc.rois.dtype == np.intp and sc.rois.shape == (len(rows), 4)
+            assert not sc.rois.flags.writeable
+        assert array.flags.writeable
+        assert array.dtype == dtype and array.tobytes() == before.tobytes()
+
+    def test_rois_are_read_only(self):
+        sc = gen_scene(1, 4, 4, n_rois=2, seed=0)
+        with pytest.raises(ValueError):
+            sc.rois[0, 0] = 1
 
 
 class TestGenScene:
@@ -201,9 +272,9 @@ class TestGenScene:
     def test_rois_valid_and_counted(self):
         sc = gen_scene(2, 6, 9, n_rois=50, seed=5)
         assert len(sc.rois) == 50
-        for r in sc.rois:
-            assert 0 <= r.x0 < r.x1 <= 9
-            assert 0 <= r.y0 < r.y1 <= 6
+        for x0, y0, x1, y1 in sc.rois.tolist():
+            assert 0 <= x0 < x1 <= 9
+            assert 0 <= y0 < y1 <= 6
 
     def test_bad_args(self):
         with pytest.raises(ContractViolation):
@@ -212,6 +283,8 @@ class TestGenScene:
             gen_scene(0, 2, 2)
         with pytest.raises(ContractViolation):
             gen_scene(2, 2, 2, n_rois=-1)
+        with pytest.raises(ContractViolation, match="^seed must be nonnegative, got -1$"):
+            gen_scene(2, 2, 2, seed=-1)
 
 
 class TestSceneSerialization:
@@ -259,7 +332,7 @@ def map_and_regions(draw):
     rois = []
     for _ in range(draw(st.integers(0, 6))):
         x0, y0 = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
-        rois.append(Roi(x0, y0, draw(st.integers(x0 + 1, w)), draw(st.integers(y0 + 1, h))))
+        rois.append((x0, y0, draw(st.integers(x0 + 1, w)), draw(st.integers(y0 + 1, h))))
     grid = st.integers(1, 2 * max(h, w))
     return data.reshape(c, h, w), tuple(rois), draw(grid), draw(grid)
 
@@ -285,12 +358,12 @@ class TestPoolRegions:
         assert pool_regions(one_channel([[1.0]]), (), 2, 3).shape == (0, 6)
 
     def test_one_by_one_map(self):
-        got = pool_regions(one_channel([[7.0]]), (Roi(0, 0, 1, 1),) * 2, 3, 2)
+        got = pool_regions(one_channel([[7.0]]), ((0, 0, 1, 1),) * 2, 3, 2)
         assert got.tolist() == [[7.0] * 6] * 2
 
     def test_invalid_arguments_rejected(self):
         fm = one_channel([[1, 2], [3, 4]])
         with pytest.raises(ContractViolation, match="exceeds"):
-            pool_regions(fm, (Roi(0, 0, 1, 1), Roi(0, 0, 3, 1)), 1, 1)
+            pool_regions(fm, ((0, 0, 1, 1), (0, 0, 3, 1)), 1, 1)
         with pytest.raises(ContractViolation, match="1x1"):
-            pool_regions(fm, (Roi(0, 0, 1, 1),), 0, 1)
+            pool_regions(fm, ((0, 0, 1, 1),), 0, 1)

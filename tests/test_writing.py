@@ -24,7 +24,6 @@ from unitprune import (
     DenseLayer,
     FeatureMap,
     Network,
-    Roi,
     Scene,
     gen_network,
     prune_output_topn,
@@ -65,7 +64,7 @@ def chunked_net_and_scene(draw):
     channels = max(1, draw(around_a_block(chunk, width)))
     data = draw(st.lists(value.map(abs), min_size=channels * width, max_size=channels * width))
     fmap = FeatureMap(np.array(data, dtype=float).reshape(channels, 1, width))
-    scene = Scene(fmap, (Roi(0, 0, width, 1),), 1, 1)
+    scene = Scene(fmap, ((0, 0, width, 1),), 1, 1)
     return chunk, Network(tuple(layers)), scene
 
 
@@ -139,7 +138,7 @@ def small_inputs(tmp_path):
                               ActivationKind.IDENTITY)))
     (tmp_path / "n.net").write_bytes(save_network(net))
     (tmp_path / "s.scene").write_bytes(
-        save_scene(Scene(FeatureMap(np.ones((1, 2, 2))), (Roi(0, 0, 2, 2),), 2, 2)))
+        save_scene(Scene(FeatureMap(np.ones((1, 2, 2))), ((0, 0, 2, 2),), 2, 2)))
     (tmp_path / "scores.json").write_text("[0.3, 0.1, 0.9]")
     return tmp_path
 
