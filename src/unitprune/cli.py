@@ -191,9 +191,9 @@ def _cmd_eval(args) -> int:
             f"model expects {original.input_dim} inputs but the scene pools to "
             f"{sc.pooled_width}"
         )
-    examples = (x for xs in _region_blocks(sc, sc.fmap) for x in xs)
+    blocks = _region_blocks(sc, sc.fmap)
     dr = compare_outputs(
-        original, pruned, examples, label_map=label_map, input_keep=input_keep, bound=bound
+        original, pruned, blocks, label_map=label_map, input_keep=input_keep, bound=bound
     )
     print(deviation_json(dr))
     return 0

@@ -81,21 +81,9 @@ def vector(data) -> np.ndarray:
     return v
 
 
-def matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce to a finite 2-D float64 array.
-
-    When rows/cols are given, data may be a flat row-major sequence and is
-    reshaped; a length mismatch raises ContractViolation.
-    """
+def matrix(data) -> np.ndarray:
+    """Coerce to a finite 2-D float64 array."""
     m = np.asarray(data, dtype=np.float64)
-    if rows is not None or cols is not None:
-        if rows is None or cols is None or rows < 0 or cols < 0:
-            raise ContractViolation("matrix: rows and cols must both be given and nonnegative")
-        if m.size != rows * cols:
-            raise ContractViolation(
-                f"matrix: expected {rows * cols} values for {rows}x{cols}, got {m.size}"
-            )
-        m = m.reshape(rows, cols)
     if m.ndim != 2:
         raise ContractViolation(f"matrix must be 2-dimensional, got shape {m.shape}")
     if not np.isfinite(m).all():

@@ -319,5 +319,5 @@ def load_network(data: bytes | str) -> Network:
         if len(bias) != units:
             raise FormatError(f"{where} bias: expected {units} values, got {len(bias)}")
         with _jsonio.building(where):
-            layers.append(DenseLayer(linalg.matrix(flat, units, inputs), bias, act))
+            layers.append(DenseLayer(flat.reshape(units, inputs), bias, act))
     return Network(tuple(layers), labels=_jsonio.labels(doc, "model"))

@@ -78,14 +78,6 @@ class PruneConfig:
             raise ContractViolation(f"threshold must be nonnegative, got {self.threshold}")
         object.__setattr__(self, "threshold", t)
 
-    @classmethod
-    def exact_zero(cls) -> "PruneConfig":
-        return cls(0.0)
-
-    @classmethod
-    def thresholded(cls, threshold: float) -> "PruneConfig":
-        return cls(threshold)
-
 
 @dataclass(frozen=True)
 class PruneSelection:
@@ -195,7 +187,7 @@ class PruneReport:
             if not (
                 cells >= 1
                 and cells * chans.size == cols.size
-                and np.array_equal(cols.pruned, channel_columns(chans, chans.size, cells, 1))
+                and np.array_equal(cols.pruned, channel_columns(chans.pruned, chans.size, cells, 1))
             ):
                 raise ValidationError(
                     "selection 0 does not prune exactly the columns of the pruned channels"
@@ -259,17 +251,14 @@ def select_channels(sums, config: PruneConfig) -> PruneSelection:
 
 
 def channel_columns(
-    channels: PruneSelection | Sequence[int], n_channels: int, pool_h: int, pool_w: int
+    channels: Sequence[int], n_channels: int, pool_h: int, pool_w: int
 ) -> np.ndarray:
-    """Input columns owned by the given channels under channel-major pooling.
+    """Input columns owned by an ascending set of channels under channel-major pooling.
 
-    channels is either a channel-level PruneSelection (its pruned set is
-    mapped) or a plain ascending index sequence. Channel c owns the
-    contiguous block [c * pool_h * pool_w, (c + 1) * pool_h * pool_w); the
-    result is an intp array, ascending because the channel indices are.
+    Channel c owns the contiguous block [c * pool_h * pool_w,
+    (c + 1) * pool_h * pool_w); the result is an intp array, ascending
+    because the channel indices are.
     """
-    if isinstance(channels, PruneSelection):
-        channels = channels.pruned
     idx = linalg.index_array(channels, n_channels, "channel set")
     if pool_h < 1 or pool_w < 1:
         raise ContractViolation(f"pool grid must be at least 1x1, got {pool_h}x{pool_w}")
@@ -400,7 +389,7 @@ def prune_input_channels(
     cols = channel_columns(csel.pruned, s.shape[0], pool_h, pool_w)
     colsel = PruneSelection.from_pruned(cols, n_cols, layer=0)
     pruned_net = forward_prune(net, 0, colsel)
-    bound = channel_drop_bound(net, s, pool_h, pool_w, csel)
+    bound = channel_drop_bound(net, s, pool_h, pool_w, csel.pruned)
     report = PruneReport(
         "input-channels", (colsel,), param_count(net), param_count(pruned_net), bound, csel
     )
@@ -498,7 +487,7 @@ def column_drop_bound(net: Network, layer: int, magnitudes, cols: Sequence[int])
 
 
 def channel_drop_bound(
-    net: Network, sums, pool_h: int, pool_w: int, channels: PruneSelection | Sequence[int]
+    net: Network, sums, pool_h: int, pool_w: int, channels: Sequence[int]
 ) -> float:
     """column_drop_bound of layer 0 for dropping whole channels, sound for every region.
 

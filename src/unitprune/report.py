@@ -31,8 +31,8 @@ __all__ = [
     "SWEEP_CSV_HEADER",
 ]
 
-# Regions pooled per call and rows scored per batched forward pass: bounds the
-# per-block copies and accumulators while keeping the per-column loop long.
+# Regions pooled and scored per block: bounds the per-block copies and
+# accumulators while keeping the per-column loop long.
 _BLOCK_ROWS = 256
 
 SWEEP_CSV_HEADER = "tau,pruned_units,param_reduction,mac_reduction,max_abs,argmax_agreement"
@@ -157,21 +157,21 @@ class _Deviation:
 def compare_outputs(
     original: Network,
     pruned: Network,
-    examples: Iterable,
+    blocks: Iterable,
     label_map: LabelMap | None = None,
     input_keep: Sequence[int] | None = None,
     bound: float | None = None,
 ) -> DeviationReport:
-    """Run both networks over the examples and measure output deviation.
+    """Run both networks over blocks of examples and measure output deviation.
 
-    Examples are full-width inputs for the original network. When the pruned
-    network's input was shrunk (forward pruning), input_keep lists the
-    surviving input coordinates; when its output was shrunk (top-n pruning),
-    label_map says which original outputs survive, and deviations are
-    measured on those. An example whose original winning output was pruned
-    away counts against argmax_agreement. Examples are scored in blocks of
-    rows through the batched forward pass; every field equals what scoring
-    them one at a time gives.
+    Each block is a (rows, d) array of examples, d the original network's
+    input width; blocks are scored as given, and every field equals what
+    scoring the examples one at a time gives. When the pruned network's
+    input was shrunk (forward pruning), input_keep lists the surviving input
+    coordinates; when its output was shrunk (top-n pruning), label_map says
+    which original outputs survive, and deviations are measured on those. An
+    example whose original winning output was pruned away counts against
+    argmax_agreement.
 
     When the pruned first layer is the original one on the input_keep
     columns (same bytes, bias and activation), both first layers run in one
@@ -218,31 +218,19 @@ def compare_outputs(
         depth = np.ones(width, dtype=np.intp)
         depth[slice(None) if keep is None else keep] += 1
 
-    def score(xs):
-        if not shared:
-            dev.add(output(original, xs), output(pruned, _columns(xs, keep)))
-            return
-        acc_a, acc_b = linalg.nested_matmat(first.weights, xs, depth, 2)
-        oa = _finish(first, rest_a, acc_a)
-        dev.add(oa, oa if acc_b is acc_a and same_rest else _finish(first, rest_b, acc_b))
-
-    # examples are copied straight into one reused block buffer
-    buf = np.empty((_BLOCK_ROWS, width))
-    rows = 0
-    for i, x in enumerate(examples):
-        x = linalg.vector(x)
-        if x.shape[0] != width:
+    for xs in blocks:
+        xs = linalg.matrix(xs)
+        if xs.shape[1] != width:
             raise ContractViolation(
-                f"example {i} has {x.shape[0]} values but the original "
+                f"example {dev.n} has {xs.shape[1]} values but the original "
                 f"network expects {width} inputs"
             )
-        buf[rows] = x
-        rows += 1
-        if rows == _BLOCK_ROWS:
-            score(buf)
-            rows = 0
-    if rows:
-        score(buf[:rows])
+        if shared:
+            acc_a, acc_b = linalg.nested_matmat(first.weights, xs, depth, 2)
+            oa = _finish(first, rest_a, acc_a)
+            dev.add(oa, oa if acc_b is acc_a and same_rest else _finish(first, rest_b, acc_b))
+        else:
+            dev.add(output(original, xs), output(pruned, _columns(xs, keep)))
     return dev.report(bound)
 
 
@@ -290,7 +278,7 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
         sel = select_channels(sums, PruneConfig(tau))
         channel_depth[sel.kept] += 1
         # the bound prune_input_channels certifies, without building the pruned network
-        bounds.append(channel_drop_bound(net, sums, scene.pool_h, scene.pool_w, sel))
+        bounds.append(channel_drop_bound(net, sums, scene.pool_h, scene.pool_w, sel.pruned))
         selections.append(sel)
     depth = np.repeat(channel_depth, cells)
     first, rest = net.layers[0], Network(net.layers[1:])

@@ -327,7 +327,7 @@ class TestManyRegions:
         assert len(rep.channels.pruned) == (6 if tau else 3)
         examples = [roi_pool(sc.fmap, roi, sc.pool_h, sc.pool_w) for roi in sc.rois]
         want = compare_outputs(load_network(model.read_bytes()), load_network(out.read_bytes()),
-                               examples, input_keep=rep.selections[0].kept,
+                               [np.array(examples)], input_keep=rep.selections[0].kept,
                                bound=rep.deviation_bound)
         assert want.n_examples == 600 and (want.max_abs > 0.0) == bool(tau)
         assert capsys.readouterr().out == deviation_json(want) + "\n"

@@ -149,7 +149,7 @@ def test_units_report_with_null_bound():
 
 
 def test_input_channels_report_with_channels():
-    _, rep = prune_input_channels(head(), [0.0, 2.0, 1.0], 1, 1, PruneConfig.exact_zero())
+    _, rep = prune_input_channels(head(), [0.0, 2.0, 1.0], 1, 1, PruneConfig(0.0))
     assert save_report(rep) == b"""{
 "version": 1,
 "kind": "input-channels",
@@ -288,7 +288,7 @@ def test_integers_too_large_for_a_float_are_format_errors():
         _jsonio.parse_vector(f"[1, {huge}]", "probe")
     with pytest.raises(FormatError, match="key 'x' is too large for a float"):
         _jsonio.get({"x": huge}, "x", float, "doc")
-    _, rep = prune_input_channels(head(), [0.0, 2.0, 1.0], 1, 1, PruneConfig.exact_zero())
+    _, rep = prune_input_channels(head(), [0.0, 2.0, 1.0], 1, 1, PruneConfig(0.0))
     doc = save_report(rep).replace(b'"deviation_bound": 0.0', b'"deviation_bound": 1' + b"0" * 400)
     with pytest.raises(FormatError, match="'deviation_bound' is too large for a float"):
         load_report(doc)

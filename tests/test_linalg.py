@@ -254,15 +254,6 @@ class TestConstructors:
         with pytest.raises(ContractViolation):
             vector([[1.0]])
 
-    def test_matrix_reshape(self):
-        m = matrix([1, 2, 3, 4, 5, 6], 2, 3)
-        assert m.shape == (2, 3)
-        assert m[1, 0] == 4.0
-
-    def test_matrix_reshape_mismatch(self):
-        with pytest.raises(ContractViolation, match="expected 6"):
-            matrix([1, 2, 3], 2, 3)
-
     def test_matrix_rejects_inf(self):
         with pytest.raises(ContractViolation):
             matrix([[float("inf")]])

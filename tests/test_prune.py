@@ -50,12 +50,12 @@ def relu_layer(w, b):
 
 class TestPruneConfig:
     def test_exact_zero(self):
-        cfg = PruneConfig.exact_zero()
+        cfg = PruneConfig(0.0)
         assert cfg.threshold == 0.0
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ContractViolation):
-            PruneConfig.thresholded(-1.0)
+            PruneConfig(-1.0)
 
     def test_for_threshold_dispatch(self):
         assert PruneConfig(float("inf")).threshold == float("inf")
@@ -80,34 +80,34 @@ class TestPruneSelection:
 
 class TestSelection:
     def test_thresholded(self):
-        sel = select_units([0.0, 0.003, 0.8, 0.0005], PruneConfig.thresholded(0.001))
+        sel = select_units([0.0, 0.003, 0.8, 0.0005], PruneConfig(0.001))
         assert sel.pruned.tolist() == [0, 3]
 
     def test_exact_zero_only(self):
-        sel = select_units([0.0, 0.003, 0.8, 0.0005], PruneConfig.exact_zero())
+        sel = select_units([0.0, 0.003, 0.8, 0.0005], PruneConfig(0.0))
         assert sel.pruned.tolist() == [0]
 
     def test_threshold_above_max_prunes_all(self):
-        sel = select_units([0.5, 0.2], PruneConfig.thresholded(0.5))
+        sel = select_units([0.5, 0.2], PruneConfig(0.5))
         assert sel.pruned.tolist() == [0, 1]
 
     def test_absolute_value_rule(self):
         # identity-layer profiles can be negative; magnitude decides
-        sel = select_units([-0.01, 0.5, -0.9], PruneConfig.thresholded(0.05))
+        sel = select_units([-0.01, 0.5, -0.9], PruneConfig(0.05))
         assert sel.pruned.tolist() == [0]
 
     def test_negative_zero_is_zero(self):
-        sel = select_units([-0.0, 1.0], PruneConfig.exact_zero())
+        sel = select_units([-0.0, 1.0], PruneConfig(0.0))
         assert sel.pruned.tolist() == [0]
 
     def test_select_channels(self):
-        assert select_channels([0.0, 10.0], PruneConfig.exact_zero()).pruned.tolist() == [0]
-        sel = select_channels([0.5, 10.0, 0.2], PruneConfig.thresholded(0.5))
+        assert select_channels([0.0, 10.0], PruneConfig(0.0)).pruned.tolist() == [0]
+        sel = select_channels([0.5, 10.0, 0.2], PruneConfig(0.5))
         assert sel.pruned.tolist() == [0, 2]
 
     def test_select_channels_rejects_negative(self):
         with pytest.raises(ContractViolation):
-            select_channels([-0.1, 1.0], PruneConfig.exact_zero())
+            select_channels([-0.1, 1.0], PruneConfig(0.0))
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -134,7 +134,7 @@ class TestChannelColumns:
 
     def test_accepts_selection(self):
         sel = PruneSelection.from_pruned((1,), 3)
-        assert channel_columns(sel, 3, 2, 2).tolist() == [4, 5, 6, 7]
+        assert channel_columns(sel.pruned, 3, 2, 2).tolist() == [4, 5, 6, 7]
 
     def test_out_of_range(self):
         with pytest.raises(ContractViolation):
@@ -227,7 +227,7 @@ class TestPruneUnits:
         x = np.random.default_rng(3).uniform(-1, 1, size=10)
         prof = forward(net, x)
         for k in (0, 1):
-            sel = select_units(prof.layer(k), PruneConfig.exact_zero(), layer=k)
+            sel = select_units(prof.layer(k), PruneConfig(0.0), layer=k)
             pruned, rep = prune_units(net, k, sel, profile=prof)
             assert output(pruned, x).tobytes() == output(net, x).tobytes()
             assert rep.deviation_bound == 0.0
@@ -287,7 +287,7 @@ class TestPruneInputChannels:
         fm = FeatureMap(data)
         sums = channel_sums(fm)
         net = gen_network([sc_channels * pool * pool, 7, 3], seed=2)
-        pruned, rep = prune_input_channels(net, sums, pool, pool, PruneConfig.exact_zero())
+        pruned, rep = prune_input_channels(net, sums, pool, pool, PruneConfig(0.0))
         assert rep.channels.pruned.tolist() == [1, 4]
         assert len(rep.selections[0].pruned) == 2 * pool * pool
         assert rep.deviation_bound == 0.0
@@ -299,7 +299,7 @@ class TestPruneInputChannels:
     def test_dimension_mismatch(self):
         net = gen_network([10, 2], seed=0)
         with pytest.raises(ContractViolation, match="expects 10"):
-            prune_input_channels(net, [0.0, 1.0], 2, 2, PruneConfig.exact_zero())
+            prune_input_channels(net, [0.0, 1.0], 2, 2, PruneConfig(0.0))
 
     def test_bound_covers_every_region(self):
         # thresholded channel pruning: the reported bound holds for all rois
@@ -310,7 +310,7 @@ class TestPruneInputChannels:
         net = gen_network([8 * 4, 6, 3], seed=5)
         tau = float(np.sort(sums)[4])  # prunes at least five channels
         pruned, rep = prune_input_channels(
-            net, sums, 2, 2, PruneConfig.thresholded(tau)
+            net, sums, 2, 2, PruneConfig(tau)
         )
         keep = list(rep.selections[0].kept)
         worst = 0.0
@@ -407,7 +407,7 @@ class TestDeviationBound:
         net = gen_network([5, 8, 3], sparsity=0.5, seed=6)
         x = np.random.default_rng(0).uniform(-1, 1, size=5)
         prof = forward(net, x)
-        sel = select_units(prof.layer(0), PruneConfig.exact_zero(), layer=0)
+        sel = select_units(prof.layer(0), PruneConfig(0.0), layer=0)
         assert len(sel.pruned) >= 4
         assert deviation_bound(net, 0, prof, sel) == 0.0
 
@@ -442,7 +442,7 @@ class TestDeviationBound:
             prof = forward(net, x)
             k = int(rng.integers(0, len(net.layers) - 1))
             tau = float(rng.uniform(0, 0.5))
-            sel = select_units(prof.layer(k), PruneConfig.thresholded(tau), layer=k)
+            sel = select_units(prof.layer(k), PruneConfig(tau), layer=k)
             pruned, rep = prune_units(net, k, sel, profile=prof)
             actual = float(np.abs(output(net, x) - output(pruned, x)).max())
             assert actual <= rep.deviation_bound
@@ -460,7 +460,7 @@ class TestReportSerialization:
         net = gen_network([5, 6, 3], sparsity=0.3, seed=11)
         x = np.random.default_rng(5).uniform(-1, 1, size=5)
         prof = forward(net, x)
-        sel = select_units(prof.layer(0), PruneConfig.thresholded(0.2), layer=0)
+        sel = select_units(prof.layer(0), PruneConfig(0.2), layer=0)
         _, rep = prune_units(net, 0, sel, profile=prof)
         blob = save_report(rep)
         back = load_report(blob)
@@ -472,7 +472,7 @@ class TestReportSerialization:
     def test_channels_report_round_trip(self):
         net = gen_network([8, 3], seed=1)
         _, rep = prune_input_channels(
-            net, [0.0, 3.0, 0.0, 1.0], 1, 2, PruneConfig.exact_zero()
+            net, [0.0, 3.0, 0.0, 1.0], 1, 2, PruneConfig(0.0)
         )
         blob = save_report(rep)
         back = load_report(blob)
@@ -538,7 +538,7 @@ class TestReportSerialization:
 
     def test_report_shape_enforced(self):
         net = gen_network([4, 3], seed=1)
-        _, rep = prune_input_channels(net, [0.0, 1.0], 1, 2, PruneConfig.exact_zero())
+        _, rep = prune_input_channels(net, [0.0, 1.0], 1, 2, PruneConfig(0.0))
         sel, pb, pa = rep.selections[0], rep.params_before, rep.params_after
         with pytest.raises(ValidationError, match="exactly one selection"):
             PruneReport("input-channels", (sel, sel), pb, pa, 0.0, rep.channels)
@@ -636,9 +636,8 @@ def test_channel_drop_bound_is_the_bound_of_repeated_sums():
     sums = np.array([0.0, 2.5, 0.0, 7.0])
     for tau in (0.0, 3.0, 10.0):
         _, rep = prune_input_channels(net, sums, 1, 3, PruneConfig(tau))
-        cols = channel_columns(rep.channels, 4, 1, 3)
+        cols = channel_columns(rep.channels.pruned, 4, 1, 3)
         want = column_drop_bound(net, 0, np.repeat(sums, 3), cols)
-        assert channel_drop_bound(net, sums, 1, 3, rep.channels) == want
         assert channel_drop_bound(net, sums, 1, 3, rep.channels.pruned) == want
         assert rep.deviation_bound == want
     assert want > 0.0

@@ -42,7 +42,7 @@ class TestCompareOutputs:
     def test_identical_networks(self):
         net = gen_network([4, 6, 3], seed=9)
         xs = [np.random.default_rng(i).uniform(-1, 1, size=4) for i in range(5)]
-        rep = compare_outputs(net, net, xs)
+        rep = compare_outputs(net, net, [np.array(xs)])
         assert rep.n_examples == 5
         assert rep.max_abs == 0.0 and rep.mean_abs == 0.0
         assert rep.argmax_agreement == 1.0
@@ -52,12 +52,12 @@ class TestCompareOutputs:
         sc = gen_scene(10, 5, 5, zero_channels=4, n_rois=30, pool_h=2, pool_w=2, seed=7)
         net = gen_network([40, 8, 5], seed=2)
         pruned, prep = prune_input_channels(
-            net, channel_sums(sc.fmap), 2, 2, PruneConfig.exact_zero()
+            net, channel_sums(sc.fmap), 2, 2, PruneConfig(0.0)
         )
         rep = compare_outputs(
             net,
             pruned,
-            pooled_examples(sc),
+            [np.array(pooled_examples(sc))],
             input_keep=prep.selections[0].kept,
             bound=prep.deviation_bound,
         )
@@ -70,7 +70,7 @@ class TestCompareOutputs:
         pruned, lm, _ = prune_output_topn(net, [0.9, 0.1, 0.5], 1)
         assert lm.indices.tolist() == [0]
         xs = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]  # winners 1 then 0
-        rep = compare_outputs(net, pruned, xs, label_map=lm)
+        rep = compare_outputs(net, pruned, [np.array(xs)], label_map=lm)
         assert rep.argmax_agreement == 0.5
         assert rep.max_abs == 0.0  # the surviving coordinate itself is untouched
 
@@ -79,9 +79,9 @@ class TestCompareOutputs:
         net = gen_network([24, 7, 4], seed=11)
         sums = channel_sums(sc.fmap)
         tau = float(np.sort(sums)[3])
-        pruned, prep = prune_input_channels(net, sums, 2, 2, PruneConfig.thresholded(tau))
+        pruned, prep = prune_input_channels(net, sums, 2, 2, PruneConfig(tau))
         rep = compare_outputs(
-            net, pruned, pooled_examples(sc), input_keep=prep.selections[0].kept
+            net, pruned, [np.array(pooled_examples(sc))], input_keep=prep.selections[0].kept
         )
         assert 0.0 <= rep.mean_abs <= rep.max_abs
         assert 0.0 <= rep.argmax_agreement <= 1.0
@@ -90,21 +90,21 @@ class TestCompareOutputs:
         net = gen_network([6, 3], seed=0)
         narrow = gen_network([4, 3], seed=0)
         with pytest.raises(ContractViolation, match="input widths"):
-            compare_outputs(net, narrow, [np.zeros(6)])
+            compare_outputs(net, narrow, [np.zeros((1, 6))])
 
     def test_output_mismatch_needs_label_map(self):
         net = gen_network([4, 5], seed=0)
         pruned, lm, _ = prune_output_topn(net, [5.0, 4.0, 3.0, 2.0, 1.0], 2)
         with pytest.raises(ContractViolation, match="output widths"):
-            compare_outputs(net, pruned, [np.zeros(4)])
-        rep = compare_outputs(net, pruned, [np.zeros(4)], label_map=lm)
+            compare_outputs(net, pruned, [np.zeros((1, 4))])
+        rep = compare_outputs(net, pruned, [np.zeros((1, 4))], label_map=lm)
         assert rep.n_examples == 1
 
     def test_wrong_keep_size(self):
         net = gen_network([6, 3], seed=0)
         narrow = gen_network([4, 3], seed=0)
         with pytest.raises(ContractViolation, match="keep set"):
-            compare_outputs(net, narrow, [np.zeros(6)], input_keep=(0, 1, 2))
+            compare_outputs(net, narrow, [np.zeros((1, 6))], input_keep=(0, 1, 2))
 
     def test_no_examples(self):
         net = gen_network([3, 2], seed=0)
@@ -315,12 +315,12 @@ class TestBatchedMatchesPerExample:
         sc, net = self.scene_and_net(40)
         sums = channel_sums(sc.fmap)
         narrow, prep = prune_input_channels(
-            net, sums, 2, 2, PruneConfig.thresholded(float(np.sort(sums)[3]))
+            net, sums, 2, 2, PruneConfig(float(np.sort(sums)[3]))
         )
         top, lm, _ = prune_output_topn(narrow, [0.3, 0.9, 0.1, 0.8, 0.5], 3)
         xs = pooled_examples(sc)
         keep = prep.selections[0].kept
-        got = compare_outputs(net, top, xs, label_map=lm, input_keep=keep, bound=1.5)
+        got = compare_outputs(net, top, [np.array(xs)], label_map=lm, input_keep=keep, bound=1.5)
         assert fields(got) == fields(ref_compare(net, top, xs, lm, keep, 1.5))
         assert got.max_abs > 0.0 and got.argmax_agreement < 1.0
 
@@ -329,11 +329,12 @@ class TestBatchedMatchesPerExample:
         sc, net = self.scene_and_net(600)
         sums = channel_sums(sc.fmap)
         pruned, prep = prune_input_channels(
-            net, sums, 2, 2, PruneConfig.thresholded(float(np.sort(sums)[2]))
+            net, sums, 2, 2, PruneConfig(float(np.sort(sums)[2]))
         )
         xs = pooled_examples(sc)
         keep = prep.selections[0].kept
-        got = compare_outputs(net, pruned, iter(xs), input_keep=keep)
+        blocks = (np.array(xs[lo : lo + 256]) for lo in range(0, 600, 256))
+        got = compare_outputs(net, pruned, blocks, input_keep=keep)
         assert got.n_examples == 600
         assert fields(got) == fields(ref_compare(net, pruned, xs, input_keep=keep))
         taus = [0.0, float(np.sort(sums)[2]), float(np.sort(sums)[4]), math.inf]
@@ -346,11 +347,11 @@ class TestBatchedMatchesPerExample:
         sc, net = self.scene_and_net(30, out=150)
         sums = channel_sums(sc.fmap)
         pruned, prep = prune_input_channels(
-            net, sums, 2, 2, PruneConfig.thresholded(float(np.sort(sums)[4]))
+            net, sums, 2, 2, PruneConfig(float(np.sort(sums)[4]))
         )
         xs = pooled_examples(sc)
         keep = prep.selections[0].kept
-        got = compare_outputs(net, pruned, xs, input_keep=keep)
+        got = compare_outputs(net, pruned, [np.array(xs)], input_keep=keep)
         assert fields(got) == fields(ref_compare(net, pruned, xs, input_keep=keep))
 
     def test_no_examples(self):
@@ -360,7 +361,7 @@ class TestBatchedMatchesPerExample:
     def test_example_width_checked(self):
         _, net = self.scene_and_net(1)
         with pytest.raises(ContractViolation, match="example 1 has 5 values"):
-            compare_outputs(net, net, [np.zeros(24), np.zeros(5)])
+            compare_outputs(net, net, [np.zeros((1, 24)), np.zeros((2, 5))])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_deviation(self):
@@ -369,12 +370,42 @@ class TestBatchedMatchesPerExample:
                        DenseLayer(big, [0.0, 0.0], ActivationKind.IDENTITY)))
         sc = gen_scene(2, 2, 2, n_rois=3, pool_h=1, pool_w=1, seed=1)
         xs = pooled_examples(sc)
-        got = compare_outputs(net, net, xs)
+        got = compare_outputs(net, net, [np.array(xs)])
         assert math.isnan(got.max_abs)
         assert fields(got) == fields(ref_compare(net, net, xs))
         assert [fields(p) for p in sweep(net, sc, [0.0])] == [
             fields(p) for p in ref_sweep(net, sc, [0.0])
         ]
+
+
+class TestRowBlocks:
+    def case(self, n_rois=300):
+        sc = gen_scene(6, 8, 8, zero_channels=2, n_rois=n_rois, pool_h=2, pool_w=2, seed=9)
+        net = gen_network([24, 9, 5], sparsity=0.3, seed=9)
+        sums = channel_sums(sc.fmap)
+        pruned, prep = prune_input_channels(net, sums, 2, 2, PruneConfig(float(np.sort(sums)[3])))
+        return net, pruned, prep.selections[0].kept, np.array(pooled_examples(sc))
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 300])
+    def test_block_size_does_not_matter(self, rows):
+        net, pruned, keep, xs = self.case()
+        blocks = [xs[lo : lo + rows] for lo in range(0, len(xs), rows)]
+        got = compare_outputs(net, pruned, blocks, input_keep=keep)
+        assert got.n_examples == 300 and got.max_abs > 0.0
+        assert fields(got) == fields(compare_outputs(net, pruned, [xs], input_keep=keep))
+        assert fields(got) == fields(ref_compare(net, pruned, xs, input_keep=keep))
+
+    @pytest.mark.parametrize("block,match", [
+        (np.zeros(24), "must be 2-dimensional"),
+        (np.zeros((2, 3, 24)), "must be 2-dimensional"),
+        (np.zeros((3, 23)), "example 4 has 23 values but the original network expects 24"),
+        (np.full((3, 24), np.nan), "non-finite"),
+    ])
+    def test_bad_block_is_a_contract_violation(self, block, match):
+        net, pruned, keep, xs = self.case(n_rois=4)
+        with pytest.raises(ContractViolation, match=match) as info:
+            compare_outputs(net, pruned, [xs, block], input_keep=keep)
+        assert type(info.value) is ContractViolation
 
 
 class TestBatchedOutput:
@@ -524,7 +555,8 @@ class TestSharedComparePass:
         net, pruned, prep, xs = self.case()
         keep = prep.selections[0].kept
         calls = record_nested(monkeypatch)
-        got = compare_outputs(net, pruned, xs, input_keep=keep, bound=prep.deviation_bound)
+        blocks = [np.array(xs[:256]), np.array(xs[256:])]
+        got = compare_outputs(net, pruned, blocks, input_keep=keep, bound=prep.deviation_bound)
         assert got.max_abs == 0.0 and got.bound == 0.0
         assert fields(got) == fields(
             ref_compare(net, pruned, xs, input_keep=keep, bound=prep.deviation_bound)
@@ -538,7 +570,9 @@ class TestSharedComparePass:
         net, pruned, prep, xs = self.case(tau_rank=3)
         keep = prep.selections[0].kept
         calls = record_nested(monkeypatch)
-        got = compare_outputs(net, pruned, xs, input_keep=keep, bound=prep.deviation_bound)
+        got = compare_outputs(
+            net, pruned, [np.array(xs)], input_keep=keep, bound=prep.deviation_bound
+        )
         assert 0.0 < got.max_abs <= got.bound
         assert fields(got) == fields(
             ref_compare(net, pruned, xs, input_keep=keep, bound=prep.deviation_bound)
@@ -551,7 +585,7 @@ class TestSharedComparePass:
         top, lm, _ = prune_output_topn(pruned, [0.3, 0.9, 0.1, 0.8, 0.5], 2)
         keep = prep.selections[0].kept
         calls = record_nested(monkeypatch)
-        got = compare_outputs(net, top, xs, label_map=lm, input_keep=keep, bound=0.0)
+        got = compare_outputs(net, top, [np.array(xs)], label_map=lm, input_keep=keep, bound=0.0)
         assert fields(got) == fields(ref_compare(net, top, xs, lm, keep, 0.0))
         assert got.argmax_agreement < 1.0
         assert calls and all(accs[0][0] is accs[1][0] for _, accs in calls)
@@ -565,7 +599,7 @@ class TestSharedComparePass:
         altered = Network((DenseLayer(w, first.bias, first.activation),) + pruned.layers[1:])
         keep = prep.selections[0].kept
         calls = record_nested(monkeypatch)
-        got = compare_outputs(net, altered, xs, input_keep=keep)
+        got = compare_outputs(net, altered, [np.array(xs)], input_keep=keep)
         assert calls == []
         assert fields(got) == fields(ref_compare(net, altered, xs, input_keep=keep))
 
@@ -578,6 +612,6 @@ class TestSharedComparePass:
         xs = pooled_examples(sc)
         pruned, prep = prune_input_channels(net, channel_sums(sc.fmap), 1, 1, PruneConfig(0.0))
         keep = prep.selections[0].kept
-        got = compare_outputs(net, pruned, xs, input_keep=keep)
+        got = compare_outputs(net, pruned, [np.array(xs)], input_keep=keep)
         assert math.isnan(got.max_abs)
         assert fields(got) == fields(ref_compare(net, pruned, xs, input_keep=keep))
