@@ -11,7 +11,6 @@ from .errors import ContractViolation, FormatError, UsageError, ValidationError
 from .linalg import matvec, relu
 from .model import (
     ActivationKind,
-    ActivationProfile,
     DenseLayer,
     Network,
     ParamCount,
@@ -31,7 +30,6 @@ from .prune import (
     channel_columns,
     channel_drop_bound,
     column_drop_bound,
-    deviation_bound,
     forward_prune,
     load_labelmap,
     load_report,
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivationKind",
-    "ActivationProfile",
     "ContractViolation",
     "DenseLayer",
     "DeviationReport",
@@ -87,7 +84,6 @@ __all__ = [
     "channel_sums",
     "column_drop_bound",
     "compare_outputs",
-    "deviation_bound",
     "forward",
     "forward_prune",
     "gen_network",

@@ -20,10 +20,11 @@ import numpy as np
 
 from . import _jsonio
 from .errors import ContractViolation, FormatError, UsageError
-from .model import _network_fields, forward, gen_network, load_network
+from .model import _network_fields, check_finite, forward, gen_network, load_network
 from .prune import (
     PruneConfig,
     _labelmap_fields,
+    _profile_layer,
     _report_fields,
     load_labelmap,
     load_report,
@@ -149,8 +150,8 @@ def _cmd_prune(args) -> int:
         # an overflow is refused below, by layer, instead of warned about here
         with np.errstate(over="ignore", invalid="ignore"):
             profile = forward(net, probe)
-        profile.check_finite()
-        sel = select_units(profile.layer(args.layer), cfg, layer=args.layer)
+        check_finite(profile)
+        sel = select_units(_profile_layer(profile, args.layer), cfg, layer=args.layer)
         pruned_net, rep = prune_units(net, args.layer, sel, profile=profile)
     # check every document first, so a refused one leaves no file behind
     files = [(args.out, _jsonio.dump_chunks(_network_fields(pruned_net)))]
@@ -183,7 +184,9 @@ def _cmd_eval(args) -> int:
     bound = None
     if args.report:
         rep = load_report(_read(args.report, "report"))
-        bound = rep.deviation_bound
+        # a units report bounds its one probe, not the scene's regions
+        if rep.kind != "units":
+            bound = rep.deviation_bound
         if rep.kind == "input-channels":
             input_keep = rep.selections[0].kept
     if original.input_dim != sc.pooled_width:

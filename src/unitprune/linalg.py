@@ -43,10 +43,11 @@ numpy's slower three-operand broadcast loop is avoided.
 
 An index set is checked once, by index_array, which returns it as a new
 read-only intp array; callers keep that array and index with it directly.
-Sets that arrive as integers (an integer array, or a list or tuple that numpy
-reads as one) are compared as they are; anything else goes through int() one
-entry at a time into an object array first. The same vectorized comparisons
-then check both, so both accept the same sets and raise the same messages.
+A 1-D integer array is compared as it is. Anything else must hold only
+Python or numpy integers, never a bool or a float, so no entry is cast: the
+entries become an integer array, or an object array of Python ints when no
+one integer dtype holds them all. The same vectorized comparisons then check
+every form, so all accept the same sets and raise the same messages.
 """
 
 from __future__ import annotations
@@ -203,29 +204,23 @@ def relu(v: np.ndarray) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
-def _int_array(indices) -> np.ndarray | None:
-    """indices as a 1-D integer array when numpy reads them as one, else None."""
-    if isinstance(indices, np.ndarray):
-        a = indices
-    elif isinstance(indices, (tuple, list)) and indices:
-        try:
-            a = np.array(indices)
-        except (TypeError, ValueError, OverflowError):
-            return None
-    else:
-        return None
-    return a if a.ndim == 1 and a.dtype.kind in "iu" else None
-
-
 def index_array(indices: Sequence[int], size: int, what: str = "index set") -> np.ndarray:
     """A strictly ascending index set in range(size), as a new read-only intp array."""
-    a = _int_array(indices)
-    if a is None:
-        # int() of every entry; an object array holds Python ints of any size
+    a = indices
+    if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"):
         try:
-            a = np.array([int(i) for i in indices], dtype=object)
-        except (TypeError, ValueError) as e:
-            raise ContractViolation(f"{what} must contain integers") from e
+            entries = list(indices)
+        except TypeError:
+            raise ContractViolation(f"{what} must contain integers") from None
+        # a list of Python ints passes on its types; np.array([True, 2]) would be int64
+        if not set(map(type, entries)) <= {int} and not all(
+            isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in entries
+        ):
+            raise ContractViolation(f"{what} must contain integers")
+        a = np.array(entries)
+        if a.dtype.kind not in "iu":
+            # empty, or too wide for one integer dtype: compare them as Python ints
+            a = np.array(entries, dtype=object)
     down = np.flatnonzero(a[1:] <= a[:-1])
     if down.size:
         k = int(down[0])

@@ -21,7 +21,6 @@ __all__ = [
     "ActivationKind",
     "DenseLayer",
     "Network",
-    "ActivationProfile",
     "ParamCount",
     "forward",
     "output",
@@ -144,30 +143,6 @@ class Network:
 
 
 @dataclass(frozen=True)
-class ActivationProfile:
-    """Post-activation arrays per layer from forward: (units,) each, or (n, units) for a batch."""
-
-    per_layer: tuple[np.ndarray, ...]
-
-    def layer(self, k: int) -> np.ndarray:
-        if not 0 <= k < len(self.per_layer):
-            raise ContractViolation(
-                f"profile has layers 0..{len(self.per_layer) - 1}, got {k}"
-            )
-        return self.per_layer[k]
-
-    def check_finite(self) -> None:
-        """Raise ContractViolation naming the first layer with a non-finite activation.
-
-        Finite weights can still overflow to inf, and inf - inf to NaN; a NaN
-        activation fails |a| <= tau and would be kept without a word.
-        """
-        for k, h in enumerate(self.per_layer):
-            if not np.isfinite(h).all():
-                raise ContractViolation(f"layer {k} activations on the probe are not finite")
-
-
-@dataclass(frozen=True)
 class ParamCount:
     """Exact parameter and multiply-accumulate counts.
 
@@ -186,11 +161,13 @@ class ParamCount:
         return sum(w for w, _ in self.per_layer)
 
 
-def forward(net: Network, x) -> ActivationProfile:
+def forward(net: Network, x) -> tuple[np.ndarray, ...]:
     """Run the network on one input (d,) or a batch (n, d), capturing every layer.
 
-    One input runs through linalg.matvec and a batch through linalg.matmat,
-    so row r of each batch layer is byte-identical to that layer for x[r].
+    Returns one read-only post-activation array per layer: (units,) each, or
+    (n, units) for a batch. One input runs through linalg.matvec and a batch
+    through linalg.matmat, so row r of each batch layer is byte-identical to
+    that layer for x[r].
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
@@ -206,7 +183,7 @@ def forward(net: Network, x) -> ActivationProfile:
         h = lay.activate(product(lay.weights, h))
         h.setflags(write=False)
         per.append(h)
-    return ActivationProfile(per_layer=tuple(per))
+    return tuple(per)
 
 
 def output(net: Network, x) -> np.ndarray:
@@ -214,8 +191,19 @@ def output(net: Network, x) -> np.ndarray:
 
     An empty network returns a copy of x.
     """
-    per = forward(net, x).per_layer
+    per = forward(net, x)
     return per[-1] if per else np.array(x, dtype=np.float64)
+
+
+def check_finite(profile: tuple[np.ndarray, ...]) -> None:
+    """Raise ContractViolation naming the first layer of forward's result that is not finite.
+
+    Finite weights can still overflow to inf, and inf - inf to NaN; a NaN
+    activation fails |a| <= tau and would be kept without a word.
+    """
+    for k, h in enumerate(profile):
+        if not np.isfinite(h).all():
+            raise ContractViolation(f"layer {k} activations on the probe are not finite")
 
 
 def param_count(net: Network) -> ParamCount:

@@ -12,11 +12,13 @@ network consistent:
 * prune_units: both at once for a hidden layer k; units leave layer k and
   their columns leave layer k+1, so the chain stays consistent.
 
-Selections come from activation magnitudes on a probe input. At threshold 0
-only units that output exactly 0.0 are selected, and because matvec
-accumulates in a pinned order, removing those columns is bit-identical.
-For positive thresholds, deviation_bound gives a certificate on how far the
-probe's output can move.
+Selections come from activation magnitudes on a probe input, one layer of
+the tuple forward returns. At threshold 0 only units that output exactly
+0.0 are selected, and because matvec accumulates in a pinned order,
+removing those columns is bit-identical. For positive thresholds the
+report's deviation_bound certifies how far the probe's output can move:
+prune_units takes column_drop_bound of the next layer, with the probe's
+|activation| as the magnitudes of the dropped columns.
 """
 
 from __future__ import annotations
@@ -28,13 +30,7 @@ import numpy as np
 
 from . import _jsonio, linalg
 from .errors import ContractViolation, FormatError, ValidationError
-from .model import (
-    ActivationProfile,
-    DenseLayer,
-    Network,
-    ParamCount,
-    param_count,
-)
+from .model import DenseLayer, Network, ParamCount, check_finite, param_count
 
 __all__ = [
     "PruneConfig",
@@ -49,7 +45,6 @@ __all__ = [
     "prune_units",
     "prune_input_channels",
     "prune_output_topn",
-    "deviation_bound",
     "column_drop_bound",
     "channel_drop_bound",
     "save_report",
@@ -283,6 +278,13 @@ def _check_covers(sel: PruneSelection, layer: int, count: int, what: str, where:
         raise ContractViolation(f"selection is for layer {sel.layer}, not layer {layer}")
 
 
+def _profile_layer(profile: tuple[np.ndarray, ...], k: int) -> np.ndarray:
+    """Layer k of a profile from forward; a k outside it, -1 included, is a ContractViolation."""
+    if not 0 <= k < len(profile):
+        raise ContractViolation(f"profile has layers 0..{len(profile) - 1}, got {k}")
+    return profile[k]
+
+
 def _drop_units(lay: DenseLayer, keep: np.ndarray) -> DenseLayer:
     return DenseLayer(lay.weights[keep], lay.bias[keep], lay.activation)
 
@@ -329,7 +331,7 @@ def prune_units(
     net: Network,
     layer: int,
     sel: PruneSelection,
-    profile: ActivationProfile | None = None,
+    profile: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[Network, PruneReport]:
     """Remove hidden units: backward prune layer, forward prune layer+1.
 
@@ -337,10 +339,12 @@ def prune_units(
     n units, exactly q*(m+1) + n*q parameters and q*m + n*q
     multiply-accumulates disappear; the report carries the exact counts.
 
-    When the activation profile the selection came from is given, the report
-    also carries deviation_bound for that probe; selections of exactly-zero
-    units get bound 0.0 and bit-identical outputs. A profile with a
-    non-finite activation in any layer is refused.
+    When the profile the selection came from (forward's per-layer
+    activations on one probe) is given, the report also carries
+    deviation_bound for that probe: column_drop_bound of layer+1 for the
+    pruned units' |activation|. Selections of exactly-zero units get bound
+    0.0 and bit-identical outputs. A profile with a non-finite activation in
+    any layer is refused.
     """
     _check_layer(net, layer)
     if layer == len(net.layers) - 1:
@@ -352,8 +356,10 @@ def prune_units(
     _check_covers(sel, layer, lay.units, "units", f"layer {layer}")
     bound = None
     if profile is not None:
-        profile.check_finite()
-        bound = deviation_bound(net, layer, profile, sel)
+        check_finite(profile)
+        h = _profile_layer(profile, layer)
+        _check_covers(sel, layer, h.shape[0], "units", "the profile")
+        bound = column_drop_bound(net, layer + 1, np.abs(h), sel.pruned)
     new = (_drop_units(lay, sel.kept), _drop_inputs(nxt, sel.kept))
     layers = net.layers[:layer] + new + net.layers[layer + 2 :]
     pruned_net = Network(layers, labels=net.labels)
@@ -499,23 +505,6 @@ def channel_drop_bound(
     s = linalg.vector(sums)
     cols = channel_columns(channels, s.shape[0], pool_h, pool_w)
     return column_drop_bound(net, 0, np.repeat(s, pool_h * pool_w), cols)
-
-
-def deviation_bound(
-    net: Network, layer: int, profile: ActivationProfile, sel: PruneSelection
-) -> float:
-    """Certificate for prune_units on the probe that produced `profile`.
-
-    Bounds the infinity-norm change of the network output when the selected
-    units of the given hidden layer are removed. Exactly 0.0 when every
-    pruned unit's activation is exactly zero.
-    """
-    _check_layer(net, layer)
-    if layer >= len(net.layers) - 1:
-        raise ContractViolation("deviation_bound applies to hidden layers only")
-    h = profile.layer(layer)
-    _check_covers(sel, layer, h.shape[0], "units", "the profile")
-    return column_drop_bound(net, layer + 1, np.abs(h), sel.pruned)
 
 
 # -- serialization ----------------------------------------------------------

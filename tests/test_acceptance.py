@@ -96,7 +96,7 @@ def test_criterion_3_deviation_bound_soundness():
         prof = forward(net, x)
         k = int(rng.integers(0, depth - 2))
         tau = float(rng.uniform(0, 1.0))
-        sel = select_units(prof.layer(k), PruneConfig(tau), layer=k)
+        sel = select_units(prof[k], PruneConfig(tau), layer=k)
         pruned, rep = prune_units(net, k, sel, profile=prof)
         base = output(net, x)
         delta = float(np.abs(base - output(pruned, x)).max()) if base.size else 0.0
@@ -109,7 +109,7 @@ def test_criterion_3_deviation_bound_soundness():
         net = gen_network(sizes, sparsity=0.5, seed=int(rng.integers(1_000_000)))
         x = rng.uniform(-2, 2, size=sizes[0])
         prof = forward(net, x)
-        sel = select_units(prof.layer(0), PruneConfig(0.0), layer=0)
+        sel = select_units(prof[0], PruneConfig(0.0), layer=0)
         _, rep = prune_units(net, 0, sel, profile=prof)
         if rep.deviation_bound == 0.0:
             zero_ok += 1

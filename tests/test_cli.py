@@ -250,6 +250,22 @@ class TestEval:
         assert doc["max_abs"] == 0.0  # surviving rows are copied verbatim
         assert 0.0 <= doc["argmax_agreement"] <= 1.0
 
+    def test_units_report_prints_a_null_bound(self, tmp_path, capsys):
+        # a units report bounds its one probe; the scene's regions move further
+        scene = gen_scene_file(tmp_path / "s.scene", c=8, h=6, w=6, n_rois=50,
+                               pool_h=2, pool_w=2, seed=1)
+        model = gen_net(tmp_path / "m.net", sizes="32,16,5", sparsity=0.0, seed=2)
+        probe = tmp_path / "probe.json"
+        probe.write_text(json.dumps([0.5] * 32))
+        out, report = tmp_path / "p.net", tmp_path / "p.report"
+        assert run("prune", "--model", model, "--probe", probe, "--layer", 0, "--tau", 0,
+                   "--out", out, "--report", report) == 0
+        assert load_report(report.read_bytes()).deviation_bound == 0.0
+        assert run("eval", "--model-a", model, "--model-b", out, "--scene", scene,
+                   "--report", report) == 0
+        doc = self.read_json(capsys)
+        assert doc["max_abs"] == 3.178560087590656 and doc["bound"] is None
+
     def test_missing_labelmap_for_narrow_model(self, tmp_path):
         scene = gen_scene_file(tmp_path / "s.scene", c=4, h=3, w=3, n_rois=2,
                                pool_h=1, pool_w=1, seed=4)
@@ -671,4 +687,21 @@ def test_negative_seed_is_one_error_line(tmp_path, argv):
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layer, message", [
+    (-1, "profile has layers 0..2, got -1"),
+    (3, "profile has layers 0..2, got 3"),
+    (9, "profile has layers 0..2, got 9"),
+    (2, "prune_units needs a hidden layer; use prune_output_topn for the final layer"),
+])
+def test_probe_layer_out_of_range_is_one_error_line(tmp_path, capsys, layer, message):
+    model = gen_net(tmp_path / "m.net", sizes="8,6,4,3", sparsity=0.0)
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps([0.5] * 8))
+    out = tmp_path / "out.net"
+    assert run("prune", "--model", model, "--probe", probe, "--layer", layer,
+               "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()

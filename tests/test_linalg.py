@@ -21,6 +21,7 @@ from unitprune.linalg import (
     relu,
     vector,
 )
+from unitprune.prune import PruneSelection
 
 
 def ref_matvec(m, v):
@@ -368,9 +369,13 @@ class TestNestedMatmat:
 
 def ref_check_index_set(indices, size, what="index set"):
     try:
-        idx = tuple(int(i) for i in indices)
-    except (TypeError, ValueError) as e:
+        idx = tuple(indices)
+    except TypeError as e:
         raise ContractViolation(f"{what} must contain integers") from e
+    # a bool or a float is refused, not cast
+    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in idx):
+        raise ContractViolation(f"{what} must contain integers")
+    idx = tuple(int(i) for i in idx)
     for a, b in zip(idx, idx[1:]):
         if b <= a:
             raise ContractViolation(
@@ -450,3 +455,11 @@ class TestIndexSetPaths:
     )
     def test_odd_inputs_match_per_entry_code(self, make):
         assert outcome(index_array, make(), 4) == outcome(ref_check_index_set, make(), 4)
+
+    @pytest.mark.parametrize(
+        "indices", [[1.9, 3.2], ["1", "2"], [True, 2], np.array([True, False]), "12"]
+    )
+    def test_non_integer_entries_are_refused_not_cast(self, indices):
+        assert outcome(index_array, indices, 4) == ("error", "index set must contain integers")
+        with pytest.raises(ContractViolation, match="^pruned set must contain integers$"):
+            PruneSelection.from_pruned(indices, 4)

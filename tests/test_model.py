@@ -49,11 +49,11 @@ class TestForward:
     def test_single_layer_positive(self):
         net = Network((relu_layer([[1, 2], [3, 4]], [0, 0]),))
         prof = forward(net, [1.0, 1.0])
-        assert prof.per_layer[0].tolist() == [3.0, 7.0]
+        assert prof[0].tolist() == [3.0, 7.0]
 
     def test_relu_clamps(self):
         net = Network((relu_layer([[1, -1]], [-5]),))
-        assert forward(net, [1.0, 2.0]).per_layer[0].tolist() == [0.0]
+        assert forward(net, [1.0, 2.0])[0].tolist() == [0.0]
 
     def test_two_layer_chain(self):
         net = Network(
@@ -94,7 +94,7 @@ class TestForward:
         net = gen_network([4, 6, 5, 3], seed=seed)
         x = np.random.default_rng(seed ^ 0xA5).uniform(-2, 2, size=4)
         prof = forward(net, x)
-        for h in prof.per_layer[:-1]:
+        for h in prof[:-1]:
             assert (h >= 0.0).all()
 
     def test_concurrent_forward_bit_identical(self):
@@ -172,7 +172,7 @@ class TestGen:
         rng = np.random.default_rng(0)
         for _ in range(10):
             prof = forward(net, rng.uniform(-5, 5, size=6))
-            assert prof.per_layer[0].tolist() == [0.0] * 8
+            assert prof[0].tolist() == [0.0] * 8
 
     def test_sparsity_fraction_exact(self):
         net = gen_network([100, 50, 10], sparsity=0.3, seed=7)
@@ -338,8 +338,8 @@ def test_wide_batch_forward_rows_equal_single_forwards(nx):
 def assert_rows_equal_single_forwards(net, xs):
     # the overflow to inf/NaN is the result under test, not a fault
     with np.errstate(over="ignore", invalid="ignore"):
-        batch = forward(net, xs).per_layer
-        singles = [forward(net, x).per_layer for x in xs]
+        batch = forward(net, xs)
+        singles = [forward(net, x) for x in xs]
         out = output(net, xs)
     assert len(batch) == len(net.layers)
     for k, (lay, h) in enumerate(zip(net.layers, batch)):
@@ -355,8 +355,8 @@ def test_batch_forward_overflow_example_has_nan():
     net = Network((DenseLayer(w, [0.0, 0.0]), DenseLayer([[1.0, -1.0], [1.0, 1.0]], [0.0, 0.0])))
     xs = np.array([[1.0, 1.0], [2.0, -0.0], [0.0, 0.0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        batch = forward(net, xs).per_layer
-        singles = [forward(net, x).per_layer for x in xs]
+        batch = forward(net, xs)
+        singles = [forward(net, x) for x in xs]
     assert np.isinf(batch[0][0, 0]) and np.isnan(batch[1][0, 0])
     for k in range(2):
         assert batch[k].tobytes() == np.stack([s[k] for s in singles]).tobytes()

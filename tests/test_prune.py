@@ -26,7 +26,6 @@ from unitprune.prune import (
     channel_columns,
     channel_drop_bound,
     column_drop_bound,
-    deviation_bound,
     forward_prune,
     load_labelmap,
     load_report,
@@ -227,7 +226,7 @@ class TestPruneUnits:
         x = np.random.default_rng(3).uniform(-1, 1, size=10)
         prof = forward(net, x)
         for k in (0, 1):
-            sel = select_units(prof.layer(k), PruneConfig(0.0), layer=k)
+            sel = select_units(prof[k], PruneConfig(0.0), layer=k)
             pruned, rep = prune_units(net, k, sel, profile=prof)
             assert output(pruned, x).tobytes() == output(net, x).tobytes()
             assert rep.deviation_bound == 0.0
@@ -256,8 +255,9 @@ class TestPruneUnits:
     def test_deviation_bound_checks_the_layer(self):
         net = gen_network([6, 5, 4, 3], seed=1)
         prof = forward(net, np.ones(6))
+        sel = PruneSelection.from_pruned((0,), 4, layer=0)
         with pytest.raises(ContractViolation, match="selection is for layer 0, not layer 1"):
-            deviation_bound(net, 1, prof, PruneSelection.from_pruned((0,), 4, layer=0))
+            prune_units(net, 1, sel, profile=prof)[1].deviation_bound
 
     def test_accounting_closed_form(self):
         rng = np.random.default_rng(40)
@@ -392,24 +392,25 @@ class TestDeviationBound:
             (relu_layer([[1.0]], [0.0]), id_layer([[1.0], [2.0]], [0.0, 0.0]))
         )
         prof = forward(net, [0.5])
-        assert prof.layer(0).tolist() == [0.5]
+        assert prof[0].tolist() == [0.5]
         sel = PruneSelection.from_pruned((0,), 1)
-        got = deviation_bound(net, 0, prof, sel)
+        got = prune_units(net, 0, sel, profile=prof)[1].deviation_bound
         assert got == pytest.approx(1.0, rel=1e-12)
         assert got >= 1.0
 
     def test_empty_selection(self):
         net = gen_network([3, 4, 2], seed=0)
         prof = forward(net, np.ones(3))
-        assert deviation_bound(net, 0, prof, PruneSelection.from_pruned((), 4)) == 0.0
+        sel = PruneSelection.from_pruned((), 4)
+        assert prune_units(net, 0, sel, profile=prof)[1].deviation_bound == 0.0
 
     def test_zero_activations_give_zero(self):
         net = gen_network([5, 8, 3], sparsity=0.5, seed=6)
         x = np.random.default_rng(0).uniform(-1, 1, size=5)
         prof = forward(net, x)
-        sel = select_units(prof.layer(0), PruneConfig(0.0), layer=0)
+        sel = select_units(prof[0], PruneConfig(0.0), layer=0)
         assert len(sel.pruned) >= 4
-        assert deviation_bound(net, 0, prof, sel) == 0.0
+        assert prune_units(net, 0, sel, profile=prof)[1].deviation_bound == 0.0
 
     def test_downstream_amplification(self):
         # bound multiplies by the max absolute row sum of each later layer
@@ -423,15 +424,16 @@ class TestDeviationBound:
         prof = forward(net, [0.5])
         sel = PruneSelection.from_pruned((0,), 1)
         # head term max(1*0.5, 2*0.5) = 1.0, amplification |3| + |-4| = 7
-        got = deviation_bound(net, 0, prof, sel)
+        got = prune_units(net, 0, sel, profile=prof)[1].deviation_bound
         assert got == pytest.approx(7.0, rel=1e-12)
         assert got >= 7.0
 
     def test_final_layer_rejected(self):
         net = gen_network([3, 2], seed=0)
         prof = forward(net, np.ones(3))
+        sel = PruneSelection.from_pruned((), 2)
         with pytest.raises(ContractViolation):
-            deviation_bound(net, 0, prof, PruneSelection.from_pruned((), 2))
+            prune_units(net, 0, sel, profile=prof)[1].deviation_bound
 
     def test_soundness_on_probe(self):
         rng = np.random.default_rng(99)
@@ -442,7 +444,7 @@ class TestDeviationBound:
             prof = forward(net, x)
             k = int(rng.integers(0, len(net.layers) - 1))
             tau = float(rng.uniform(0, 0.5))
-            sel = select_units(prof.layer(k), PruneConfig(tau), layer=k)
+            sel = select_units(prof[k], PruneConfig(tau), layer=k)
             pruned, rep = prune_units(net, k, sel, profile=prof)
             actual = float(np.abs(output(net, x) - output(pruned, x)).max())
             assert actual <= rep.deviation_bound
@@ -460,7 +462,7 @@ class TestReportSerialization:
         net = gen_network([5, 6, 3], sparsity=0.3, seed=11)
         x = np.random.default_rng(5).uniform(-1, 1, size=5)
         prof = forward(net, x)
-        sel = select_units(prof.layer(0), PruneConfig(0.2), layer=0)
+        sel = select_units(prof[0], PruneConfig(0.2), layer=0)
         _, rep = prune_units(net, 0, sel, profile=prof)
         blob = save_report(rep)
         back = load_report(blob)
@@ -574,15 +576,13 @@ class TestLabelMapSerialization:
 
 
 def test_prune_units_refuses_a_non_finite_profile():
-    from unitprune.model import ActivationProfile
-
     net = gen_network([4, 3, 3, 2], seed=1)
     h0 = np.array([0.0, 1.0, 2.0])
     for bad, layer in ((np.nan, 1), (np.inf, 2)):
         per = [h0, np.array([1.0, 0.0, 1.0]), np.array([1.0, 2.0])]
         per[layer] = per[layer].copy()
         per[layer][0] = bad
-        profile = ActivationProfile(tuple(per))
+        profile = tuple(per)
         sel = select_units(h0, PruneConfig(0.0), layer=0)
         with pytest.raises(ContractViolation, match=f"layer {layer} activations"):
             prune_units(net, 0, sel, profile=profile)
