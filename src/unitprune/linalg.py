@@ -204,23 +204,29 @@ def relu(v: np.ndarray) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
+def _integers(indices: Sequence[int], what: str) -> np.ndarray:
+    """indices as a 1-D integer array, or an object array of Python ints; nothing is cast."""
+    if isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind in "iu":
+        return indices
+    try:
+        entries = list(indices)
+    except TypeError:
+        raise ContractViolation(f"{what} must contain integers") from None
+    # a list of Python ints passes on its types; np.array([True, 2]) would be int64
+    if not set(map(type, entries)) <= {int} and not all(
+        isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in entries
+    ):
+        raise ContractViolation(f"{what} must contain integers")
+    a = np.array(entries)
+    if a.dtype.kind not in "iu":
+        # empty, or too wide for one integer dtype: compare them as Python ints
+        a = np.array(entries, dtype=object)
+    return a
+
+
 def index_array(indices: Sequence[int], size: int, what: str = "index set") -> np.ndarray:
     """A strictly ascending index set in range(size), as a new read-only intp array."""
-    a = indices
-    if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"):
-        try:
-            entries = list(indices)
-        except TypeError:
-            raise ContractViolation(f"{what} must contain integers") from None
-        # a list of Python ints passes on its types; np.array([True, 2]) would be int64
-        if not set(map(type, entries)) <= {int} and not all(
-            isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in entries
-        ):
-            raise ContractViolation(f"{what} must contain integers")
-        a = np.array(entries)
-        if a.dtype.kind not in "iu":
-            # empty, or too wide for one integer dtype: compare them as Python ints
-            a = np.array(entries, dtype=object)
+    a = _integers(indices, what)
     down = np.flatnonzero(a[1:] <= a[:-1])
     if down.size:
         k = int(down[0])

@@ -128,8 +128,15 @@ class LabelMap:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        # the original output width is not known here; compare_outputs checks it
-        idx = linalg.index_array(self.indices, np.iinfo(np.intp).max, "label map indices")
+        # the original output width is not known here, so only the lower bound
+        # is checked; compare_outputs checks the upper one
+        idx = linalg._integers(self.indices, "label map indices")
+        negative = idx[idx < 0]
+        if negative.size:
+            raise ContractViolation(
+                f"label map indices must be nonnegative, got {int(negative[0])}"
+            )
+        idx = linalg.index_array(idx, np.iinfo(np.intp).max, "label map indices")
         names = self.names
         if names is not None:
             names = tuple(str(s) for s in names)
@@ -279,10 +286,19 @@ def _check_covers(sel: PruneSelection, layer: int, count: int, what: str, where:
 
 
 def _profile_layer(profile: tuple[np.ndarray, ...], k: int) -> np.ndarray:
-    """Layer k of a profile from forward; a k outside it, -1 included, is a ContractViolation."""
+    """Layer k of a profile from forward on one probe, as a 1-D array.
+
+    A k outside the profile, -1 included, or a layer of any other shape
+    (forward on a batch gives (n, units) layers) is a ContractViolation.
+    """
     if not 0 <= k < len(profile):
         raise ContractViolation(f"profile has layers 0..{len(profile) - 1}, got {k}")
-    return profile[k]
+    h = profile[k]
+    if h.ndim != 1:
+        raise ContractViolation(
+            f"profile must come from one probe, but layer {k} has shape {h.shape}"
+        )
+    return h
 
 
 def _drop_units(lay: DenseLayer, keep: np.ndarray) -> DenseLayer:

@@ -225,12 +225,17 @@ def compare_outputs(
                 f"example {dev.n} has {xs.shape[1]} values but the original "
                 f"network expects {width} inputs"
             )
+        # each branch drops the block once its first layers have read it, so
+        # no block is alive while the caller's iterator pools the next one
         if shared:
             acc_a, acc_b = linalg.nested_matmat(first.weights, xs, depth, 2)
+            del xs
             oa = _finish(first, rest_a, acc_a)
             dev.add(oa, oa if acc_b is acc_a and same_rest else _finish(first, rest_b, acc_b))
         else:
-            dev.add(output(original, xs), output(pruned, _columns(xs, keep)))
+            oa, ob = output(original, xs), output(pruned, _columns(xs, keep))
+            del xs
+            dev.add(oa, ob)
     return dev.report(bound)
 
 
@@ -293,6 +298,8 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
     devs = [_Deviation() for _ in taus]
     for xs in _region_blocks(scene, fmap):
         accs = linalg.nested_matmat(weights, xs, depth, len(taus) + 1)
+        # drop the block now, so it is not alive while _region_blocks pools the next
+        del xs
         base = _finish(first, rest, accs[0])
         for dev, acc in zip(devs, accs[1:]):
             dev.add(base, base if acc is accs[0] else _finish(first, rest, acc))

@@ -134,6 +134,12 @@ class Scene:
         return self.fmap.channels * self.pool_h * self.pool_w
 
 
+# Floats a pooling pass gathers at a time (512 KiB): five channels of a
+# 256-region block at 7x7, small next to the block itself, yet enough values
+# per call that the overhead of each take and maximum call stays small.
+_GATHER_VALUES = 65536
+
+
 def _cell_spans(lo: np.ndarray, hi: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Half-open cell spans of each region extent [lo, hi), shape (regions, cells).
 
@@ -163,23 +169,39 @@ def pool_regions(fmap: FeatureMap, rois, pool_h: int, pool_w: int) -> np.ndarray
     a cell: each pass takes the entry at that offset in every cell of every
     region, clamped to the cell's last row and column, and folds it into a
     running max. The tallest and the widest cell set the number of passes.
+    The first pass's gather is the result. Each later pass gathers a few
+    channels at a time into one reused buffer of _GATHER_VALUES floats (one
+    channel's entries, when those are more) and folds them in, so pooling
+    holds the result and that buffer, not a second result-sized gather.
     """
     if pool_h < 1 or pool_w < 1:
         raise ContractViolation(f"pool grid must be at least 1x1, got {pool_h}x{pool_w}")
     box = _boxes(rois, fmap)
     ylo, yhi = _cell_spans(box[:, 1], box[:, 3], pool_h)
     xlo, xhi = _cell_spans(box[:, 0], box[:, 2], pool_w)
-    # index arrays shaped (pool_h, pool_w, regions): data[:, y, x] is then the
-    # transposed (C * pool_h * pool_w, regions) result, one region per column
+    # index arrays shaped (pool_h, pool_w, regions), flattened over the map's
+    # rows and columns: taking them from each channel gives the transposed
+    # (C * pool_h * pool_w, regions) result, one region per column
     ylo, yhi = ylo.T[:, None, :], yhi.T[:, None, :]
     xlo, xhi = xlo.T[None, :, :], xhi.T[None, :, :]
-    out = fmap.data[:, ylo, xlo]
+    c, w = fmap.channels, fmap.width
+    flat = fmap.data.reshape(c, -1)
+    # _boxes and _cell_spans keep every index inside the map, so "clip" never
+    # clips; with out= given, it also spares take the copy "raise" makes of out
+    out = np.take(flat, (ylo * w + xlo).ravel(), axis=1, mode="clip")
+    step = max(1, _GATHER_VALUES // max(out.shape[1], 1))
+    buf = np.empty((min(step, c), out.shape[1]))
     for dy in range(int((yhi - ylo).max(initial=1))):
-        y = np.minimum(ylo + dy, yhi - 1)
+        y = np.minimum(ylo + dy, yhi - 1) * w
         for dx in range(int((xhi - xlo).max(initial=1))):
             if dy or dx:
-                np.maximum(out, fmap.data[:, y, np.minimum(xlo + dx, xhi - 1)], out=out)
-    return out.reshape(fmap.channels * pool_h * pool_w, len(box)).T
+                idx = (y + np.minimum(xlo + dx, xhi - 1)).ravel()
+                for lo in range(0, c, step):
+                    part = out[lo : lo + step]
+                    into = buf[: len(part)]
+                    np.take(flat[lo : lo + step], idx, axis=1, out=into, mode="clip")
+                    np.maximum(part, into, out=part)
+    return out.reshape(c * pool_h * pool_w, len(box)).T
 
 
 def roi_pool(fmap: FeatureMap, roi, pool_h: int, pool_w: int) -> np.ndarray:

@@ -470,6 +470,26 @@ def test_eval_with_empty_selection_report_is_format_error(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("format error: ")
 
 
+def test_eval_with_a_negative_label_map_index_is_one_format_error_line(tmp_path, capsys):
+    scene = gen_scene_file(tmp_path / "s.scene", c=4, h=3, w=3, n_rois=2,
+                           pool_h=1, pool_w=1, seed=4)
+    model = gen_net(tmp_path / "m.net", sizes="4,5", sparsity=0.0, seed=6)
+    scores = tmp_path / "scores.json"
+    scores.write_text("[0.1, 0.9, 0.3, 0.8, 0.2]")
+    out, lmap = tmp_path / "t.net", tmp_path / "t.labels"
+    assert run("topn", "--model", model, "--scores", scores, "--n", 2,
+               "--out", out, "--labelmap", lmap) == 0
+    capsys.readouterr()
+    lmap.write_bytes(b'{"version": 1, "kept": [-1, 2], "labels": null}')
+    assert run("eval", "--model-a", model, "--model-b", out, "--scene", scene,
+               "--labelmap", lmap) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "format error: label map: label map indices must be nonnegative, got -1\n"
+    )
+
+
 HUGE = "1" + "0" * 400  # an integer JSON literal far beyond float range
 
 

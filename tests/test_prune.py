@@ -574,6 +574,10 @@ class TestLabelMapSerialization:
         with pytest.raises(FormatError):
             load_labelmap('{"version": 1, "kept": [3, 1], "labels": null}')
 
+    def test_negative_index_is_named(self):
+        with pytest.raises(FormatError, match="label map indices must be nonnegative, got -1$"):
+            load_labelmap(b'{"version": 1, "kept": [-1, 2], "labels": null}')
+
 
 def test_prune_units_refuses_a_non_finite_profile():
     net = gen_network([4, 3, 3, 2], seed=1)
@@ -586,6 +590,16 @@ def test_prune_units_refuses_a_non_finite_profile():
         sel = select_units(h0, PruneConfig(0.0), layer=0)
         with pytest.raises(ContractViolation, match=f"layer {layer} activations"):
             prune_units(net, 0, sel, profile=profile)
+
+
+@pytest.mark.parametrize("rows", [5, 4])
+def test_prune_units_refuses_a_batch_profile(rows):
+    net = gen_network([3, 4, 2], seed=0)
+    batch = np.random.default_rng(0).uniform(size=(rows, 3))
+    sel = PruneSelection.from_pruned((1,), 4)
+    match = rf"profile must come from one probe, but layer 0 has shape \({rows}, 4\)"
+    with pytest.raises(ContractViolation, match=match):
+        prune_units(net, 0, sel, profile=forward(net, batch))
 
 
 def test_negative_deviation_bound_refused():

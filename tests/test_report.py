@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from unitprune.model import (
 from unitprune.prune import PruneConfig, prune_input_channels, prune_output_topn
 from unitprune.report import (
     SWEEP_CSV_HEADER,
+    _region_blocks,
     DeviationReport,
     SweepPoint,
     compare_outputs,
@@ -492,6 +494,36 @@ def test_overflowing_sweep_warns_nothing():
         warnings.simplefilter("error")
         (pt,) = sweep(net, sc, [0.0])
     assert math.isnan(pt.max_abs)
+
+
+# -- one pooled block alive at a time ----------------------------------------
+
+
+def peak_in_blocks(run):
+    """Peak bytes tracemalloc sees while run() scores a 64-channel scene at 7x7,
+    in 256-region pooled blocks: 700 regions make three of them."""
+    sc = gen_scene(64, 14, 14, n_rois=700, pool_h=7, pool_w=7, seed=3)
+    net = gen_network([64 * 49, 8, 4], seed=3)
+    tracemalloc.start()
+    try:
+        run(sc, net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (256 * 64 * 49 * 8)
+
+
+def test_sweep_holds_one_pooled_block_at_a_time():
+    assert peak_in_blocks(lambda sc, net: sweep(net, sc, [0.0, 0.5, 1.0])) < 2
+
+
+@pytest.mark.parametrize("pruned_seed", [3, 4])  # the shared first-layer pass, and two passes
+def test_compare_outputs_holds_one_pooled_block_at_a_time(pruned_seed):
+    def run(sc, net):
+        pruned = gen_network([64 * 49, 8, 4], seed=pruned_seed)
+        compare_outputs(net, pruned, _region_blocks(sc, sc.fmap))
+
+    assert peak_in_blocks(run) < 2
 
 
 # -- live channels only, and one shared first-layer pass in compare_outputs -----

@@ -1,6 +1,7 @@
 """scene tests: ROI max pooling, channel sums, generation, serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,6 +361,23 @@ class TestPoolRegions:
     def test_one_by_one_map(self):
         got = pool_regions(one_channel([[7.0]]), ((0, 0, 1, 1),) * 2, 3, 2)
         assert got.tolist() == [[7.0] * 6] * 2
+
+    @pytest.mark.parametrize("grid", [(7, 7), (1, 1), (2, 3)])
+    def test_rows_are_column_major(self, grid):
+        sc = gen_scene(3, 8, 8, n_rois=20, pool_h=grid[0], pool_w=grid[1], seed=2)
+        assert pool_regions(sc.fmap, sc.rois, *grid).flags.f_contiguous
+
+    def test_pooling_holds_little_more_than_its_result(self):
+        # one 256-region block at 7x7: the passes gather into one small buffer,
+        # not into a second result-sized array
+        sc = gen_scene(64, 14, 14, n_rois=256, pool_h=7, pool_w=7, seed=3)
+        tracemalloc.start()
+        try:
+            got = pool_regions(sc.fmap, sc.rois, 7, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * got.nbytes
 
     def test_invalid_arguments_rejected(self):
         fm = one_channel([[1, 2], [3, 4]])
