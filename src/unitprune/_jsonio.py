@@ -24,17 +24,38 @@ FormatError with a usable path string. Bytes that are not UTF-8 are a
 FormatError too.
 
 A caller of parse_doc names its numeric-array fields (a model's "weights"
-and "bias", a scene's "data"). json.loads then calls an object hook as it
-closes each object, and the hook turns each named field whose entries are
-all JSON numbers into a float64 array, so one layer's Python floats are freed
-before the next layer is parsed: a load holds the text plus one field's
-floats, not every field's at once. The hook never raises: it sees fields in
-the parser's order, so an error raised there would come before a syntax
-error further on in the file, or before a fault in a field the loader checks
-first (layer 0's "rows", say). A field it cannot convert (not a list, a
-non-number entry, an integer too large for a float) stays as parsed, and
-number_list reports it in its turn, so a malformed file fails with the same
-message as when every check ran after parsing.
+and "bias", a scene's "data"), and each comes back as a float64 array. The
+writer lays such a field out as a block: a line that is exactly
+"<name>": [, then one row of numbers per line, each but the last ending in
+a comma, then a line that starts with ]. parse_doc first reads the input in
+that layout. It cuts each block into chunks of whole rows (about
+_CHUNK_BYTES of text), parses each with the same strict json decoder,
+converts it to float64 as np.array(list) would, and copies it into the
+field's array, which is sized from the text read so far and trimmed at the
+end, so no pass counts the values first. The rest of the document, a few
+hundred bytes, goes through json.loads with each block replaced by a number
+token no writer emits (_SENTINEL), which parse_float swaps for the block's
+array in document order. So duplicate keys and nested objects keep json's
+semantics, and no string, escaped or not, can pass for a block. A load
+holds the input plus one chunk's Python floats and the arrays, not a whole
+layer as Python floats. The input is read as bytes (decoded per chunk, and
+the rest as UTF-8, never through json's own encoding detection) or as text.
+
+On any doubt that path gives up and the whole document is parsed as before,
+which stays the one reference and the one source of error messages: a row
+that is not all numbers, a missing comma, an integer too large for a float,
+bytes that are not UTF-8, CRLF line ends (no line then matches an opener),
+the sentinel already outside the blocks, or any parse error. In that parse
+json.loads calls an object hook as it closes each object, and the hook
+turns each named field whose entries are all JSON numbers into a float64
+array, so one layer's Python floats are freed before the next layer is
+parsed. The hook never raises: it sees fields in the parser's order, so an
+error raised there would come before a syntax error further on in the file,
+or before a fault in a field the loader checks first (layer 0's "rows",
+say). A field it cannot convert (not a list, a non-number entry, an integer
+too large for a float) stays as parsed, and number_list reports it in its
+turn, so a malformed file fails with the same message as when every check
+ran after parsing.
 """
 
 from __future__ import annotations
@@ -58,6 +79,14 @@ NUMBERS = (list, np.ndarray)
 
 # Floats a Rows chunk holds (at least one row): bounds the text a write holds at once.
 _CHUNK_VALUES = 32768
+
+# Text of a block parsed at a time (whole rows, about 12k floats at 21 bytes a
+# value): bounds the Python floats a load holds at once.
+_CHUNK_BYTES = 1 << 18
+
+# Stands in for a block while the rest of a document is parsed: a JSON number
+# repr never writes (it writes no "E"), so parse_float alone sees it.
+_SENTINEL = "-0.0E-0000"
 
 
 class Rows(NamedTuple):
@@ -201,13 +230,89 @@ def _loads(data: bytes | str, what: str, arrays: tuple[str, ...] = ()):
         raise FormatError(f"{what} parse error at line {e.lineno} column {e.colno}: {e.msg}") from e
 
 
+def _doubt(name: str):
+    """parse_constant of the block path: a NaN or infinity goes to the whole parse."""
+    raise ValueError(name)
+
+
+def _block_rows(data, lo: int, hi: int, row_end) -> np.ndarray:
+    """The numbers of data[lo:hi], rows ending in row_end, parsed a chunk of rows at a time."""
+    out, n, first = np.empty(0), 0, lo
+    while lo < hi:
+        cut = data.find(row_end, lo + _CHUNK_BYTES, hi)
+        cut = hi if cut < 0 else cut
+        text = data[lo:cut]
+        vals = json.loads(
+            f"[{text.decode('ascii') if isinstance(text, bytes) else text}]",
+            parse_constant=_doubt,
+        )
+        if not vals or not _numbers(vals):
+            raise ValueError("not a block of numbers")
+        part = np.array(vals, dtype=np.float64)
+        if n + part.size > out.size:
+            # room for the rest of the block at the density read so far, and an eighth more
+            seen = n + part.size
+            out.resize(seen + seen * (hi - cut) * 9 // (8 * (cut - first)), refcheck=False)
+        out[n : n + part.size] = part
+        n += part.size
+        lo = cut + 1  # past the comma; the newline is whitespace
+    out.resize(n, refcheck=False)
+    return out
+
+
+def _block_doc(data: bytes | str, arrays: tuple[str, ...]):
+    """parse_doc's document read in the writer's block layout, or None on any doubt."""
+    if not isinstance(data, (bytes, str)):
+        return None
+    lit = str if isinstance(data, str) else str.encode
+    opener, closer, newline, row_end = lit('": [\n'), lit("\n]"), lit("\n"), lit(",\n")
+    # the start of an opener line, up to the key's closing quote
+    keys = {lit(json.dumps(name)[:-1]) for name in arrays}
+    pieces, blocks = [], []
+    start = pos = 0
+    try:
+        while (i := data.find(opener, pos)) >= 0:
+            pos = i + len(opener)
+            line = data.rfind(newline, 0, i) + 1
+            if line == 0 or data[line:i] not in keys:
+                continue
+            end = data.find(closer, pos - 1)
+            if end < pos:  # no closing line, or no rows
+                return None
+            blocks.append(_block_rows(data, pos, end, row_end))
+            pieces.append(data[start : i + 3])  # through '": '
+            start = pos = end + 2  # past the "]"
+        if not blocks:
+            return None
+        pieces.append(data[start:])
+        if any(lit(_SENTINEL) in p for p in pieces):
+            return None
+        rest = lit(f" {_SENTINEL} ").join(pieces)
+        left = iter(blocks)
+
+        def number(s: str):
+            return next(left) if s == _SENTINEL else float(s)
+
+        return json.loads(
+            rest if isinstance(rest, str) else rest.decode("utf-8"),
+            parse_float=number,
+            parse_constant=_doubt,
+            object_hook=_array_hook(arrays),
+        )
+    except (ValueError, OverflowError, RecursionError):
+        # not the writer's layout, or not valid: the whole-document parse judges it
+        return None
+
+
 def parse_doc(data: bytes | str, what: str, arrays: tuple[str, ...] = ()) -> dict:
     """Parse a versioned top-level JSON object, rejecting NaN/Infinity.
 
     Every object's fields named in arrays that hold only numbers come back
     as float64 arrays; read them with number_list.
     """
-    doc = _loads(data, what, arrays)
+    doc = _block_doc(data, arrays) if arrays else None
+    if doc is None:
+        doc = _loads(data, what, arrays)
     if not isinstance(doc, dict):
         raise FormatError(f"{what}: expected a top-level object")
     version = get(doc, "version", int, what)

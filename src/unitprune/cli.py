@@ -46,9 +46,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read(path: str, what: str) -> str:
-    """The file's text; its bytes are dropped before any parsing starts."""
-    return _jsonio.decode(Path(path).read_bytes(), what)
+def _read(path: str) -> bytes:
+    """The file's bytes: the loaders decode them, a model's or scene's rows a chunk at a time."""
+    return Path(path).read_bytes()
 
 
 def _write(outputs: list[tuple[str, Iterable[bytes]]]) -> None:
@@ -58,8 +58,21 @@ def _write(outputs: list[tuple[str, Iterable[bytes]]]) -> None:
     plain write would give, and every one is renamed into place only after
     all are complete, so a failed write neither creates an output nor
     truncates one. A path that names a device or pipe is written in place,
-    since renaming over it would replace it.
+    since renaming over it would replace it. Two outputs that name the same
+    file are a usage error, raised before any file is created: one document
+    would silently replace the other.
     """
+    seen: dict[str, str] = {}  # real path -> the output that named it first
+    for path, _ in outputs:
+        try:
+            if not stat.S_ISREG(os.stat(path).st_mode):
+                continue  # a device or pipe takes each output in turn
+        except OSError:
+            pass  # a new file, or one the write below reports
+        real = os.path.realpath(path)
+        if real in seen:
+            raise UsageError(f"outputs {seen[real]!r} and {path!r} name the same file")
+        seen[real] = path
     temps: list[tuple[str, str, str]] = []  # (temporary, destination, output path)
     try:
         for path, chunks in outputs:
@@ -136,17 +149,17 @@ def _cmd_gen_scene(args) -> int:
 def _cmd_prune(args) -> int:
     if (args.scene is None) == (args.probe is None):
         raise UsageError("exactly one of --scene or --probe is required")
-    net = load_network(_read(args.model, "model"))
+    net = load_network(_read(args.model))
     cfg = PruneConfig(args.tau)
     if args.scene is not None:
         if args.layer != 0:
             raise UsageError("--layer must be 0 when pruning from a scene")
-        sc = load_scene(_read(args.scene, "scene"))
+        sc = load_scene(_read(args.scene))
         pruned_net, rep = prune_input_channels(
             net, channel_sums(sc.fmap), sc.pool_h, sc.pool_w, cfg
         )
     else:
-        probe = _jsonio.parse_vector(_read(args.probe, "probe"), "probe")
+        probe = _jsonio.parse_vector(_read(args.probe), "probe")
         # an overflow is refused below, by layer, instead of warned about here
         with np.errstate(over="ignore", invalid="ignore"):
             profile = forward(net, probe)
@@ -162,8 +175,8 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_topn(args) -> int:
-    net = load_network(_read(args.model, "model"))
-    scores = _jsonio.parse_vector(_read(args.scores, "scores"), "scores")
+    net = load_network(_read(args.model))
+    scores = _jsonio.parse_vector(_read(args.scores), "scores")
     pruned_net, label_map, rep = prune_output_topn(net, scores, args.n)
     files = [
         (args.out, _jsonio.dump_chunks(_network_fields(pruned_net))),
@@ -176,14 +189,14 @@ def _cmd_topn(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    original = load_network(_read(args.model_a, "model"))
-    pruned = load_network(_read(args.model_b, "model"))
-    sc = load_scene(_read(args.scene, "scene"))
-    label_map = load_labelmap(_read(args.labelmap, "label map")) if args.labelmap else None
+    original = load_network(_read(args.model_a))
+    pruned = load_network(_read(args.model_b))
+    sc = load_scene(_read(args.scene))
+    label_map = load_labelmap(_read(args.labelmap)) if args.labelmap else None
     input_keep = None
     bound = None
     if args.report:
-        rep = load_report(_read(args.report, "report"))
+        rep = load_report(_read(args.report))
         # a units report bounds its one probe, not the scene's regions
         if rep.kind != "units":
             bound = rep.deviation_bound
@@ -203,8 +216,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    net = load_network(_read(args.model, "model"))
-    sc = load_scene(_read(args.scene, "scene"))
+    net = load_network(_read(args.model))
+    sc = load_scene(_read(args.scene))
     text = sweep_csv(sweep(net, sc, _parse_thresholds(args.thresholds)))
     if args.out == "-":
         sys.stdout.write(text)

@@ -174,12 +174,9 @@ def _column_pass(name: str, m: np.ndarray, xs: np.ndarray, depth, members: int) 
     if acc.size == 0 or live.size == 0:
         return [acc] * members
     # one gather per call, so each step reads one contiguous row of xt and wt;
-    # a column-major xs without zero columns is read in place
-    xt = xs.T
-    if live.size < cols or not xt.flags.c_contiguous:
-        xt = xt[live]
-    xt = xt[:, :, None]
-    wt = m.T[live]
+    # a column-major xs or m is read in place when every column is live
+    xt = _live_rows(xs.T, live)[:, :, None]
+    wt = _live_rows(m.T, live)
     reach = [members] * live.size if depth is None else depth[live].tolist()
     # sums[g] serves members firsts[g] .. firsts[g + 1] - 1; the last first is a bound
     firsts, sums = [0, members], [acc]
@@ -197,6 +194,11 @@ def _column_pass(name: str, m: np.ndarray, xs: np.ndarray, depth, members: int) 
             for s in sums[:k]:
                 s += tmp
     return [s for s, lo, hi in zip(sums, firsts, firsts[1:]) for _ in range(lo, hi)]
+
+
+def _live_rows(at: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """at[live], or at itself when live is every row and at is C-contiguous."""
+    return at if live.size == len(at) and at.flags.c_contiguous else at[live]
 
 
 def relu(v: np.ndarray) -> np.ndarray:

@@ -281,31 +281,34 @@ def load_network(data: bytes | str) -> Network:
     parsed layers do not form a consistent network.
     """
     doc = _jsonio.parse_doc(data, "model", arrays=("weights", "bias"))
+    del data  # parsed: the input can go before the layers are copied
     raw_layers = _jsonio.get(doc, "layers", list, "model")
     layers = []
-    for k, entry in enumerate(raw_layers):
-        where = f"layer {k}"
-        act_name = _jsonio.get(entry, "activation", str, where)
-        try:
-            act = ActivationKind(act_name)
-        except ValueError:
-            raise FormatError(f"{where}: unknown activation {act_name!r}") from None
-        units = _jsonio.get(entry, "rows", int, where)
-        inputs = _jsonio.get(entry, "cols", int, where)
-        if units < 0 or inputs < 0:
-            raise FormatError(f"{where}: rows and cols must be nonnegative")
-        flat = _jsonio.number_list(
-            _jsonio.get(entry, "weights", _jsonio.NUMBERS, where), f"{where} weights"
-        )
-        if len(flat) != units * inputs:
-            raise FormatError(
-                f"{where} weights: expected {units * inputs} values, got {len(flat)}"
-            )
-        bias = _jsonio.number_list(
-            _jsonio.get(entry, "bias", _jsonio.NUMBERS, where), f"{where} bias"
-        )
-        if len(bias) != units:
-            raise FormatError(f"{where} bias: expected {units} values, got {len(bias)}")
-        with _jsonio.building(where):
-            layers.append(DenseLayer(flat.reshape(units, inputs), bias, act))
+    for k in range(len(raw_layers)):
+        layers.append(_load_layer(raw_layers[k], f"layer {k}"))
+        # the layer holds its own copies, so the parsed arrays can go
+        raw_layers[k] = None
     return Network(tuple(layers), labels=_jsonio.labels(doc, "model"))
+
+
+def _load_layer(entry, where: str) -> DenseLayer:
+    """One parsed layer object as a DenseLayer."""
+    act_name = _jsonio.get(entry, "activation", str, where)
+    try:
+        act = ActivationKind(act_name)
+    except ValueError:
+        raise FormatError(f"{where}: unknown activation {act_name!r}") from None
+    units = _jsonio.get(entry, "rows", int, where)
+    inputs = _jsonio.get(entry, "cols", int, where)
+    if units < 0 or inputs < 0:
+        raise FormatError(f"{where}: rows and cols must be nonnegative")
+    flat = _jsonio.number_list(
+        _jsonio.get(entry, "weights", _jsonio.NUMBERS, where), f"{where} weights"
+    )
+    if len(flat) != units * inputs:
+        raise FormatError(f"{where} weights: expected {units * inputs} values, got {len(flat)}")
+    bias = _jsonio.number_list(_jsonio.get(entry, "bias", _jsonio.NUMBERS, where), f"{where} bias")
+    if len(bias) != units:
+        raise FormatError(f"{where} bias: expected {units} values, got {len(bias)}")
+    with _jsonio.building(where):
+        return DenseLayer(flat.reshape(units, inputs), bias, act)

@@ -287,11 +287,12 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
         selections.append(sel)
     depth = np.repeat(channel_depth, cells)
     first, rest = net.layers[0], Network(net.layers[1:])
-    fmap, weights = scene.fmap, first.weights
-    live = np.flatnonzero(sums)
+    fmap, live = scene.fmap, np.flatnonzero(sums)
+    cols = channel_columns(live, sums.size, scene.pool_h, scene.pool_w)
+    # gathered once, column-major: nested_matmat reads it in place for every
+    # block whose columns are all live
+    weights, depth = _columns(first.weights, cols), depth[cols]
     if live.size < sums.size:
-        cols = channel_columns(live, sums.size, scene.pool_h, scene.pool_w)
-        weights, depth = weights[:, cols], depth[cols]
         # a feature map has at least one channel; with none live, nothing is pooled
         fmap = FeatureMap(fmap.data[live]) if live.size else None
 

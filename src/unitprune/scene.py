@@ -171,8 +171,9 @@ def pool_regions(fmap: FeatureMap, rois, pool_h: int, pool_w: int) -> np.ndarray
     running max. The tallest and the widest cell set the number of passes.
     The first pass's gather is the result. Each later pass gathers a few
     channels at a time into one reused buffer of _GATHER_VALUES floats (one
-    channel's entries, when those are more) and folds them in, so pooling
-    holds the result and that buffer, not a second result-sized gather.
+    channel's entries, when those are more), and of at most an eighth of the
+    channels, and folds them in, so pooling holds the result and that
+    buffer, not a second result-sized gather.
     """
     if pool_h < 1 or pool_w < 1:
         raise ContractViolation(f"pool grid must be at least 1x1, got {pool_h}x{pool_w}")
@@ -189,8 +190,10 @@ def pool_regions(fmap: FeatureMap, rois, pool_h: int, pool_w: int) -> np.ndarray
     # _boxes and _cell_spans keep every index inside the map, so "clip" never
     # clips; with out= given, it also spares take the copy "raise" makes of out
     out = np.take(flat, (ylo * w + xlo).ravel(), axis=1, mode="clip")
-    step = max(1, _GATHER_VALUES // max(out.shape[1], 1))
-    buf = np.empty((min(step, c), out.shape[1]))
+    # a few channels at a time, and at most an eighth of them, so a small result
+    # (a 1x1 grid, say) is not matched by a buffer as large as itself
+    step = max(1, min(_GATHER_VALUES // max(out.shape[1], 1), c // 8))
+    buf = np.empty((step, out.shape[1]))
     for dy in range(int((yhi - ylo).max(initial=1))):
         y = np.minimum(ylo + dy, yhi - 1) * w
         for dx in range(int((xhi - xlo).max(initial=1))):
@@ -301,6 +304,7 @@ def _scene_fields(scene: Scene) -> dict:
 def load_scene(data: bytes | str) -> Scene:
     """Parse the version-1 scene format."""
     doc = _jsonio.parse_doc(data, "scene", arrays=("data",))
+    del data  # parsed: the input can go before the map is copied
     c = _jsonio.get(doc, "C", int, "scene")
     h = _jsonio.get(doc, "H", int, "scene")
     w = _jsonio.get(doc, "W", int, "scene")

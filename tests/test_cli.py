@@ -725,3 +725,44 @@ def test_probe_layer_out_of_range_is_one_error_line(tmp_path, capsys, layer, mes
                "--out", out) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,outputs,clash", [
+    ("prune", {"--out": "x.json", "--report": "x.json"}, ("x.json", "x.json")),
+    ("prune", {"--out": "x.json", "--report": "sub/../x.json"}, ("x.json", "sub/../x.json")),
+    ("topn", {"--out": "x.json", "--labelmap": "x.json"}, ("x.json", "x.json")),
+    ("topn", {"--out": "t.net", "--labelmap": "x.json", "--report": "link.json"},
+     ("x.json", "link.json")),
+    ("topn", {"--out": "t.net", "--labelmap": "l.json", "--report": "t.net"}, ("t.net", "t.net")),
+])
+def test_two_outputs_that_name_one_file_are_a_usage_error(
+    tmp_path, capsys, command, outputs, clash
+):
+    model = gen_net(tmp_path / "m.net", sizes="8,5,3", sparsity=0.0, seed=2)
+    scene = gen_scene_file(tmp_path / "s.scene", c=2, h=4, w=4, n_rois=3, pool_h=2, pool_w=2)
+    (tmp_path / "scores.json").write_text(json.dumps([0.1, 0.9, 0.3]))
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.json").symlink_to(tmp_path / "x.json")
+    (tmp_path / "t.net").write_bytes(b"old")
+    inputs = {
+        "prune": ["--model", model, "--scene", scene],
+        "topn": ["--model", model, "--scores", tmp_path / "scores.json", "--n", 2],
+    }[command]
+    argv = [command, *inputs, *(a for flag, name in outputs.items() for a in (flag, tmp_path / name))]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    first, second = (str(tmp_path / name) for name in clash)
+    assert capsys.readouterr() == (
+        "", f"usage error: outputs {first!r} and {second!r} name the same file\n"
+    )
+    # nothing is created, and a file that was there is left as it was
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.json", "m.net", "s.scene", "scores.json", "sub", "t.net"]
+    assert (tmp_path / "t.net").read_bytes() == b"old"
+
+
+def test_outputs_may_share_a_character_device(tmp_path):
+    model = gen_net(tmp_path / "m.net", sizes="8,5,3", sparsity=0.0, seed=2)
+    scene = gen_scene_file(tmp_path / "s.scene", c=2, h=4, w=4, n_rois=3, pool_h=2, pool_w=2)
+    assert run("prune", "--model", model, "--scene", scene,
+               "--out", os.devnull, "--report", os.devnull) == 0

@@ -323,6 +323,18 @@ class TestNestedMatmat:
         (got,) = nested_matmat(m, xs, np.ones(m.shape[1], dtype=np.intp), 1)
         assert got.tobytes() == matmat(m, xs).tobytes()
 
+    @settings(deadline=None, max_examples=100)
+    @given(nested_family())
+    def test_column_major_weights_give_the_same_bytes(self, family):
+        # a column-major matrix is read in place when every column is live
+        m, xs, depth, members = family
+        got = nested_matmat(np.asfortranarray(m), xs, depth, members)
+        for acc, want in zip(got, nested_matmat(m, xs, depth, members)):
+            assert acc.tobytes() == want.tobytes()
+        ones = np.ones_like(depth)
+        (acc,) = nested_matmat(np.asfortranarray(m), xs + 1.0, ones, 1)
+        assert acc.tobytes() == matmat(m, xs + 1.0).tobytes()
+
     def test_members_part_at_first_dropped_live_column(self):
         m = np.array([[1.0, 2.0, 3.0, 4.0]])
         xs = np.array([[1.0, 0.0, 1.0, 1.0]])

@@ -7,10 +7,13 @@ parsing; and a load must hold less memory than json.loads' lists of floats.
 """
 
 import json
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitprune import (
     ActivationKind,
@@ -333,3 +336,251 @@ def test_invalid_report_objects(path, value, want):
         entry = entry[key]
     entry[last] = value
     assert violation_message(load_report, json.dumps(doc)) == want
+
+
+# -- the block path: the writer's layout, parsed a chunk of rows at a time --------
+#
+# save_network and save_scene write each "weights" or "data" field as a block,
+# one row per line, which parse_doc reads a chunk of rows at a time. Each case
+# below edits such a file and checks the result against the whole-document
+# parse alone: the same arrays, or the same exception class and message.
+
+
+def whole_parse_only(load, data):
+    """load(data) with the block path turned off: the one reference parse."""
+    with mock.patch.object(_jsonio, "_block_doc", lambda data, arrays: None):
+        return load(data)
+
+
+def outcome(load, data):
+    """What load(data) gives: ("ok", saved bytes) or (exception class, message)."""
+    try:
+        got = load(data)
+    except Exception as e:  # any class: the class is what is compared
+        return type(e), str(e)
+    return "ok", (save_network(got) if isinstance(got, Network) else save_scene(got))
+
+
+def assert_same_as_whole_parse(load, data):
+    want = outcome(lambda d: whole_parse_only(load, d), data)
+    assert outcome(load, data) == want
+    return want
+
+
+# every value distinct, so an edit can name the one it replaces
+BLOCK_NET = Network((
+    DenseLayer(np.array([[0.25, 0.5, 0.75], [1.25, 1.5, 1.75]]), np.array([0.125, 0.375])),
+    DenseLayer(np.array([[2.25, 2.5], [3.25, 3.5]]), np.array([0.625, 0.875]),
+               ActivationKind.IDENTITY),
+))
+BLOCK_SCENE = Scene(FeatureMap(np.array([[[0.25, 0.5], [0.75, 1.25]]])), ((0, 0, 2, 2),), 1, 1)
+
+
+def edit(data: bytes, *pairs) -> bytes:
+    """data with each (old, new) text replaced once; old must occur."""
+    for old, new in pairs:
+        assert data.count(old.encode()) >= 1, old
+        data = data.replace(old.encode(), new.encode(), 1)
+    return data
+
+
+def test_saved_files_take_the_block_path():
+    for data, arrays in ((save_network(BLOCK_NET), ("weights", "bias")),
+                         (save_scene(BLOCK_SCENE), ("data",))):
+        for given in (data, data.decode("utf-8")):
+            assert _jsonio._block_doc(given, arrays) is not None
+    assert load_network(save_network(BLOCK_NET)) == BLOCK_NET
+    assert load_scene(save_scene(BLOCK_SCENE)).fmap == BLOCK_SCENE.fmap
+
+
+@pytest.fixture(params=[None, 1], ids=["one-chunk", "row-chunks"])
+def chunk_bytes(request):
+    """The default chunk, or one row per chunk, so faults land in a later chunk too."""
+    if request.param is None:
+        yield
+    else:
+        with mock.patch.object(_jsonio, "_CHUNK_BYTES", request.param):
+            yield
+
+
+# the row faults of test_model_errors_are_unchanged and
+# test_model_errors_keep_their_order, written into save_network's layout
+@pytest.mark.parametrize("pairs,want", [
+    ((("1.5, 1.75", "1.5 1.75"),),
+     "model parse error at line 11 column 11: Expecting ',' delimiter"),
+    ((("0.5", "true"),), "layer 0 weights: expected numbers, found bool"),
+    ((("1.75", "1" + "0" * 400),), "layer 0 weights: integer too large for a float"),
+    ((("0.375", "1" + "0" * 400),), "layer 0 bias: integer too large for a float"),
+    ((("1.25", "null"),), "layer 0 weights: expected numbers, found NoneType"),
+    ((("1.25", '"x"'),), "layer 0 weights: expected numbers, found str"),
+    ((("3.5", "3.5, 4.5"),), "layer 1 weights: expected 4 values, got 5"),
+    ((("0.375", "0.375, 1.0"),), "layer 0 bias: expected 2 values, got 3"),
+    ((("0.375", "NaN"),), "non-finite constant 'NaN' is not allowed in model files"),
+    ((("1.5", "NaN"),), "non-finite constant 'NaN' is not allowed in model files"),
+    ((("2.5", "-Infinity"),), "non-finite constant '-Infinity' is not allowed in model files"),
+    ((('"relu"', '"tanh"'), ("0.5", "true"), ("2.5", "1" + "0" * 400)),
+     "layer 0: unknown activation 'tanh'"),
+    ((('"rows": 2', '"rows": -1'), ("0.5", "1" + "0" * 400)),
+     "layer 0: rows and cols must be nonnegative"),
+    ((("1.5, 1.75", "1.5"), ("2.5", "true")), "layer 0 weights: expected 6 values, got 5"),
+    ((("0.5", "true"), ("0.375", "1" + "0" * 400)),
+     "layer 0 weights: expected numbers, found bool"),
+    ((("[0.125, 0.375]", '"x"'), ("2.25", "1" + "0" * 400)),
+     "layer 0: key 'bias' has wrong type str"),
+    ((("0.875", "true"),), "layer 1 bias: expected numbers, found bool"),
+])
+def test_model_row_faults_are_unchanged(chunk_bytes, pairs, want):
+    data = edit(save_network(BLOCK_NET), *pairs)
+    assert assert_same_as_whole_parse(load_network, data) == (FormatError, want)
+
+
+# the row faults of test_scene_errors_are_unchanged, written into save_scene's layout
+@pytest.mark.parametrize("pairs,want", [
+    ((("0.5", "true"),), "scene data: expected numbers, found bool"),
+    ((("1.25", "1" + "0" * 400),), "scene data: integer too large for a float"),
+    ((("0.75, 1.25", "0.75"),), "scene data: expected 4 values, got 3"),
+    ((('"C": 1', '"C": 0'), ("0.75", "1" + "0" * 400)), "scene data: integer too large for a float"),
+    ((('"C": 1', '"C": 0'),), "scene dimensions must be >= 1, got 0x2x2"),
+    ((('"pool_h": 1', '"pool_h": "1"'), ("0.5", "true")), "scene: key 'pool_h' must be an integer"),
+    ((("[0, 0, 2, 2]", '{\n"data": [\n1\n]\n}'),), "roi 0: expected an array of integers"),
+    ((("0.25, 0.5,", "0.25, 0.5,,"),),
+     "scene parse error at line 9 column 11: Expecting value"),
+])
+def test_scene_row_faults_are_unchanged(chunk_bytes, pairs, want):
+    data = edit(save_scene(BLOCK_SCENE), *pairs)
+    assert assert_same_as_whole_parse(load_scene, data) == (FormatError, want)
+
+
+UTF8_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("change", [
+    # the parse of the whole document judges each of these
+    lambda d: d.replace(b"0.5, 0.75,\n", b"0.5, 0.75\n"),  # a row without its comma
+    lambda d: d.replace(b"1.75\n]", b"1.75,\n]"),  # a comma after the last row
+    lambda d: d.replace(b"0.75,\n", b"0.75,\n]\n"),  # a stray ] between rows
+    lambda d: d.replace(b"0.75,\n", b"0.75]\n"),
+    lambda d: d.replace(b"\n", b"\r\n"),  # CRLF line ends
+    lambda d: d.replace(b"1.75\n]", b"1.75\r\n]"),
+    lambda d: UTF8_BOM + d,
+    lambda d: d.replace(b"1.5", b"1.\xff5"),  # a byte that is not UTF-8, in a row
+    lambda d: d.replace(b"1.5", b"1.\xc3\xa95"),  # UTF-8, but not a number
+    lambda d: d.replace(b"0.375]", b"0.375\xff]"),  # not UTF-8, outside the rows
+    lambda d: d.replace(b'"labels": null', b'"labels": ["a\xffb", "b"]'),
+    lambda d: d.replace(b"1.5", b"[1.5]"),
+    lambda d: d.replace(b"1.5", b"{}"),
+    lambda d: d.replace(b"1.25, 1.5, 1.75\n]", b"\n]"),  # an empty last row
+    lambda d: d.replace(b"0.25, 0.5, 0.75,\n1.25, 1.5, 1.75\n", b""),  # no rows at all
+    lambda d: d.replace(b"1.75\n]", b"1.75\n]]"),  # text after the closing ]
+    lambda d: d.replace(b"1.75\n]", b"1.75\n]5"),
+    lambda d: d.replace(b"1.75\n]", b"1.75\n"),  # no closing line
+    lambda d: d[: d.index(b"1.5")],  # the file ends inside a block
+    # valid, and read as json reads them
+    lambda d: d.replace(b'"labels": null', b'"labels": ["%s", "b"]' % _jsonio._SENTINEL.encode()),
+    lambda d: d.replace(b'"labels": null', b'"labels": null, "x": %s' % _jsonio._SENTINEL.encode()),
+    lambda d: d.replace(b'"labels": null', b'"labels": null, "x": 1%s5' % _jsonio._SENTINEL.encode()),
+    lambda d: d.replace(b'"labels": null', b'"labels": ["\\u002d0.0E-0000", "b"]'),
+    lambda d: d.replace(b'"bias": [0.125, 0.375]', b'"bias": [0.125, 0.375],\n"weights": [\n'
+                        b'9.0, 8.0, 7.0,\n6.0, 5.0, 4.0\n]'),  # duplicate "weights": the last wins
+    lambda d: d.replace(b'"rows": 2,\n"cols": 3,\n"weights"', b'"rows": 2,\n"cols": 3,\n'
+                        b'"weights": [\n9.0\n],\n"weights"'),
+    lambda d: d.replace(b'"labels": null', b'"labels": null,\n"extra": {\n"weights": [\n'
+                        b'1.0, true\n]\n}'),  # a block in a nested object, not all numbers
+    lambda d: d.replace(b'"labels": null', b'"labels": null,\n"extra": {\n"weights": [\n'
+                        b'1.0, 2.0\n],\n"bias": [\n3\n]\n}'),
+    lambda d: d.replace(b'"weights": [\n0.25', b'"weights": {\n"weights": [\n0.25')
+               .replace(b"1.75\n]", b"1.75\n]\n}"),  # a block in a nested object
+    lambda d: d.replace(b"0.5, 0.75,\n1.25", b"0.5, 0.75,\n\n1.25"),  # a blank line
+    lambda d: d.replace(b"0.5, 0.75,\n1.25", b"0.5,0.75 ,\n   1.25"),
+    lambda d: d.replace(b"0.5", b"5e-1").replace(b"1.5", b"15E-1").replace(b"2.5", b"-0"),
+    lambda d: d.replace(b'"activation": "identity"', b'"weights": [\n1.0\n],\n"activation": "identity"'),
+    lambda d: d.replace(b'"labels"', b'"\\u0077eights": [\n1\n],\n"labels"'),
+])
+def test_block_faults_and_odd_layouts_are_read_as_the_whole_parse(chunk_bytes, change):
+    data = change(save_network(BLOCK_NET))
+    assert data != save_network(BLOCK_NET)
+    assert_same_as_whole_parse(load_network, data)
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: d.replace(b"\n", b"\r\n"),
+    lambda d: UTF8_BOM + d,
+    lambda d: d.replace(b"1.5", b"1.\xff5"),
+    lambda d: d.replace(b'"labels": null', b'"labels": ["a\xffb", "b"]'),
+    lambda d: d.replace(b'"labels": null', b'"labels": ["%s", "b"]' % _jsonio._SENTINEL.encode()),
+    lambda d: d.replace(b"1.75", b"1" + b"0" * 400),
+])
+def test_the_block_path_declines_what_it_cannot_vouch_for(change):
+    data = change(save_network(BLOCK_NET))
+    assert _jsonio._block_doc(data, ("weights", "bias")) is None
+
+
+def test_duplicate_and_nested_blocks_keep_json_semantics():
+    # the later of two "weights" wins, as in json.loads
+    data = save_network(BLOCK_NET).replace(
+        b'"bias": [0.125, 0.375]',
+        b'"bias": [0.125, 0.375],\n"weights": [\n9.0, 8.0, 7.0,\n6.0, 5.0, 4.0\n]')
+    assert _jsonio._block_doc(data, ("weights", "bias")) is not None
+    assert load_network(data).layers[0].weights.tolist() == [[9.0, 8.0, 7.0], [6.0, 5.0, 4.0]]
+    # a block inside a nested object becomes that object's array
+    nested = save_network(BLOCK_NET).replace(b'"labels": null', b'"labels": null,\n"extra": {\n'
+                                             b'"weights": [\n1, 2\n]\n}')
+    doc = _jsonio.parse_doc(nested, "model", arrays=("weights", "bias"))
+    assert doc["extra"]["weights"].tolist() == [1.0, 2.0]
+    assert load_network(nested) == BLOCK_NET
+
+
+# number tokens as a writer or a person might put them in a row
+_tokens = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from([2**53 + 1, 2**64 + 3, -(2**64) - 1]).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "-0", "5e-324", "2.2250738585072014e-308", "1.7976931348623157e308",
+                     "1e400", "-1e400", "1E-400", "0.1e1"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda rc: st.tuples(st.just(rc), st.lists(_tokens, min_size=rc[0] * rc[1],
+                                                   max_size=rc[0] * rc[1]))),
+    chunk=st.sampled_from([1, 7, 40, None]),
+)
+def test_block_rows_convert_as_the_plain_parse(shape, chunk):
+    (rows, cols), tokens = shape
+    lines = [", ".join(tokens[r * cols : (r + 1) * cols]) for r in range(rows)]
+    text = "\n".join([
+        "{", '"version": 1,', '"labels": null,', '"layers": [', "{",
+        '"activation": "identity",', f'"rows": {rows},', f'"cols": {cols},',
+        '"weights": [', ",\n".join(lines), "],", f'"bias": [{", ".join(["0.5"] * rows)}]',
+        "}", "]", "}", "",
+    ]).encode()
+    with mock.patch.object(_jsonio, "_CHUNK_BYTES", chunk or _jsonio._CHUNK_BYTES):
+        assert _jsonio._block_doc(text, ("weights", "bias")) is not None
+        doc = _jsonio.parse_doc(text, "model", arrays=("weights", "bias"))
+        got = doc["layers"][0]["weights"]
+        want = np.array(json.loads(text)["layers"][0]["weights"], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        if np.isfinite(want).all():
+            assert_same_network(load_network(text), plain_network(text))
+        else:
+            assert outcome(load_network, text) == (
+                FormatError, "layer 0: matrix contains non-finite values")
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 a caller keeps its "
+                    "arguments alive until the call returns, so the loader cannot drop the text "
+                    "before the layers are copied")
+def test_a_load_holds_its_text_and_about_one_copy_of_the_arrays(tmp_path):
+    # json.loads would hold the text, then a layer of Python floats (32 bytes a
+    # value) and its array; the block path holds the text, one chunk's floats
+    # and the array, and the CLI's input goes before the layers are copied
+    net = gen_network([784, 512, 10], seed=3)
+    path = tmp_path / "m.net"
+    path.write_bytes(save_network(net))
+    text_bytes = path.stat().st_size
+    array_bytes = sum(lay.weights.nbytes + lay.bias.nbytes for lay in net.layers)
+    peak = traced_peak(lambda p: load_network(p.read_bytes()), path)
+    assert peak < text_bytes + 2 * array_bytes

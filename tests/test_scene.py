@@ -379,6 +379,18 @@ class TestPoolRegions:
             tracemalloc.stop()
         assert peak < 1.5 * got.nbytes
 
+    def test_pooling_a_1x1_grid_holds_little_more_than_its_result(self):
+        # a 1x1 result is small next to 64k floats: the buffer holds at most an
+        # eighth of the channels, not as many values as the result
+        sc = gen_scene(64, 14, 14, n_rois=256, pool_h=1, pool_w=1, seed=3)
+        tracemalloc.start()
+        try:
+            got = pool_regions(sc.fmap, sc.rois, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * got.nbytes
+
     def test_invalid_arguments_rejected(self):
         fm = one_channel([[1, 2], [3, 4]])
         with pytest.raises(ContractViolation, match="exceeds"):
