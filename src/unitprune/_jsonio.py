@@ -28,39 +28,47 @@ and "bias", a scene's "data"), and each comes back as a float64 array. The
 writer lays such a field out as a block: a line that is exactly
 "<name>": [, then one row of numbers per line, each but the last ending in
 a comma, then a line that starts with ]. parse_doc first reads the input in
-that layout. It cuts each block into chunks of whole rows (about
-_CHUNK_BYTES of text), parses each with the same strict json decoder,
-converts it to float64 as np.array(list) would, and copies it into the
-field's array, which is sized from the text read so far and trimmed at the
-end, so no pass counts the values first. The rest of the document, a few
-hundred bytes, goes through json.loads with each block replaced by a number
-token no writer emits (_SENTINEL), which parse_float swaps for the block's
-array in document order. So duplicate keys and nested objects keep json's
+that layout, in pieces of about _CHUNK_BYTES: slices of bytes or text held
+in memory, or reads of a binary file from where it stands to its end. Bytes
+are decoded as UTF-8 as they arrive (never through json's own encoding
+detection). After each piece, the whole rows it completed are parsed with
+the same strict json decoder, converted to float64 as np.array(list) would,
+and copied into the field's array; a row the piece cut short waits for the
+next. The array is sized from the density of the text read so far and the
+length of the input left, then trimmed, so no pass counts the values
+first. The text outside the blocks, a few hundred bytes, is kept and goes
+through json.loads with each block replaced by a number token no writer
+emits (_SENTINEL), which parse_float swaps for the block's array in
+document order. So duplicate keys and nested objects keep json's
 semantics, and no string, escaped or not, can pass for a block. A load
-holds the input plus one chunk's Python floats and the arrays, not a whole
-layer as Python floats. The input is read as bytes (decoded per chunk, and
-the rest as UTF-8, never through json's own encoding detection) or as text.
+from a file holds one piece, one chunk's Python floats and the arrays,
+never the file's text; a load from bytes or text also holds its input.
+A file that cannot seek (a pipe or a device) is read whole first, since
+it cannot be read twice.
 
-On any doubt that path gives up and the whole document is parsed as before,
-which stays the one reference and the one source of error messages: a row
-that is not all numbers, a missing comma, an integer too large for a float,
-bytes that are not UTF-8, CRLF line ends (no line then matches an opener),
-the sentinel already outside the blocks, or any parse error. In that parse
-json.loads calls an object hook as it closes each object, and the hook
-turns each named field whose entries are all JSON numbers into a float64
-array, so one layer's Python floats are freed before the next layer is
-parsed. The hook never raises: it sees fields in the parser's order, so an
-error raised there would come before a syntax error further on in the file,
-or before a fault in a field the loader checks first (layer 0's "rows",
-say). A field it cannot convert (not a list, a non-number entry, an integer
-too large for a float) stays as parsed, and number_list reports it in its
-turn, so a malformed file fails with the same message as when every check
-ran after parsing.
+On any doubt that path gives up, and the whole document is parsed as before
+(a file is read again from where it stood, whole), which stays the one
+reference and the one source of error messages: a row that is not all
+numbers, a missing comma, an integer too large for a float, bytes that are
+not UTF-8, CRLF line ends (no line then matches an opener), the sentinel
+already outside the blocks, or any parse error. In that parse json.loads
+calls an object hook as it closes each object, and the hook turns each
+named field whose entries are all JSON numbers into a float64 array, so one
+layer's Python floats are freed before the next layer is parsed. The hook
+never raises: it sees fields in the parser's order, so an error raised
+there would come before a syntax error further on in the file, or before a
+fault in a field the loader checks first (layer 0's "rows", say). A field
+it cannot convert (not a list, a non-number entry, an integer too large for
+a float) stays as parsed, and number_list reports it in its turn, so a
+malformed file fails with the same message as when every check ran after
+parsing.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
+import os
 from collections.abc import Iterator
 from contextlib import contextmanager
 from typing import NamedTuple
@@ -80,8 +88,8 @@ NUMBERS = (list, np.ndarray)
 # Floats a Rows chunk holds (at least one row): bounds the text a write holds at once.
 _CHUNK_VALUES = 32768
 
-# Text of a block parsed at a time (whole rows, about 12k floats at 21 bytes a
-# value): bounds the Python floats a load holds at once.
+# Input read at a time, and so the text of a chunk of rows parsed at once (about
+# 12k floats at 21 bytes a value): bounds the text and Python floats a load holds.
 _CHUNK_BYTES = 1 << 18
 
 # Stands in for a block while the rest of a document is parsed: a JSON number
@@ -235,83 +243,147 @@ def _doubt(name: str):
     raise ValueError(name)
 
 
-def _block_rows(data, lo: int, hi: int, row_end) -> np.ndarray:
-    """The numbers of data[lo:hi], rows ending in row_end, parsed a chunk of rows at a time."""
-    out, n, first = np.empty(0), 0, lo
-    while lo < hi:
-        cut = data.find(row_end, lo + _CHUNK_BYTES, hi)
-        cut = hi if cut < 0 else cut
-        text = data[lo:cut]
-        vals = json.loads(
-            f"[{text.decode('ascii') if isinstance(text, bytes) else text}]",
-            parse_constant=_doubt,
-        )
+class _Block:
+    """One block's numbers, parsed a chunk of whole rows at a time into one float64 array."""
+
+    def __init__(self):
+        self.out, self.n, self.used = np.empty(0), 0, 0
+
+    def add(self, rows: str, rest: int) -> None:
+        """Parse whole rows in brackets; rest, the input left after them, sizes the array."""
+        vals = json.loads(rows, parse_constant=_doubt)
         if not vals or not _numbers(vals):
             raise ValueError("not a block of numbers")
+        self.used += len(rows)
         part = np.array(vals, dtype=np.float64)
-        if n + part.size > out.size:
-            # room for the rest of the block at the density read so far, and an eighth more
-            seen = n + part.size
-            out.resize(seen + seen * (hi - cut) * 9 // (8 * (cut - first)), refcheck=False)
-        out[n : n + part.size] = part
-        n += part.size
-        lo = cut + 1  # past the comma; the newline is whitespace
-    out.resize(n, refcheck=False)
-    return out
+        del vals  # before the array grows
+        seen = self.n + part.size
+        if seen > self.out.size:
+            # room for the rest of the input at the density read so far, and an eighth more;
+            # the first guess is left unwritten, so the pages it overshoots are never touched,
+            # where resize would zero them
+            room = seen + seen * max(rest, 0) * 9 // (8 * self.used)
+            if self.n:
+                self.out.resize(room, refcheck=False)
+            else:
+                self.out = np.empty(room)
+        self.out[self.n : seen] = part
+        self.n = seen
+
+    def array(self) -> np.ndarray:
+        self.out.resize(self.n, refcheck=False)
+        return self.out
 
 
-def _block_doc(data: bytes | str, arrays: tuple[str, ...]):
-    """parse_doc's document read in the writer's block layout, or None on any doubt."""
-    if not isinstance(data, (bytes, str)):
-        return None
-    lit = str if isinstance(data, str) else str.encode
-    opener, closer, newline, row_end = lit('": [\n'), lit("\n]"), lit("\n"), lit(",\n")
-    # the start of an opener line, up to the key's closing quote
-    keys = {lit(json.dumps(name)[:-1]) for name in arrays}
-    pieces, blocks = [], []
-    start = pos = 0
+def _in_memory(data) -> bool:
+    return isinstance(data, (bytes, bytearray, str))
+
+
+def _pieces(data) -> Iterator[str]:
+    """data as text, about _CHUNK_BYTES at a time; bytes, held or read, are decoded as UTF-8."""
+    step = _CHUNK_BYTES
+    if isinstance(data, str):
+        yield from (data[i : i + step] for i in range(0, len(data), step))
+        return
+    if _in_memory(data):
+        reads = (data[i : i + step] for i in range(0, len(data), step))
+    else:
+        reads = iter(lambda: data.read(step), b"")
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    yield from map(decode, reads)
+    yield decode(b"", True)
+
+
+def _block_doc(data, arrays: tuple[str, ...]):
+    """parse_doc's document read in the writer's block layout, or None on any doubt.
+
+    data is bytes, text, or a seekable binary file, read from where it stands
+    to its end about _CHUNK_BYTES at a time.
+    """
+    opener, closer, row_end = '": [\n', "\n]", ",\n"
+    # an opener line, from the newline before it up to the key's closing quote
+    keys = ["\n" + json.dumps(name)[:-1] for name in arrays]
+    # what a search that finds no opener keeps back: a key line cut by a read
+    back = max(map(len, keys)) + len(opener)
+    if _in_memory(data):
+        size = len(data)
+    else:
+        here = data.tell()
+        size = data.seek(0, os.SEEK_END) - here
+        data.seek(here)
+    outside, blocks = [], []  # the text outside the blocks, a sentinel for each; the arrays
+    buf, scan, block, read = "", 0, None, 0  # scan: where the next search of buf starts
     try:
-        while (i := data.find(opener, pos)) >= 0:
-            pos = i + len(opener)
-            line = data.rfind(newline, 0, i) + 1
-            if line == 0 or data[line:i] not in keys:
-                continue
-            end = data.find(closer, pos - 1)
-            if end < pos:  # no closing line, or no rows
-                return None
-            blocks.append(_block_rows(data, pos, end, row_end))
-            pieces.append(data[start : i + 3])  # through '": '
-            start = pos = end + 2  # past the "]"
-        if not blocks:
+        for piece in _pieces(data):
+            read += len(piece)
+            buf += piece
+            del piece  # buf alone holds the text
+            while True:
+                if block is None:
+                    i = buf.find(opener, scan)
+                    if i < 0:
+                        scan = max(scan, len(buf) - len(opener) + 1)
+                        keep = max(0, len(buf) - back)
+                        outside.append(buf[:keep])
+                        buf, scan = buf[keep:], scan - keep
+                        break
+                    scan = i + len(opener)
+                    if any(i >= len(k) and buf.startswith(k, i - len(k)) for k in keys):
+                        outside += [buf[: i + 3], f" {_SENTINEL} "]  # through '": '
+                        buf, scan, block = buf[scan - 1 :], 0, _Block()  # from the newline
+                    continue
+                end = buf.find(closer, scan)
+                if end == 0:  # no rows
+                    return None
+                if end > 0:
+                    rows, buf, scan = f"[{buf[:end]}]", buf[end + 2 :], 0  # past the "]"
+                    block.add(rows, 0)
+                    blocks.append(block.array())
+                    block = None
+                    continue
+                # the whole rows read so far; a row cut by the read waits for the next
+                cut = buf.rfind(row_end)
+                if cut >= 0:
+                    rows, buf = f"[{buf[:cut]}]", buf[cut + 1 :]
+                    block.add(rows, size - read + len(buf))
+                scan = max(0, len(buf) - len(closer) + 1)
+                break
+        if block is not None:  # the input ends inside a block
             return None
-        pieces.append(data[start:])
-        if any(lit(_SENTINEL) in p for p in pieces):
-            return None
-        rest = lit(f" {_SENTINEL} ").join(pieces)
+        outside.append(buf)
+        rest = "".join(outside)
+        if not blocks or rest.count(_SENTINEL) != len(blocks):
+            return None  # the sentinel already occurs outside the blocks
         left = iter(blocks)
 
         def number(s: str):
             return next(left) if s == _SENTINEL else float(s)
 
         return json.loads(
-            rest if isinstance(rest, str) else rest.decode("utf-8"),
-            parse_float=number,
-            parse_constant=_doubt,
-            object_hook=_array_hook(arrays),
+            rest, parse_float=number, parse_constant=_doubt, object_hook=_array_hook(arrays)
         )
     except (ValueError, OverflowError, RecursionError):
         # not the writer's layout, or not valid: the whole-document parse judges it
         return None
 
 
-def parse_doc(data: bytes | str, what: str, arrays: tuple[str, ...] = ()) -> dict:
+def parse_doc(data, what: str, arrays: tuple[str, ...] = ()) -> dict:
     """Parse a versioned top-level JSON object, rejecting NaN/Infinity.
+
+    data is bytes, text or a binary file. A file is read from where it stands
+    to its end; one that cannot seek (a pipe) is read whole first.
 
     Every object's fields named in arrays that hold only numbers come back
     as float64 arrays; read them with number_list.
     """
+    if not _in_memory(data) and not data.seekable():
+        data = data.read()
+    start = None if _in_memory(data) else data.tell()
     doc = _block_doc(data, arrays) if arrays else None
     if doc is None:
+        if start is not None:
+            data.seek(start)
+            data = data.read()
         doc = _loads(data, what, arrays)
     if not isinstance(doc, dict):
         raise FormatError(f"{what}: expected a top-level object")

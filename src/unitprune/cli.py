@@ -4,17 +4,22 @@ Every command is deterministic given its flags (randomness only ever comes
 from --seed, default 0), so repeated invocations produce byte-identical
 output files. Exit codes: 0 success, 1 usage or validation error, 2 I/O or
 parse error.
+
+Inputs: each model and scene file is opened in a with block and handed to
+its loader, which reads it a piece at a time, so a command never holds a
+model's text; a pipe is read whole. The small inputs (probes, scores,
+reports, label maps) are read whole as bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import stat
 import sys
 from collections.abc import Iterable
-from pathlib import Path
 
 import numpy as np
 
@@ -47,8 +52,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> bytes:
-    """The file's bytes: the loaders decode them, a model's or scene's rows a chunk at a time."""
-    return Path(path).read_bytes()
+    """The file's bytes, for the small inputs: probes, scores, reports and label maps."""
+    with open(path, "rb") as f:
+        return f.read()
+
+
+class _Input(io.FileIO):
+    """A model or scene file open for reading; len() is its size, as it is for bytes input.
+
+    load_network and load_scene take bytes, text or such a file, and a caller
+    that measures an input by len() (bench/spans.py counts the bytes loaded
+    that way) gets the same count for either.
+    """
+
+    def __len__(self) -> int:
+        return os.fstat(self.fileno()).st_size
+
+
+def _load(load, path: str):
+    """load(file) on the file at path, which it reads a piece at a time; closed on return.
+
+    A pipe or a device cannot seek, so the loader reads it whole first.
+    """
+    with _Input(path) as f:
+        return load(f)
 
 
 def _write(outputs: list[tuple[str, Iterable[bytes]]]) -> None:
@@ -98,9 +125,8 @@ def _write(outputs: list[tuple[str, Iterable[bytes]]]) -> None:
         for tmp, dest, path in temps:
             os.replace(tmp, dest)
     except OSError as e:
-        # name the output, not its temporary
-        e.filename, e.filename2 = path, None
-        raise
+        # name the output alone, not its temporary or the rename's destination
+        raise OSError(e.errno, e.strerror, path) from e
     finally:
         for tmp, _, _ in temps:
             with contextlib.suppress(FileNotFoundError):
@@ -149,12 +175,12 @@ def _cmd_gen_scene(args) -> int:
 def _cmd_prune(args) -> int:
     if (args.scene is None) == (args.probe is None):
         raise UsageError("exactly one of --scene or --probe is required")
-    net = load_network(_read(args.model))
+    net = _load(load_network, args.model)
     cfg = PruneConfig(args.tau)
     if args.scene is not None:
         if args.layer != 0:
             raise UsageError("--layer must be 0 when pruning from a scene")
-        sc = load_scene(_read(args.scene))
+        sc = _load(load_scene, args.scene)
         pruned_net, rep = prune_input_channels(
             net, channel_sums(sc.fmap), sc.pool_h, sc.pool_w, cfg
         )
@@ -175,7 +201,7 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_topn(args) -> int:
-    net = load_network(_read(args.model))
+    net = _load(load_network, args.model)
     scores = _jsonio.parse_vector(_read(args.scores), "scores")
     pruned_net, label_map, rep = prune_output_topn(net, scores, args.n)
     files = [
@@ -189,13 +215,13 @@ def _cmd_topn(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    original = load_network(_read(args.model_a))
-    pruned = load_network(_read(args.model_b))
-    sc = load_scene(_read(args.scene))
-    label_map = load_labelmap(_read(args.labelmap)) if args.labelmap else None
+    original = _load(load_network, args.model_a)
+    pruned = _load(load_network, args.model_b)
+    sc = _load(load_scene, args.scene)
+    label_map = load_labelmap(_read(args.labelmap)) if args.labelmap is not None else None
     input_keep = None
     bound = None
-    if args.report:
+    if args.report is not None:
         rep = load_report(_read(args.report))
         # a units report bounds its one probe, not the scene's regions
         if rep.kind != "units":
@@ -216,8 +242,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    net = load_network(_read(args.model))
-    sc = load_scene(_read(args.scene))
+    net = _load(load_network, args.model)
+    sc = _load(load_scene, args.scene)
     text = sweep_csv(sweep(net, sc, _parse_thresholds(args.thresholds)))
     if args.out == "-":
         sys.stdout.write(text)

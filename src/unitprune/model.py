@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -37,7 +37,12 @@ class ActivationKind(enum.Enum):
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     """Private read-only copy, so callers cannot mutate us and vice versa."""
-    a = np.array(a, dtype=np.float64, order="C", copy=True)
+    return _seal(np.array(a, dtype=np.float64, order="C", copy=True))
+
+
+def _seal(a: np.ndarray) -> np.ndarray:
+    """a itself, C-ordered and read-only: for an array no one else holds."""
+    a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
 
@@ -54,8 +59,18 @@ class DenseLayer:
     activation: ActivationKind = ActivationKind.RELU
 
     def __post_init__(self):
-        w = _freeze(linalg.matrix(self.weights))
-        b = _freeze(linalg.vector(self.bias))
+        self._settle(_freeze(linalg.matrix(self.weights)), _freeze(linalg.vector(self.bias)))
+
+    @classmethod
+    def _adopt(cls, weights: np.ndarray, bias: np.ndarray, activation: ActivationKind):
+        """A layer that keeps float64 arrays no one else holds, as a loader has, without a copy."""
+        layer = object.__new__(cls)
+        object.__setattr__(layer, "activation", activation)
+        layer._settle(_seal(linalg.matrix(weights)), _seal(linalg.vector(bias)))
+        return layer
+
+    def _settle(self, w: np.ndarray, b: np.ndarray) -> None:
+        """Check the layer's read-only arrays against each other and keep them."""
         if b.shape[0] != w.shape[0]:
             raise ValidationError(
                 f"bias has {b.shape[0]} entries but the layer has {w.shape[0]} units"
@@ -274,19 +289,21 @@ def _network_fields(net: Network) -> dict:
     return {"labels": net.labels, "layers": _jsonio.Lines(layers)}
 
 
-def load_network(data: bytes | str) -> Network:
-    """Parse the version-1 text model format.
+def load_network(data: bytes | str | BinaryIO) -> Network:
+    """Parse the version-1 text model format from bytes, text or a binary file.
+
+    A file is read a piece at a time, from where it stands to its end.
 
     Raises FormatError for anything unparseable and ValidationError when the
     parsed layers do not form a consistent network.
     """
     doc = _jsonio.parse_doc(data, "model", arrays=("weights", "bias"))
-    del data  # parsed: the input can go before the layers are copied
+    del data  # parsed: the input can go before the layers are built
     raw_layers = _jsonio.get(doc, "layers", list, "model")
     layers = []
     for k in range(len(raw_layers)):
         layers.append(_load_layer(raw_layers[k], f"layer {k}"))
-        # the layer holds its own copies, so the parsed arrays can go
+        # the layer adopts the parsed arrays, so nothing else may keep them
         raw_layers[k] = None
     return Network(tuple(layers), labels=_jsonio.labels(doc, "model"))
 
@@ -311,4 +328,4 @@ def _load_layer(entry, where: str) -> DenseLayer:
     if len(bias) != units:
         raise FormatError(f"{where} bias: expected {units} values, got {len(bias)}")
     with _jsonio.building(where):
-        return DenseLayer(flat.reshape(units, inputs), bias, act)
+        return DenseLayer._adopt(flat.reshape(units, inputs), bias, act)

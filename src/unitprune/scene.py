@@ -17,6 +17,7 @@ valid certificates for all regions at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -41,7 +42,17 @@ class FeatureMap:
     data: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.data, dtype=np.float64, order="C", copy=True)
+        self._settle(np.array(self.data, dtype=np.float64, order="C", copy=True))
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray):
+        """A feature map keeping a float64 array no one else holds, as a loader has, uncopied."""
+        fmap = object.__new__(cls)
+        fmap._settle(np.ascontiguousarray(data, dtype=np.float64))
+        return fmap
+
+    def _settle(self, a: np.ndarray) -> None:
+        """Check a C-ordered float64 array and keep it, read-only."""
         if a.ndim != 3:
             raise ContractViolation(f"feature map must be 3-dimensional, got shape {a.shape}")
         if a.shape[0] < 1 or a.shape[1] < 1 or a.shape[2] < 1:
@@ -301,10 +312,13 @@ def _scene_fields(scene: Scene) -> dict:
     }
 
 
-def load_scene(data: bytes | str) -> Scene:
-    """Parse the version-1 scene format."""
+def load_scene(data: bytes | str | BinaryIO) -> Scene:
+    """Parse the version-1 scene format from bytes, text or a binary file.
+
+    A file is read a piece at a time, from where it stands to its end.
+    """
     doc = _jsonio.parse_doc(data, "scene", arrays=("data",))
-    del data  # parsed: the input can go before the map is copied
+    del data  # parsed: the input can go before the map is built
     c = _jsonio.get(doc, "C", int, "scene")
     h = _jsonio.get(doc, "H", int, "scene")
     w = _jsonio.get(doc, "W", int, "scene")
@@ -320,4 +334,4 @@ def load_scene(data: bytes | str) -> Scene:
         if len(_jsonio.int_list(entry, f"roi {i}")) != 4:
             raise FormatError(f"roi {i}: expected four integers [x0, y0, x1, y1]")
     with _jsonio.building("scene"):
-        return Scene(FeatureMap(flat.reshape(c, h, w)), raw_rois, pool_h, pool_w)
+        return Scene(FeatureMap._adopt(flat.reshape(c, h, w)), raw_rois, pool_h, pool_w)

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import unitprune
-from unitprune.cli import main
+from unitprune.cli import _Input, main
 from unitprune.model import (
     ActivationKind,
     DenseLayer,
@@ -488,6 +489,56 @@ def test_eval_with_a_negative_label_map_index_is_one_format_error_line(tmp_path,
     assert captured.err == (
         "format error: label map: label map indices must be nonnegative, got -1\n"
     )
+
+
+@pytest.mark.parametrize("flag", ["--report", "--labelmap"])
+def test_eval_with_an_empty_input_path_is_an_io_error(tmp_path, capsys, flag):
+    # an empty path names no file, as for any other input; it does not mean "none"
+    scene = gen_scene_file(tmp_path / "s.scene", c=4, h=3, w=3, n_rois=2,
+                           pool_h=1, pool_w=1, seed=4)
+    model = gen_net(tmp_path / "m.net", sizes="4,5", sparsity=0.0, seed=6)
+    assert run("eval", "--model-a", model, "--model-b", model, "--scene", scene, flag, "") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "i/o error: [Errno 2] No such file or directory: ''\n"
+
+
+def test_a_failed_rename_names_the_output_alone(tmp_path, capsys, monkeypatch):
+    # '' resolves to the working directory, and no file can be renamed over it
+    model = gen_net(tmp_path / "m.net", sizes="6,10,4")
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps([0.5] * 6))
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    assert run("prune", "--model", model, "--probe", probe, "--out", "p.net",
+               "--report", "") == 2
+    assert capsys.readouterr().err == "i/o error: [Errno 21] Is a directory: ''\n"
+    assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+
+
+def test_a_model_input_measures_its_size_as_its_bytes_do(tmp_path):
+    model = gen_net(tmp_path / "m.net")
+    with _Input(model) as f:
+        assert len(f) == len(model.read_bytes())
+        assert load_network(f) == load_network(model.read_bytes())
+    assert f.closed
+
+
+def test_a_model_read_through_a_pipe_prunes_as_from_its_file(tmp_path):
+    model = gen_net(tmp_path / "m.net")
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps([0.5] * 6))
+    assert run("prune", "--model", model, "--probe", probe, "--out", tmp_path / "a.net") == 0
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(model.read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        assert run("prune", "--model", fifo, "--probe", probe, "--out", tmp_path / "b.net") == 0
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (tmp_path / "b.net").read_bytes() == (tmp_path / "a.net").read_bytes()
 
 
 HUGE = "1" + "0" * 400  # an integer JSON literal far beyond float range

@@ -1,13 +1,17 @@
 """Loading converts each named numeric field as the parser closes its object.
 
 A loaded model or scene must equal what a plain json.loads of the same text
-gives, byte for byte; a malformed file must fail with the same exception
-class and message, in the same order, as when every field was checked after
-parsing; and a load must hold less memory than json.loads' lists of floats.
+gives, byte for byte, whether it comes as bytes, text or a binary file; a
+malformed file must fail with the same exception class and message, in the
+same order, as when every field was checked after parsing; and a load must
+hold less memory than json.loads' lists of floats.
 """
 
 import json
+import os
 import sys
+import tempfile
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -405,7 +409,7 @@ def chunk_bytes(request):
 
 # the row faults of test_model_errors_are_unchanged and
 # test_model_errors_keep_their_order, written into save_network's layout
-@pytest.mark.parametrize("pairs,want", [
+MODEL_ROW_FAULTS = [
     ((("1.5, 1.75", "1.5 1.75"),),
      "model parse error at line 11 column 11: Expecting ',' delimiter"),
     ((("0.5", "true"),), "layer 0 weights: expected numbers, found bool"),
@@ -428,14 +432,17 @@ def chunk_bytes(request):
     ((("[0.125, 0.375]", '"x"'), ("2.25", "1" + "0" * 400)),
      "layer 0: key 'bias' has wrong type str"),
     ((("0.875", "true"),), "layer 1 bias: expected numbers, found bool"),
-])
+]
+
+
+@pytest.mark.parametrize("pairs,want", MODEL_ROW_FAULTS)
 def test_model_row_faults_are_unchanged(chunk_bytes, pairs, want):
     data = edit(save_network(BLOCK_NET), *pairs)
     assert assert_same_as_whole_parse(load_network, data) == (FormatError, want)
 
 
 # the row faults of test_scene_errors_are_unchanged, written into save_scene's layout
-@pytest.mark.parametrize("pairs,want", [
+SCENE_ROW_FAULTS = [
     ((("0.5", "true"),), "scene data: expected numbers, found bool"),
     ((("1.25", "1" + "0" * 400),), "scene data: integer too large for a float"),
     ((("0.75, 1.25", "0.75"),), "scene data: expected 4 values, got 3"),
@@ -445,7 +452,10 @@ def test_model_row_faults_are_unchanged(chunk_bytes, pairs, want):
     ((("[0, 0, 2, 2]", '{\n"data": [\n1\n]\n}'),), "roi 0: expected an array of integers"),
     ((("0.25, 0.5,", "0.25, 0.5,,"),),
      "scene parse error at line 9 column 11: Expecting value"),
-])
+]
+
+
+@pytest.mark.parametrize("pairs,want", SCENE_ROW_FAULTS)
 def test_scene_row_faults_are_unchanged(chunk_bytes, pairs, want):
     data = edit(save_scene(BLOCK_SCENE), *pairs)
     assert assert_same_as_whole_parse(load_scene, data) == (FormatError, want)
@@ -454,7 +464,7 @@ def test_scene_row_faults_are_unchanged(chunk_bytes, pairs, want):
 UTF8_BOM = b"\xef\xbb\xbf"
 
 
-@pytest.mark.parametrize("change", [
+ODD_LAYOUTS = [
     # the parse of the whole document judges each of these
     lambda d: d.replace(b"0.5, 0.75,\n", b"0.5, 0.75\n"),  # a row without its comma
     lambda d: d.replace(b"1.75\n]", b"1.75,\n]"),  # a comma after the last row
@@ -495,7 +505,10 @@ UTF8_BOM = b"\xef\xbb\xbf"
     lambda d: d.replace(b"0.5", b"5e-1").replace(b"1.5", b"15E-1").replace(b"2.5", b"-0"),
     lambda d: d.replace(b'"activation": "identity"', b'"weights": [\n1.0\n],\n"activation": "identity"'),
     lambda d: d.replace(b'"labels"', b'"\\u0077eights": [\n1\n],\n"labels"'),
-])
+]
+
+
+@pytest.mark.parametrize("change", ODD_LAYOUTS)
 def test_block_faults_and_odd_layouts_are_read_as_the_whole_parse(chunk_bytes, change):
     data = change(save_network(BLOCK_NET))
     assert data != save_network(BLOCK_NET)
@@ -584,3 +597,161 @@ def test_a_load_holds_its_text_and_about_one_copy_of_the_arrays(tmp_path):
     array_bytes = sum(lay.weights.nbytes + lay.bias.nbytes for lay in net.layers)
     peak = traced_peak(lambda p: load_network(p.read_bytes()), path)
     assert peak < text_bytes + 2 * array_bytes
+
+
+# -- the block path from a file: read a piece at a time ---------------------------
+#
+# A binary file is read _CHUNK_BYTES at a time, so with 1, 7 and 40 rows and
+# opener lines are cut by reads at every offset; each case above must come
+# out the same as from bytes.
+
+
+@pytest.fixture(params=[1, 7, 40])
+def read_size(request):
+    with mock.patch.object(_jsonio, "_CHUNK_BYTES", request.param):
+        yield request.param
+
+
+def from_file(load, data: bytes):
+    """load(f) for a seekable binary file f that holds data."""
+    with tempfile.TemporaryFile() as f:
+        f.write(data)
+        f.seek(0)
+        return load(f)
+
+
+def assert_file_reads_as_the_whole_parse(load, data):
+    want = outcome(lambda d: whole_parse_only(load, d), data)
+    assert outcome(lambda d: from_file(load, d), data) == want
+    return want
+
+
+def test_saved_files_take_the_block_path_from_a_file(read_size):
+    for data, arrays in ((save_network(BLOCK_NET), ("weights", "bias")),
+                         (save_scene(BLOCK_SCENE), ("data",))):
+        assert from_file(lambda f: _jsonio._block_doc(f, arrays), data) is not None
+    assert from_file(load_network, save_network(BLOCK_NET)) == BLOCK_NET
+    assert from_file(load_scene, save_scene(BLOCK_SCENE)).fmap == BLOCK_SCENE.fmap
+
+
+def test_a_file_is_read_from_where_it_stands():
+    data = save_network(BLOCK_NET)
+    with tempfile.TemporaryFile() as f:
+        f.write(b"ignored" + data)
+        f.seek(len(b"ignored"))
+        assert load_network(f) == BLOCK_NET
+        # a file the block path declines is read again from there, whole
+        f.seek(0)
+        f.write(b"ignored" + data.replace(b"\n", b"\r\n"))
+        f.seek(len(b"ignored"))
+        assert load_network(f) == BLOCK_NET
+
+
+@pytest.mark.parametrize("pairs,want", MODEL_ROW_FAULTS)
+def test_model_row_faults_from_a_file_are_unchanged(read_size, pairs, want):
+    data = edit(save_network(BLOCK_NET), *pairs)
+    assert assert_file_reads_as_the_whole_parse(load_network, data) == (FormatError, want)
+
+
+@pytest.mark.parametrize("pairs,want", SCENE_ROW_FAULTS)
+def test_scene_row_faults_from_a_file_are_unchanged(read_size, pairs, want):
+    data = edit(save_scene(BLOCK_SCENE), *pairs)
+    assert assert_file_reads_as_the_whole_parse(load_scene, data) == (FormatError, want)
+
+
+@pytest.mark.parametrize("change", ODD_LAYOUTS)
+def test_block_faults_and_odd_layouts_from_a_file_are_read_as_the_whole_parse(read_size, change):
+    assert_file_reads_as_the_whole_parse(load_network, change(save_network(BLOCK_NET)))
+
+
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xe2\x82"])
+def test_bytes_that_are_not_utf8_from_a_file_are_a_format_error(read_size, bad):
+    # a byte sequence cut short or invalid, in a row and at the very end
+    for data in (save_network(BLOCK_NET).replace(b"1.5", b"1." + bad + b"5"),
+                 save_network(BLOCK_NET) + bad):
+        cls, msg = assert_file_reads_as_the_whole_parse(load_network, data)
+        assert cls is FormatError and msg.startswith("model file is not UTF-8: ")
+
+
+def test_a_fault_found_mid_stream_reads_the_file_again(tmp_path):
+    data = save_network(gen_network([40, 30, 5], seed=2))
+    close = data.rindex(b"\n],\n")  # the closing line of the last block
+    row = data.rindex(b"\n", 0, close) + 1
+    data = data[:row] + b"true, " + data[row:]
+    path = tmp_path / "m.net"
+    path.write_bytes(data)
+    block_doc, stops = _jsonio._block_doc, []
+
+    def spy(f, arrays):
+        doc = block_doc(f, arrays)
+        stops.append((doc, f.tell()))
+        return doc
+
+    with mock.patch.object(_jsonio, "_CHUNK_BYTES", 7), \
+            mock.patch.object(_jsonio, "_block_doc", spy), \
+            mock.patch.object(_jsonio, "_loads", wraps=_jsonio._loads) as loads:
+        with open(path, "rb") as f:
+            got = outcome(load_network, f)
+    [(doc, stopped_at)] = stops
+    # the block path gave up past the fault and before the end, then the
+    # whole parse read the file again from its start
+    assert doc is None and close < stopped_at < len(data)
+    assert loads.call_args.args[0] == data
+    assert got == outcome(load_network, data) == (
+        FormatError, "layer 1 weights: expected numbers, found bool")
+
+
+def test_a_pipe_is_read_whole_and_gives_the_same_network(tmp_path):
+    net = gen_network([20, 10, 3], sparsity=0.3, seed=4)
+    fifo = tmp_path / "m.net"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(save_network(net),), daemon=True)
+    writer.start()
+    try:
+        with open(fifo, "rb") as f:
+            assert not f.seekable()
+            got = load_network(f)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert_same_network(got, net)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda rc: st.tuples(st.just(rc), st.lists(_tokens, min_size=rc[0] * rc[1],
+                                                   max_size=rc[0] * rc[1]))),
+    chunk=st.sampled_from([1, 7, 40]),
+)
+def test_block_rows_from_a_file_convert_as_the_plain_parse(shape, chunk):
+    (rows, cols), tokens = shape
+    lines = [", ".join(tokens[r * cols : (r + 1) * cols]) for r in range(rows)]
+    text = "\n".join([
+        "{", '"version": 1,', '"labels": null,', '"layers": [', "{",
+        '"activation": "identity",', f'"rows": {rows},', f'"cols": {cols},',
+        '"weights": [', ",\n".join(lines), "],", f'"bias": [{", ".join(["0.5"] * rows)}]',
+        "}", "]", "}", "",
+    ]).encode()
+    with mock.patch.object(_jsonio, "_CHUNK_BYTES", chunk):
+        assert from_file(lambda f: _jsonio._block_doc(f, ("weights", "bias")), text) is not None
+        doc = from_file(lambda f: _jsonio.parse_doc(f, "model", arrays=("weights", "bias")), text)
+        got = doc["layers"][0]["weights"]
+        want = np.array(json.loads(text)["layers"][0]["weights"], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert outcome(lambda d: from_file(load_network, d), text) == outcome(load_network, text)
+
+
+def test_a_load_from_a_file_holds_about_one_copy_of_the_arrays(tmp_path):
+    # no text and no second copy: the parsed arrays become the layers'
+    net = gen_network([1024, 1024, 10], seed=3)
+    path = tmp_path / "m.net"
+    path.write_bytes(save_network(net))
+    array_bytes = sum(lay.weights.nbytes + lay.bias.nbytes for lay in net.layers)
+
+    def load(p):
+        with open(p, "rb") as f:
+            return load_network(f)
+
+    assert traced_peak(load, path) < 1.5 * array_bytes

@@ -128,6 +128,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             lay.weights[0, 0] = 9.0
 
+    def test_a_layer_copies_the_caller_arrays_and_a_loaded_one_keeps_the_parsed(self):
+        w, b = np.ones((2, 3)), np.zeros(2)
+        lay = DenseLayer(w, b)
+        assert not np.shares_memory(lay.weights, w) and not np.shares_memory(lay.bias, b)
+        assert w.flags.writeable and b.flags.writeable
+        # the loader hands over arrays nothing else holds, so they are not copied
+        kept = DenseLayer._adopt(w, b, ActivationKind.RELU)
+        assert np.shares_memory(kept.weights, w) and np.shares_memory(kept.bias, b)
+        assert not kept.weights.flags.writeable and not kept.bias.flags.writeable
+        with pytest.raises(ValidationError, match="bias has 3 entries"):
+            DenseLayer._adopt(w, np.zeros(3), ActivationKind.RELU)
+
 
 class TestParamCount:
     def test_3_4_2(self):

@@ -165,6 +165,14 @@ class TestFeatureMap:
         with pytest.raises(ValueError):
             fm.data[0, 0, 0] = 1.0
 
+    def test_a_map_copies_the_caller_array_and_a_loaded_one_keeps_the_parsed(self):
+        a = np.ones((1, 2, 2))
+        assert not np.shares_memory(FeatureMap(a).data, a) and a.flags.writeable
+        kept = FeatureMap._adopt(a)
+        assert np.shares_memory(kept.data, a) and not kept.data.flags.writeable
+        with pytest.raises(ContractViolation, match="negative"):
+            FeatureMap._adopt(-a)
+
 
 class TestRoi:
     def test_degenerate_rejected(self):
