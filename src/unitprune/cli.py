@@ -9,21 +9,35 @@ Inputs: each model and scene file is opened in a with block and handed to
 its loader, which reads it a piece at a time, so a command never holds a
 model's text; a pipe is read whole. The small inputs (probes, scores,
 reports, label maps) are read whole as bytes.
+
+Parse cache: a model or scene that gen-net, gen-scene, prune or topn writes
+to a regular file is also kept as its parsed arrays, in an entry named by
+the BLAKE2b digest of the file's bytes, under $XDG_CACHE_HOME/unitprune
+(~/.cache/unitprune by default). A later command that loads a regular file
+with those exact bytes builds the object from the entry, through the same
+checks as the loader, instead of parsing the text; any other file, a pipe,
+and any entry in doubt take the parse. An entry is trusted only when it and
+the directory are owned by the user and not writable by group or others,
+and its checksum matches. The entries are capped at 256 MiB together, the
+least recently used removed first. The cache never changes an output byte,
+a message or an exit code, and one it cannot use is silent. Remove the
+directory to clear it; XDG_CACHE_HOME=/dev/null (no directory can be made
+there) turns it off.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import os
 import stat
 import sys
-from collections.abc import Iterable
 
 import numpy as np
 
-from . import _jsonio
+from . import _cache, _jsonio
 from .errors import ContractViolation, FormatError, UsageError
 from .model import _network_fields, check_finite, forward, gen_network, load_network
 from .prune import (
@@ -69,44 +83,58 @@ class _Input(io.FileIO):
         return os.fstat(self.fileno()).st_size
 
 
-def _load(load, path: str):
-    """load(file) on the file at path, which it reads a piece at a time; closed on return.
+def _load(what: str, path: str):
+    """The "model" or "scene" at path: from the parse cache when it holds the file's bytes.
 
-    A pipe or a device cannot seek, so the loader reads it whole first.
+    Otherwise the file goes to its loader, which reads it a piece at a time;
+    a pipe or a device cannot seek, so the loader reads it whole first. The
+    file is closed on return.
     """
     with _Input(path) as f:
-        return load(f)
+        got = _cache.fetch(f, what)
+        if got is None:
+            got = (load_network if what == "model" else load_scene)(f)
+        return got
 
 
-def _write(outputs: list[tuple[str, Iterable[bytes]]]) -> None:
-    """Stream each (path, chunks) output to its file, all moved into place at the end.
+def _write(outputs: list[tuple]) -> None:
+    """Stream each (path, chunks[, obj]) output to its file, all moved into place at the end.
 
-    Each output goes to a new file beside its path, created with the mode a
-    plain write would give, and every one is renamed into place only after
-    all are complete, so a failed write neither creates an output nor
-    truncates one. A path that names a device or pipe is written in place,
-    since renaming over it would replace it. Two outputs that name the same
-    file are a usage error, raised before any file is created: one document
-    would silently replace the other.
+    Every destination is checked before any file is created: an empty path
+    or a directory is an IsADirectoryError, and two outputs that name the
+    same file are a usage error, since one document would silently replace
+    the other. Each output then goes to a new file beside its path, created
+    with the mode a plain write would give, and every one is renamed into
+    place only after all are complete, so a failed write neither creates an
+    output nor truncates one. A path that names a device or pipe is written
+    in place, since renaming over it would replace it.
+
+    obj, when given, is the Network or Scene the chunks encode. Its bytes are
+    hashed as they stream to a regular file, and once every output is in
+    place, obj goes into the parse cache under that digest.
     """
-    seen: dict[str, str] = {}  # real path -> the output that named it first
-    for path, _ in outputs:
-        try:
-            if not stat.S_ISREG(os.stat(path).st_mode):
-                continue  # a device or pipe takes each output in turn
-        except OSError:
-            pass  # a new file, or one the write below reports
-        real = os.path.realpath(path)
-        if real in seen:
-            raise UsageError(f"outputs {seen[real]!r} and {path!r} name the same file")
-        seen[real] = path
+    root = _cache.directory() if any(len(out) > 2 for out in outputs) else None
     temps: list[tuple[str, str, str]] = []  # (temporary, destination, output path)
+    kept = []  # (digest, obj) for the parse cache
     try:
-        for path, chunks in outputs:
+        olds = []  # each destination's stat, or None when there is no file yet
+        seen: dict[str, str] = {}  # real path -> the output that named it first
+        for path, *_ in outputs:
             try:
                 old = os.stat(path)
             except FileNotFoundError:
                 old = None
+            if not path or old is not None and stat.S_ISDIR(old.st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            olds.append(old)
+            if old is not None and not stat.S_ISREG(old.st_mode):
+                continue  # a device or pipe takes each output in turn
+            real = os.path.realpath(path)
+            if real in seen:
+                raise UsageError(f"outputs {seen[real]!r} and {path!r} name the same file")
+            seen[real] = path
+        for out, old in zip(outputs, olds):
+            path, chunks = out[:2]
             if old is not None and not stat.S_ISREG(old.st_mode):
                 with open(path, "wb") as f:
                     f.writelines(chunks)
@@ -118,10 +146,17 @@ def _write(outputs: list[tuple[str, Iterable[bytes]]]) -> None:
             # O_EXCL opens no file that already exists; the umask applies to 0o666
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             temps.append((tmp, dest, path))
+            digest = _cache.hasher() if len(out) > 2 and root is not None else None
             with open(fd, "wb") as f:
                 if old is not None:
                     os.fchmod(fd, stat.S_IMODE(old.st_mode))
-                f.writelines(chunks)
+                for chunk in chunks:
+                    f.write(chunk)
+                    if digest is not None:
+                        digest.update(chunk)
+                    del chunk  # freed before the next chunk is formatted
+            if digest is not None:
+                kept.append((digest.digest(), out[2]))
         for tmp, dest, path in temps:
             os.replace(tmp, dest)
     except OSError as e:
@@ -131,6 +166,8 @@ def _write(outputs: list[tuple[str, Iterable[bytes]]]) -> None:
         for tmp, _, _ in temps:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
+    for digest, obj in kept:
+        _cache.store(root, digest, obj)
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -153,7 +190,7 @@ def _parse_thresholds(text: str) -> list[float]:
 
 def _cmd_gen_net(args) -> int:
     net = gen_network(_parse_sizes(args.sizes), sparsity=args.sparsity, seed=args.seed)
-    _write([(args.out, _jsonio.dump_chunks(_network_fields(net)))])
+    _write([(args.out, _jsonio.dump_chunks(_network_fields(net)), net)])
     return 0
 
 
@@ -168,19 +205,19 @@ def _cmd_gen_scene(args) -> int:
         pool_w=args.pool_w,
         seed=args.seed,
     )
-    _write([(args.out, _jsonio.dump_chunks(_scene_fields(sc)))])
+    _write([(args.out, _jsonio.dump_chunks(_scene_fields(sc)), sc)])
     return 0
 
 
 def _cmd_prune(args) -> int:
     if (args.scene is None) == (args.probe is None):
         raise UsageError("exactly one of --scene or --probe is required")
-    net = _load(load_network, args.model)
+    net = _load("model", args.model)
     cfg = PruneConfig(args.tau)
     if args.scene is not None:
         if args.layer != 0:
             raise UsageError("--layer must be 0 when pruning from a scene")
-        sc = _load(load_scene, args.scene)
+        sc = _load("scene", args.scene)
         pruned_net, rep = prune_input_channels(
             net, channel_sums(sc.fmap), sc.pool_h, sc.pool_w, cfg
         )
@@ -193,7 +230,7 @@ def _cmd_prune(args) -> int:
         sel = select_units(_profile_layer(profile, args.layer), cfg, layer=args.layer)
         pruned_net, rep = prune_units(net, args.layer, sel, profile=profile)
     # check every document first, so a refused one leaves no file behind
-    files = [(args.out, _jsonio.dump_chunks(_network_fields(pruned_net)))]
+    files = [(args.out, _jsonio.dump_chunks(_network_fields(pruned_net)), pruned_net)]
     if args.report is not None:
         files.append((args.report, _jsonio.dump_chunks(_report_fields(rep))))
     _write(files)
@@ -201,11 +238,11 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_topn(args) -> int:
-    net = _load(load_network, args.model)
+    net = _load("model", args.model)
     scores = _jsonio.parse_vector(_read(args.scores), "scores")
     pruned_net, label_map, rep = prune_output_topn(net, scores, args.n)
     files = [
-        (args.out, _jsonio.dump_chunks(_network_fields(pruned_net))),
+        (args.out, _jsonio.dump_chunks(_network_fields(pruned_net)), pruned_net),
         (args.labelmap, _jsonio.dump_chunks(_labelmap_fields(label_map))),
     ]
     if args.report is not None:
@@ -215,9 +252,9 @@ def _cmd_topn(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    original = _load(load_network, args.model_a)
-    pruned = _load(load_network, args.model_b)
-    sc = _load(load_scene, args.scene)
+    original = _load("model", args.model_a)
+    pruned = _load("model", args.model_b)
+    sc = _load("scene", args.scene)
     label_map = load_labelmap(_read(args.labelmap)) if args.labelmap is not None else None
     input_keep = None
     bound = None
@@ -242,8 +279,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    net = _load(load_network, args.model)
-    sc = _load(load_scene, args.scene)
+    net = _load("model", args.model)
+    sc = _load("scene", args.scene)
     text = sweep_csv(sweep(net, sc, _parse_thresholds(args.thresholds)))
     if args.out == "-":
         sys.stdout.write(text)

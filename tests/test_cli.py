@@ -516,6 +516,23 @@ def test_a_failed_rename_names_the_output_alone(tmp_path, capsys, monkeypatch):
     assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("report", ["", "work", "work/sub/.."], ids=["empty", "directory", "dotdot"])
+def test_an_output_that_is_a_directory_leaves_no_other_output(tmp_path, capsys, monkeypatch,
+                                                               report):
+    # every destination is checked before any file is made, so p.net is not written either
+    model = gen_net(tmp_path / "m.net", sizes="6,10,4")
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps([0.5] * 6))
+    (tmp_path / "work" / "sub").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    assert run("prune", "--model", model, "--probe", probe, "--out", "work/p.net",
+               "--report", report) == 2
+    assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: {report!r}\n"
+    assert not (tmp_path / "work" / "p.net").exists()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
 def test_a_model_input_measures_its_size_as_its_bytes_do(tmp_path):
     model = gen_net(tmp_path / "m.net")
     with _Input(model) as f:
