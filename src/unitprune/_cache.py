@@ -33,12 +33,6 @@ import stat
 
 import numpy as np
 
-try:
-    # hashlib loads OpenSSL, which adds megabytes to every command's memory
-    from _blake2 import blake2b
-except ImportError:  # pragma: no cover - a Python built without it
-    from hashlib import blake2b
-
 from .model import ActivationKind, DenseLayer, Network
 from .scene import FeatureMap, Scene
 
@@ -57,7 +51,16 @@ _F8, _I8 = np.dtype("<f8"), np.dtype("<i8")
 
 
 def hasher():
-    """A new hash of the kind entries are named by."""
+    """A new hash of the kind entries are named by.
+
+    Its module is imported on first use, so a command that cannot use the
+    cache loads nothing for it. It is CPython's own BLAKE2: hashlib's would
+    load OpenSSL, which adds megabytes to a command's memory.
+    """
+    try:
+        from _blake2 import blake2b
+    except ImportError:  # a Python built without it
+        from hashlib import blake2b
     return blake2b(digest_size=_DIGEST)
 
 

@@ -229,6 +229,7 @@ def _cmd_prune(args) -> int:
         check_finite(profile)
         sel = select_units(_profile_layer(profile, args.layer), cfg, layer=args.layer)
         pruned_net, rep = prune_units(net, args.layer, sel, profile=profile)
+    del net  # the layers pruning replaced go before the write, which sets the peak
     # check every document first, so a refused one leaves no file behind
     files = [(args.out, _jsonio.dump_chunks(_network_fields(pruned_net)), pruned_net)]
     if args.report is not None:

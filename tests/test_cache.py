@@ -413,11 +413,26 @@ def test_entries_are_private_to_the_user(session):
         assert stat.S_IMODE((cache_dir() / name).stat().st_mode) == 0o600
 
 
-def test_the_cache_does_not_load_openssl():
-    code = ("import sys, unitprune.cli; "
-            "sys.exit(int(any(m in sys.modules for m in ('_hashlib', 'hashlib'))))")
+@pytest.mark.parametrize("usable", [True, False], ids=["usable", "unusable"])
+def test_the_hash_never_loads_openssl(tmp_path, monkeypatch, usable):
+    # hashlib would load OpenSSL, megabytes of memory per command; an unusable
+    # cache loads no hash module at all (gen-net is left out: numpy.random
+    # imports hashlib itself)
+    monkeypatch.chdir(tmp_path)
+    assert run("gen-net", "--sizes", "4,3", "--out", "m.net") == 0
+    code = ("import sys, unitprune.cli as cli; "
+            "cli.main(['topn', '--model', 'm.net', '--scores', 's.json', '--n', '2', "
+            "'--out', 't.net', '--labelmap', 't.labels']); "
+            "print(sorted(m for m in ('_blake2', '_hashlib', 'hashlib') if m in sys.modules))")
+    Path("s.json").write_text("[0.1, 0.2, 0.3]")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    if not usable:
+        env["XDG_CACHE_HOME"] = os.devnull
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert Path("t.net").exists()
+    assert entry_of("t.net").exists() == usable
+    assert out == ("['_blake2']\n" if usable else "[]\n")
 
 
 def test_writing_the_same_bytes_again_keeps_the_entry(session, parses):
