@@ -516,7 +516,8 @@ def test_a_failed_rename_names_the_output_alone(tmp_path, capsys, monkeypatch):
     assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("report", ["", "work", "work/sub/.."], ids=["empty", "directory", "dotdot"])
+@pytest.mark.parametrize("report", ["", "work", "work/sub/.."],
+                         ids=["empty", "directory", "dotdot"])
 def test_an_output_that_is_a_directory_leaves_no_other_output(tmp_path, capsys, monkeypatch,
                                                                report):
     # every destination is checked before any file is made, so p.net is not written either
