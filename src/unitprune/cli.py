@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _cache, _jsonio
 from .errors import ContractViolation, FormatError, UsageError
-from .model import _network_fields, check_finite, forward, gen_network, load_network
+from .model import _network_fields, check_finite, forward, gen_network, load_network, param_count
 from .prune import (
     PruneConfig,
     _labelmap_fields,
@@ -261,6 +261,13 @@ def _cmd_eval(args) -> int:
     bound = None
     if args.report is not None:
         rep = load_report(_read(args.report))
+        # a report of another model would pair its bound with this model's deviation
+        made = param_count(original)
+        if rep.params_before != made:
+            raise ContractViolation(
+                f"report was made from a model with {rep.params_before.total} parameters, "
+                f"but --model-a has {made.total}"
+            )
         # a units report bounds its one probe, not the scene's regions
         if rep.kind != "units":
             bound = rep.deviation_bound

@@ -1,16 +1,14 @@
 """Unit pruning transforms and their accounting.
 
-Two primitive rewrites on a dense layer, plus the compositions that keep a
-network consistent:
-
-* backward prune: remove units of layer k itself (weight rows and bias
-  entries). Standalone this only leaves a consistent network on the final
-  layer, where it restricts the output vocabulary (prune_output_topn).
-* forward prune: remove input columns of layer k. Standalone this only makes
-  sense on layer 0, where it shrinks the network's input width
-  (prune_input_channels, driven by per-channel statistics of a scene).
-* prune_units: both at once for a hidden layer k; units leave layer k and
-  their columns leave layer k+1, so the chain stays consistent.
+Every prune keeps some positions of one of the network's vectors. Width 0
+is the input and width len(layers) the output; layer k-1 makes the vector
+at width k (it keeps those weight rows and bias entries) and layer k reads
+it (it keeps those input columns). The private _narrow builds every pruned
+network so; the public transforms choose the width and the positions:
+forward_prune (any layer-0 columns) and prune_input_channels (whole scene
+channels) at the input, prune_units at a hidden width, and backward_prune
+(any final-layer units) and prune_output_topn (the n best-scoring) at the
+output, where the labels follow.
 
 Selections come from activation magnitudes on a probe input, one layer of
 the tuple forward returns. At threshold 0 only units that output exactly
@@ -301,46 +299,51 @@ def _profile_layer(profile: tuple[np.ndarray, ...], k: int) -> np.ndarray:
     return h
 
 
-def _drop_units(lay: DenseLayer, keep: np.ndarray) -> DenseLayer:
-    return DenseLayer(lay.weights[keep], lay.bias[keep], lay.activation)
-
-
-def _drop_inputs(lay: DenseLayer, keep: np.ndarray) -> DenseLayer:
-    return DenseLayer(np.ascontiguousarray(lay.weights[:, keep]), lay.bias, lay.activation)
+def _narrow(net: Network, width: int, keep: np.ndarray) -> Network:
+    """net keeping the keep positions of the vector at width: the rows and bias
+    entries of layer width-1, the input columns of layer width, the labels at the output.
+    """
+    layers, labels = list(net.layers), net.labels
+    if width > 0:
+        lay = layers[width - 1]
+        layers[width - 1] = DenseLayer(lay.weights[keep], lay.bias[keep], lay.activation)
+    if width < len(layers):
+        lay = layers[width]
+        layers[width] = DenseLayer(np.take(lay.weights, keep, axis=1), lay.bias, lay.activation)
+    elif labels is not None:
+        labels = tuple(labels[i] for i in keep)
+    return Network(tuple(layers), labels=labels)
 
 
 def backward_prune(net: Network, layer: int, sel: PruneSelection) -> Network:
-    """Remove the selected units of one layer (weight rows and bias entries).
+    """The output end of pruning: drop the selected units of the final layer.
 
-    Standalone this yields a consistent network only on the final layer,
-    where it shrinks the output (labels are subset accordingly); anywhere
-    else the next layer is left expecting the old width and network
-    validation rejects the result. Pair with a forward prune of layer+1 via
-    prune_units for hidden layers.
+    Their weight rows, bias entries and labels go. A hidden layer's units are
+    also the next layer's inputs, so prune_units prunes those.
     """
     _check_layer(net, layer)
-    lay = net.layers[layer]
-    _check_covers(sel, layer, lay.units, "units", f"layer {layer}")
-    new = _drop_units(lay, sel.kept)
-    labels = net.labels
-    if labels is not None and layer == len(net.layers) - 1:
-        labels = tuple(labels[i] for i in sel.kept)
-    return Network(net.layers[:layer] + (new,) + net.layers[layer + 1 :], labels=labels)
+    if layer != len(net.layers) - 1:
+        raise ContractViolation(
+            f"backward_prune needs the final layer, got hidden layer {layer}; use prune_units"
+        )
+    _check_covers(sel, layer, net.layers[layer].units, "units", f"layer {layer}")
+    return _narrow(net, layer + 1, sel.kept)
 
 
 def forward_prune(net: Network, layer: int, sel: PruneSelection) -> Network:
-    """Remove the selected input columns of one layer.
+    """The input end of pruning: drop the selected input columns of layer 0.
 
-    The new layer computes the same per-unit dot products restricted to the
-    kept inputs, so callers must feed it inputs with the pruned coordinates
-    removed. Standalone this yields a consistent network only on layer 0
-    (the network's input shrinks); for hidden layers use prune_units.
+    The new layer computes the same dot products on the kept inputs, so feed
+    it inputs with the pruned coordinates removed. A hidden layer's inputs
+    are the previous layer's units, so prune_units prunes those.
     """
     _check_layer(net, layer)
-    lay = net.layers[layer]
-    _check_covers(sel, layer, lay.inputs, "inputs", f"layer {layer}")
-    new = _drop_inputs(lay, sel.kept)
-    return Network(net.layers[:layer] + (new,) + net.layers[layer + 1 :], labels=net.labels)
+    if layer != 0:
+        raise ContractViolation(
+            f"forward_prune needs layer 0, got layer {layer}; use prune_units on layer {layer - 1}"
+        )
+    _check_covers(sel, layer, net.layers[layer].inputs, "inputs", f"layer {layer}")
+    return _narrow(net, 0, sel.kept)
 
 
 def prune_units(
@@ -349,7 +352,7 @@ def prune_units(
     sel: PruneSelection,
     profile: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[Network, PruneReport]:
-    """Remove hidden units: backward prune layer, forward prune layer+1.
+    """Remove hidden units: their rows in layer and their columns in layer+1.
 
     With q of p units removed from a layer with m inputs feeding a layer of
     n units, exactly q*(m+1) + n*q parameters and q*m + n*q
@@ -367,18 +370,14 @@ def prune_units(
         raise ContractViolation(
             "prune_units needs a hidden layer; use prune_output_topn for the final layer"
         )
-    lay = net.layers[layer]
-    nxt = net.layers[layer + 1]
-    _check_covers(sel, layer, lay.units, "units", f"layer {layer}")
+    _check_covers(sel, layer, net.layers[layer].units, "units", f"layer {layer}")
     bound = None
     if profile is not None:
         check_finite(profile)
         h = _profile_layer(profile, layer)
         _check_covers(sel, layer, h.shape[0], "units", "the profile")
         bound = column_drop_bound(net, layer + 1, np.abs(h), sel.pruned)
-    new = (_drop_units(lay, sel.kept), _drop_inputs(nxt, sel.kept))
-    layers = net.layers[:layer] + new + net.layers[layer + 2 :]
-    pruned_net = Network(layers, labels=net.labels)
+    pruned_net = _narrow(net, layer + 1, sel.kept)
     report = PruneReport("units", (sel,), param_count(net), param_count(pruned_net), bound)
     return pruned_net, report
 
@@ -386,7 +385,7 @@ def prune_units(
 def prune_input_channels(
     net: Network, sums, pool_h: int, pool_w: int, config: PruneConfig
 ) -> tuple[Network, PruneReport]:
-    """Forward prune layer 0 by dropping whole channels of pooled input.
+    """Prune the network's input by dropping whole channels of pooled input.
 
     sums are per-channel totals of a nonnegative feature map; a channel is
     dropped when its total is <= config.threshold, taking all pool_h*pool_w
@@ -410,7 +409,7 @@ def prune_input_channels(
     csel = select_channels(s, config)
     cols = channel_columns(csel.pruned, s.shape[0], pool_h, pool_w)
     colsel = PruneSelection.from_pruned(cols, n_cols, layer=0)
-    pruned_net = forward_prune(net, 0, colsel)
+    pruned_net = _narrow(net, 0, colsel.kept)
     bound = channel_drop_bound(net, s, pool_h, pool_w, csel.pruned)
     report = PruneReport(
         "input-channels", (colsel,), param_count(net), param_count(pruned_net), bound, csel
@@ -434,13 +433,15 @@ def prune_output_topn(
         raise ContractViolation(
             f"{s.shape[0]} scores for {out_dim} output units"
         )
-    if not 1 <= int(n) <= out_dim:
+    # int(n) would truncate 2.7 and read True as 1
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ContractViolation(f"n must be an integer, got {n!r}")
+    if not 1 <= n <= out_dim:
         raise ContractViolation(f"n must be in 1..{out_dim}, got {n}")
     # stable sort on negated scores: ties resolve to the lower index
     order = np.argsort(-s, kind="stable")
-    last = len(net.layers) - 1
-    sel = PruneSelection.from_pruned(np.sort(order[int(n) :]), out_dim, layer=last)
-    pruned_net = backward_prune(net, last, sel)
+    sel = PruneSelection.from_pruned(np.sort(order[n:]), out_dim, layer=len(net.layers) - 1)
+    pruned_net = _narrow(net, len(net.layers), sel.kept)
     label_map = LabelMap(indices=sel.kept, names=pruned_net.labels)
     report = PruneReport("topn", (sel,), param_count(net), param_count(pruned_net), 0.0)
     return pruned_net, label_map, report

@@ -90,9 +90,10 @@ def _finish(first: DenseLayer, rest: Network, acc: np.ndarray) -> np.ndarray:
     return output(rest, first.activate(acc))
 
 
-def _same_first_layer(original: DenseLayer, pruned: DenseLayer, keep: np.ndarray | None) -> bool:
-    """Whether pruned is original on the keep columns, byte for byte."""
-    return pruned == (original if keep is None else prune._drop_inputs(original, keep))
+def _same_first_layer(original: Network, pruned: Network, keep: np.ndarray | None) -> bool:
+    """Whether pruned's first layer is original's on the keep columns, byte for byte."""
+    first = Network(original.layers[:1])
+    return pruned.layers[0] == (first if keep is None else prune._narrow(first, 0, keep)).layers[0]
 
 
 def _region_blocks(scene: Scene, fmap: FeatureMap | None) -> Iterator[np.ndarray]:
@@ -207,9 +208,7 @@ def compare_outputs(
     width = original.input_dim
 
     dev = _Deviation(kept_out)
-    shared = bool(original.layers and pruned.layers) and _same_first_layer(
-        original.layers[0], pruned.layers[0], keep
-    )
+    shared = bool(original.layers and pruned.layers) and _same_first_layer(original, pruned, keep)
     if shared:
         first, rest_a, rest_b = original.layers[0], original.layers[1:], pruned.layers[1:]
         same_rest = rest_a == rest_b

@@ -267,6 +267,30 @@ class TestEval:
         doc = self.read_json(capsys)
         assert doc["max_abs"] == 3.178560087590656 and doc["bound"] is None
 
+    def test_report_of_another_model_is_refused(self, tmp_path, capsys):
+        # a topn report certifies 0.0; printed next to another pair's max_abs
+        # it would be a false certificate
+        scene = gen_scene_file(tmp_path / "s.scene", c=8, h=5, w=5, n_rois=6,
+                               pool_h=2, pool_w=2, seed=1)
+        small = gen_net(tmp_path / "small.net", sizes="16,4", sparsity=0.0, seed=2)
+        scores = tmp_path / "scores.json"
+        scores.write_text("[0.1, 0.9, 0.3, 0.8]")
+        report = tmp_path / "t.report"
+        assert run("topn", "--model", small, "--scores", scores, "--n", 4, "--out",
+                   tmp_path / "t.net", "--labelmap", tmp_path / "t.labels",
+                   "--report", report) == 0
+        a = gen_net(tmp_path / "a.net", sizes="32,6,4", sparsity=0.0, seed=3)
+        b = gen_net(tmp_path / "b.net", sizes="32,6,4", sparsity=0.0, seed=4)
+        capsys.readouterr()
+        assert run("eval", "--model-a", a, "--model-b", b, "--scene", scene,
+                   "--report", report) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: report was made from a model with 68 parameters, "
+            "but --model-a has 226\n"
+        )
+
     def test_missing_labelmap_for_narrow_model(self, tmp_path):
         scene = gen_scene_file(tmp_path / "s.scene", c=4, h=3, w=3, n_rois=2,
                                pool_h=1, pool_w=1, seed=4)

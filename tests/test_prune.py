@@ -14,8 +14,10 @@ from unitprune.model import (
     ParamCount,
     forward,
     gen_network,
+    load_network,
     output,
     param_count,
+    save_network,
 )
 from unitprune.prune import (
     LabelMap,
@@ -173,6 +175,13 @@ class TestForwardPrune:
         with pytest.raises(ContractViolation, match="layer 0"):
             forward_prune(net, 1, PruneSelection.from_pruned((0,), 3, layer=1))
 
+    @pytest.mark.parametrize("layer", [1, 2])
+    def test_hidden_layer_names_prune_units(self, layer):
+        net = gen_network([4, 3, 5, 2], seed=0)
+        width = net.layers[layer].inputs
+        with pytest.raises(ContractViolation, match=f"prune_units on layer {layer - 1}"):
+            forward_prune(net, layer, PruneSelection.from_pruned((0,), width, layer=layer))
+
 
 class TestBackwardPrune:
     def test_drop_rows_case(self):
@@ -203,6 +212,14 @@ class TestBackwardPrune:
         with pytest.raises(ContractViolation, match="layer"):
             backward_prune(net, 0, PruneSelection.from_pruned((0,), 3))
 
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_hidden_layer_names_prune_units(self, layer):
+        net = gen_network([4, 3, 5, 2], seed=0)
+        units = net.layers[layer].units
+        message = f"final layer, got hidden layer {layer}; use prune_units"
+        with pytest.raises(ContractViolation, match=message):
+            backward_prune(net, layer, PruneSelection.from_pruned((0,), units, layer=layer))
+
 
 class TestPruneUnits:
     def test_param_counts_3_4_2(self):
@@ -230,6 +247,26 @@ class TestPruneUnits:
             pruned, rep = prune_units(net, k, sel, profile=prof)
             assert output(pruned, x).tobytes() == output(net, x).tobytes()
             assert rep.deviation_bound == 0.0
+
+    def test_zero_units_of_two_layers_compose_in_either_order(self):
+        # each prune keeps the other layer's units, so both selections apply
+        # to either intermediate network and the results are the same bytes
+        net = gen_network([10, 16, 8, 4], sparsity=0.5, seed=21)
+        x = np.random.default_rng(3).uniform(-1, 1, size=10)
+        prof = forward(net, x)
+        sels = [select_units(prof[k], PruneConfig(0.0), layer=k) for k in (0, 1)]
+        assert all(len(sel.pruned) for sel in sels)
+        done = []
+        for order in ((0, 1), (1, 0)):
+            pruned = net
+            for k in order:
+                pruned, rep = prune_units(pruned, k, sels[k], profile=prof)
+                assert rep.deviation_bound == 0.0
+            done.append(save_network(pruned))
+            assert output(pruned, x).tobytes() == output(net, x).tobytes()
+        assert done[0] == done[1]
+        units = [lay.units for lay in load_network(done[0]).layers]
+        assert units == [16 - len(sels[0].pruned), 8 - len(sels[1].pruned), 4]
 
     def test_final_layer_rejected(self):
         net = gen_network([3, 4, 2], seed=0)
@@ -349,6 +386,17 @@ class TestTopN:
             prune_output_topn(net, [1.0, 2.0], 0)
         with pytest.raises(ContractViolation):
             prune_output_topn(net, [1.0, 2.0], 3)
+
+    @pytest.mark.parametrize("n", [2.7, 2.0, True, "3", None])
+    def test_n_must_be_an_integer(self, n):
+        net = gen_network([3, 4], seed=0)
+        with pytest.raises(ContractViolation, match="n must be an integer"):
+            prune_output_topn(net, [1.0, 2.0, 3.0, 4.0], n)
+
+    def test_numpy_integer_n(self):
+        net = gen_network([3, 4], seed=0)
+        pruned, lm, _ = prune_output_topn(net, [1.0, 2.0, 3.0, 4.0], np.int64(2))
+        assert lm.indices.tolist() == [2, 3] and pruned.output_dim == 2
 
     def test_labels_carried(self):
         net = Network((id_layer([[1], [2], [3]], [0, 0, 0]),), labels=("a", "b", "c"))
