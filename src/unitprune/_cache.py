@@ -159,10 +159,10 @@ def _evict(root: str) -> None:
 
 
 def fetch(f, kind: str):
-    """The "model" or "scene" held for the bytes of f from where it stands, or None.
+    """The "model" or "scene" held for the bytes of f from where it stands, and their digest.
 
     f is an open binary file; only a regular file is looked up, and it is
-    left where it stood.
+    left where it stood. None when there is no usable entry.
     """
     try:
         if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
@@ -175,15 +175,17 @@ def fetch(f, kind: str):
             digest = _digest_of(f)
         finally:
             f.seek(here)
-        return _entry(os.path.join(root, digest.hex()), digest.hex(), kind)
+        got = _entry(os.path.join(root, digest.hex()), digest.hex(), kind)
+        return None if got is None else (got, digest)
     except (OSError, ValueError, LookupError, TypeError):
         # unreadable, or an entry not as store writes it (the loaders' checks
         # raise ValueErrors): the caller parses the file
         return None
 
 
-def _digest_of(f) -> bytes:
-    h, buf = hasher(), bytearray(_READ)
+def _digest_of(f, h=None) -> bytes:
+    """The digest of f's bytes from where it stands to its end, fed to h (a new hash by default)."""
+    h, buf = hasher() if h is None else h, bytearray(_READ)
     with memoryview(buf) as view:
         while n := f.readinto(buf):
             h.update(view[:n])

@@ -71,6 +71,7 @@ import json
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -98,9 +99,22 @@ _SENTINEL = "-0.0E-0000"
 
 
 class Rows(NamedTuple):
-    """A 2-D float array to write flat, one row per line."""
+    """A 2-D float array to write flat, one row per line.
+
+    text, when given, is an iterator of each row's line as the writer formats
+    the array, without its comma or newline, written in place of the formatted rows.
+    """
 
     array: np.ndarray
+    text: Iterator[bytes] | None = None
+
+
+class Stale(Exception):
+    """A stream found the text it copies changed; chunks is the document formatted instead."""
+
+    def __init__(self, chunks: Iterator[bytes]):
+        super().__init__("copied text changed")
+        self.chunks = chunks
 
 
 class Lines(list):
@@ -141,7 +155,7 @@ def _bracket(open_: str, parts: list[list[str]], close: str) -> list[str]:
 
 
 def _lines(v, key: str) -> list:
-    """The lines of v; a checked Rows body stays an array, formatted by _chunks."""
+    """The lines of v; a checked Rows body stays a Rows, written by _chunks."""
     if isinstance(v, dict):
         return _bracket("{", [_field(k, x) for k, x in v.items()], "}")
     if isinstance(v, Lines):
@@ -150,7 +164,7 @@ def _lines(v, key: str) -> list:
         if v.array.size == 0:
             return ["[]"]
         _check_finite(v.array, key)
-        return ["[", v.array, "]"]
+        return ["[", v, "]"]
     return [_inline(v, key)]
 
 
@@ -175,9 +189,15 @@ def _chunks(lines: list) -> Iterator[bytes]:
             continue
         yield "".join(pending).encode("utf-8")
         pending = []
-        step = max(1, _CHUNK_VALUES // line.shape[1])
-        for lo in range(0, len(line), step):
-            yield _row_block(line[lo : lo + step], ",\n" if lo + step < len(line) else "\n")
+        rows, text = line
+        step = max(1, _CHUNK_VALUES // rows.shape[1])
+        for lo in range(0, len(rows), step):
+            hi = min(lo + step, len(rows))
+            end = ",\n" if hi < len(rows) else "\n"
+            if text is None:
+                yield _row_block(rows[lo:hi], end)
+            else:
+                yield b",\n".join(islice(text, hi - lo)) + end.encode("ascii")
     yield "".join(pending).encode("utf-8")
 
 

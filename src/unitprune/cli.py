@@ -1,28 +1,29 @@
 """Command-line surface: generation, pruning, evaluation, sweeps.
 
-Every command is deterministic given its flags (randomness only ever comes
-from --seed, default 0), so repeated invocations produce byte-identical
-output files. Exit codes: 0 success, 1 usage or validation error, 2 I/O or
-parse error.
+Every command is deterministic given its flags (randomness only comes from
+--seed, default 0), so reruns write byte-identical files. Exit codes: 0
+success, 1 usage or validation error, 2 I/O or parse error.
 
-Inputs: each model and scene file is opened in a with block and handed to
-its loader, which reads it a piece at a time, so a command never holds a
-model's text; a pipe is read whole. The small inputs (probes, scores,
-reports, label maps) are read whole as bytes.
+Inputs: a model or scene file is read a piece at a time by its loader (a
+pipe is read whole); the small inputs (probes, scores, reports, label maps)
+are read whole.
 
 Parse cache: a model or scene that gen-net, gen-scene, prune or topn writes
-to a regular file is also kept as its parsed arrays, in an entry named by
-the BLAKE2b digest of the file's bytes, under $XDG_CACHE_HOME/unitprune
-(~/.cache/unitprune by default). A later command that loads a regular file
-with those exact bytes builds the object from the entry, through the same
-checks as the loader, instead of parsing the text; any other file, a pipe,
-and any entry in doubt take the parse. An entry is trusted only when it and
-the directory are owned by the user and not writable by group or others,
-and its checksum matches. The entries are capped at 256 MiB together, the
-least recently used removed first. The cache never changes an output byte,
-a message or an exit code, and one it cannot use is silent. Remove the
-directory to clear it; XDG_CACHE_HOME=/dev/null (no directory can be made
-there) turns it off.
+to a regular file is also kept as its parsed arrays, named by the BLAKE2b
+digest of its bytes, under $XDG_CACHE_HOME/unitprune (~/.cache/unitprune by
+default). A later load of a regular file with those bytes builds the object
+from the entry, through the loader's checks; anything else is parsed. An
+entry is used only when it and the directory are the user's own, not
+writable by group or others, and its checksum matches; together they stay
+under 256 MiB, the least recently used going first. Remove the directory
+to clear it; XDG_CACHE_HOME=/dev/null turns it off. The cache never changes
+an output byte, message or exit code.
+
+Writing: prune and topn of a --model loaded from the cache copy its weight
+rows from the file's text, the writer's own (_reuse). The file is hashed
+again as it is read; if it changed, the output is formatted from the
+arrays before it is renamed into place (an output to a pipe or device then
+fails). Everything else is formatted.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import io
 import os
 import stat
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -84,17 +86,38 @@ class _Input(io.FileIO):
 
 
 def _load(what: str, path: str):
-    """The "model" or "scene" at path: from the parse cache when it holds the file's bytes.
+    """The "model" or "scene" at path: from the parse cache when it holds the file's bytes."""
+    return _load_hashed(what, path)[0]
 
-    Otherwise the file goes to its loader, which reads it a piece at a time;
-    a pipe or a device cannot seek, so the loader reads it whole first. The
-    file is closed on return.
+
+def _load_hashed(what: str, path: str) -> tuple:
+    """The "model" or "scene" at path, and the digest of the bytes the parse cache held.
+
+    The digest is None when the file goes to its loader instead, which reads
+    it a piece at a time; a pipe or a device cannot seek, so the loader reads
+    it whole first. The file is closed on return.
     """
     with _Input(path) as f:
         got = _cache.fetch(f, what)
         if got is None:
-            got = (load_network if what == "model" else load_scene)(f)
+            got = (load_network if what == "model" else load_scene)(f), None
         return got
+
+
+def _pruned_chunks(net, path: str, digest: bytes | None, rep) -> Iterator[bytes]:
+    """The document of net, which rep's selection pruned from the model at path.
+
+    When the parse cache held that file as digest, the weight rows are copied
+    from its text (see _reuse); otherwise every number is formatted.
+    """
+    if digest is None:
+        return _jsonio.dump_chunks(_network_fields(net))
+    from . import _reuse
+
+    # the width and positions prune._narrow kept
+    sel = rep.selections[0]
+    width = 0 if rep.kind == "input-channels" else sel.layer + 1
+    return _reuse.chunks(net, path, digest, width, sel.kept)
 
 
 def _write(outputs: list[tuple]) -> None:
@@ -137,7 +160,7 @@ def _write(outputs: list[tuple]) -> None:
             path, chunks = out[:2]
             if old is not None and not stat.S_ISREG(old.st_mode):
                 with open(path, "wb") as f:
-                    f.writelines(chunks)
+                    _stream(f, chunks, None)
                 continue
             # through a symlink, the file it names is replaced, as a plain write would
             dest = os.path.realpath(path)
@@ -150,11 +173,7 @@ def _write(outputs: list[tuple]) -> None:
             with open(fd, "wb") as f:
                 if old is not None:
                     os.fchmod(fd, stat.S_IMODE(old.st_mode))
-                for chunk in chunks:
-                    f.write(chunk)
-                    if digest is not None:
-                        digest.update(chunk)
-                    del chunk  # freed before the next chunk is formatted
+                digest = _stream(f, chunks, digest)
             if digest is not None:
                 kept.append((digest.digest(), out[2]))
         for tmp, dest, path in temps:
@@ -168,6 +187,26 @@ def _write(outputs: list[tuple]) -> None:
                 os.unlink(tmp)
     for digest, obj in kept:
         _cache.store(root, digest, obj)
+
+
+def _stream(f, chunks, digest):
+    """Write chunks to f, and to digest when given; returns the digest of what f holds.
+
+    A stream that copies text which changed under it raises _jsonio.Stale:
+    what it wrote is then replaced by the formatted document it carries (a
+    pipe, which cannot be rewound, fails with an OSError).
+    """
+    try:
+        for chunk in chunks:
+            f.write(chunk)
+            if digest is not None:
+                digest.update(chunk)
+            del chunk  # freed before the next chunk is made
+    except _jsonio.Stale as e:
+        f.seek(0)
+        f.truncate()
+        return _stream(f, e.chunks, None if digest is None else _cache.hasher())
+    return digest
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -212,7 +251,7 @@ def _cmd_gen_scene(args) -> int:
 def _cmd_prune(args) -> int:
     if (args.scene is None) == (args.probe is None):
         raise UsageError("exactly one of --scene or --probe is required")
-    net = _load("model", args.model)
+    net, digest = _load_hashed("model", args.model)
     cfg = PruneConfig(args.tau)
     if args.scene is not None:
         if args.layer != 0:
@@ -231,7 +270,7 @@ def _cmd_prune(args) -> int:
         pruned_net, rep = prune_units(net, args.layer, sel, profile=profile)
     del net  # the layers pruning replaced go before the write, which sets the peak
     # check every document first, so a refused one leaves no file behind
-    files = [(args.out, _jsonio.dump_chunks(_network_fields(pruned_net)), pruned_net)]
+    files = [(args.out, _pruned_chunks(pruned_net, args.model, digest, rep), pruned_net)]
     if args.report is not None:
         files.append((args.report, _jsonio.dump_chunks(_report_fields(rep))))
     _write(files)
@@ -239,11 +278,12 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_topn(args) -> int:
-    net = _load("model", args.model)
+    net, digest = _load_hashed("model", args.model)
     scores = _jsonio.parse_vector(_read(args.scores), "scores")
     pruned_net, label_map, rep = prune_output_topn(net, scores, args.n)
+    del net  # the write needs only the pruned model, as in prune
     files = [
-        (args.out, _jsonio.dump_chunks(_network_fields(pruned_net)), pruned_net),
+        (args.out, _pruned_chunks(pruned_net, args.model, digest, rep), pruned_net),
         (args.labelmap, _jsonio.dump_chunks(_labelmap_fields(label_map))),
     ]
     if args.report is not None:
