@@ -28,23 +28,25 @@ and "bias", a scene's "data"), and each comes back as a float64 array. The
 writer lays such a field out as a block: a line that is exactly
 "<name>": [, then one row of numbers per line, each but the last ending in
 a comma, then a line that starts with ]. parse_doc first reads the input in
-that layout, in pieces of about _CHUNK_BYTES: slices of bytes or text held
-in memory, or reads of a binary file from where it stands to its end. Bytes
-are decoded as UTF-8 as they arrive (never through json's own encoding
-detection). After each piece, the whole rows it completed are parsed with
-the same strict json decoder, converted to float64 as np.array(list) would,
-and copied into the field's array; a row the piece cut short waits for the
-next. The array is sized from the density of the text read so far and the
+that layout a line at a time: bytes or text held in memory, or a binary
+file from where it stands to its end (an unbuffered one through a buffer of
+its own). Bytes are decoded as UTF-8 a line at a time, never through json's
+own encoding detection; byte 0x0A occurs in no multi-byte sequence, so no
+character spans two lines. A block's row lines are parsed with the same
+strict json decoder once they hold _CHUNK_BYTES of text and the last ends
+in a comma (a row without one waits, so the parse that holds it fails),
+converted to float64 as np.array(list) would, and copied into the field's
+array. The array is sized from the density of the text read so far and the
 length of the input left, then trimmed, so no pass counts the values
 first. The text outside the blocks, a few hundred bytes, is kept and goes
 through json.loads with each block replaced by a number token no writer
 emits (_SENTINEL), which parse_float swaps for the block's array in
 document order. So duplicate keys and nested objects keep json's
 semantics, and no string, escaped or not, can pass for a block. A load
-from a file holds one piece, one chunk's Python floats and the arrays,
-never the file's text; a load from bytes or text also holds its input.
-A file that cannot seek (a pipe or a device) is read whole first, since
-it cannot be read twice.
+from a file holds a line, one chunk's rows as text and Python floats and
+the arrays, never the file's text; a load from bytes or text also holds
+its input. A file that cannot seek (a pipe or a device) is read whole
+first, since it cannot be read twice.
 
 On any doubt that path gives up, and the whole document is parsed as before
 (a file is read again from where it stood, whole), which stays the one
@@ -66,7 +68,7 @@ parsing.
 
 from __future__ import annotations
 
-import codecs
+import io
 import json
 import os
 from collections.abc import Iterator
@@ -89,9 +91,9 @@ NUMBERS = (list, np.ndarray)
 # Floats a Rows chunk holds (at least one row): bounds the text a write holds at once.
 _CHUNK_VALUES = 32768
 
-# Input read at a time, and so the text of a chunk of rows parsed at once (about
-# 12k floats at 21 bytes a value): bounds the text and Python floats a load holds.
-_CHUNK_BYTES = 1 << 18
+# Row text parsed at once, give or take a row (about 6k floats at 21 bytes a
+# value): bounds the text and Python floats a load holds.
+_CHUNK_BYTES = 1 << 17
 
 # Stands in for a block while the rest of a document is parsed: a JSON number
 # repr never writes (it writes no "E"), so parse_float alone sees it.
@@ -299,80 +301,70 @@ def _in_memory(data) -> bool:
     return isinstance(data, (bytes, bytearray, str))
 
 
-def _pieces(data) -> Iterator[str]:
-    """data as text, about _CHUNK_BYTES at a time; bytes, held or read, are decoded as UTF-8."""
-    step = _CHUNK_BYTES
+def _split(data, newline):
+    """Each line of data with its newline; the last may have none."""
+    start = 0
+    while start < len(data):
+        end = data.find(newline, start) + 1 or len(data)
+        yield data[start:end]
+        start = end
+
+
+def _text_lines(data) -> Iterator[str]:
+    """data's lines as text; bytes, held or read, are decoded as UTF-8 a line at a time."""
     if isinstance(data, str):
-        yield from (data[i : i + step] for i in range(0, len(data), step))
-        return
+        return _split(data, "\n")
     if _in_memory(data):
-        reads = (data[i : i + step] for i in range(0, len(data), step))
-    else:
-        reads = iter(lambda: data.read(step), b"")
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    yield from map(decode, reads)
-    yield decode(b"", True)
+        data = _split(data, b"\n")
+    return (line.decode("utf-8") for line in data)
 
 
 def _block_doc(data, arrays: tuple[str, ...]):
     """parse_doc's document read in the writer's block layout, or None on any doubt.
 
-    data is bytes, text, or a seekable binary file, read from where it stands
-    to its end about _CHUNK_BYTES at a time.
+    data is bytes, text, or a seekable binary file, read a line at a time from
+    where it stands to its end. An unbuffered file (the CLI's FileIO) is read
+    through a buffer that is detached before this returns, so it stays open
+    and a read is not a system call per byte. A block's row lines go to
+    _Block.add about _CHUNK_BYTES at a time, a whole row with its comma last.
     """
-    opener, closer, row_end = '": [\n', "\n]", ",\n"
-    # an opener line, from the newline before it up to the key's closing quote
-    keys = ["\n" + json.dumps(name)[:-1] for name in arrays]
-    # what a search that finds no opener keeps back: a key line cut by a read
-    back = max(map(len, keys)) + len(opener)
+    openers = {json.dumps(name) + ": [\n" for name in arrays}
     if _in_memory(data):
-        size = len(data)
+        unread = len(data)
     else:
         here = data.tell()
-        size = data.seek(0, os.SEEK_END) - here
+        unread = data.seek(0, os.SEEK_END) - here
         data.seek(here)
+    buffered = io.BufferedReader(data) if isinstance(data, io.RawIOBase) else None
     outside, blocks = [], []  # the text outside the blocks, a sentinel for each; the arrays
-    buf, scan, block, read = "", 0, None, 0  # scan: where the next search of buf starts
+    rows, size, block = [], 0, None  # the open block's row lines not parsed yet, their length
     try:
-        for piece in _pieces(data):
-            read += len(piece)
-            buf += piece
-            del piece  # buf alone holds the text
-            while True:
-                if block is None:
-                    i = buf.find(opener, scan)
-                    if i < 0:
-                        scan = max(scan, len(buf) - len(opener) + 1)
-                        keep = max(0, len(buf) - back)
-                        outside.append(buf[:keep])
-                        buf, scan = buf[keep:], scan - keep
-                        break
-                    scan = i + len(opener)
-                    if any(i >= len(k) and buf.startswith(k, i - len(k)) for k in keys):
-                        outside += [buf[: i + 3], f" {_SENTINEL} "]  # through '": '
-                        buf, scan, block = buf[scan - 1 :], 0, _Block()  # from the newline
-                    continue
-                end = buf.find(closer, scan)
-                if end == 0:  # no rows
-                    return None
-                if end > 0:
-                    rows, buf, scan = f"[{buf[:end]}]", buf[end + 2 :], 0  # past the "]"
-                    block.add(rows, 0)
-                    blocks.append(block.array())
-                    block = None
-                    continue
-                # the whole rows read so far; a row cut by the read waits for the next
-                cut = buf.rfind(row_end)
-                if cut >= 0:
-                    rows, buf = f"[{buf[:cut]}]", buf[cut + 1 :]
-                    block.add(rows, size - read + len(buf))
-                scan = max(0, len(buf) - len(closer) + 1)
-                break
-        if block is not None:  # the input ends inside a block
-            return None
-        outside.append(buf)
+        for line in _text_lines(data if buffered is None else buffered):
+            unread -= len(line)
+            if block is None:
+                if line in openers:
+                    line, block = f"{line[:-2]} {_SENTINEL} ", _Block()  # through '": '
+                outside.append(line)
+            elif line.startswith("]"):
+                if not rows:
+                    return None  # no rows
+                text, rows, size = "".join(["[", *rows, "]"]), [], 0
+                block.add(text, 0)
+                blocks.append(block.array())
+                outside.append(line[1:])
+                block = None
+            else:
+                rows.append(line)
+                size += len(line)
+                # whole rows; a row without its comma waits, so the parse that holds it fails
+                if size >= _CHUNK_BYTES and line.endswith(",\n"):
+                    rows[-1] = line[:-2]  # without its comma
+                    text, rows, size = "".join(["[", *rows, "]"]), [], 0
+                    block.add(text, unread)
+        if block is not None or not blocks:
+            return None  # the input ends inside a block, or has none
         rest = "".join(outside)
-        if not blocks or rest.count(_SENTINEL) != len(blocks):
+        if rest.count(_SENTINEL) != len(blocks):
             return None  # the sentinel already occurs outside the blocks
         left = iter(blocks)
 
@@ -385,6 +377,9 @@ def _block_doc(data, arrays: tuple[str, ...]):
     except (ValueError, OverflowError, RecursionError):
         # not the writer's layout, or not valid: the whole-document parse judges it
         return None
+    finally:
+        if buffered is not None:
+            buffered.detach()
 
 
 def parse_doc(data, what: str, arrays: tuple[str, ...] = ()) -> dict:
@@ -394,7 +389,9 @@ def parse_doc(data, what: str, arrays: tuple[str, ...] = ()) -> dict:
     to its end; one that cannot seek (a pipe) is read whole first.
 
     Every object's fields named in arrays that hold only numbers come back
-    as float64 arrays; read them with number_list.
+    as float64 arrays; read them with number_list. The input is first read a
+    line at a time in the writer's block layout (_block_doc); on any doubt it
+    is parsed whole, a file read again from where it stood.
     """
     if not _in_memory(data) and not data.seekable():
         data = data.read()

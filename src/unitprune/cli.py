@@ -4,7 +4,7 @@ Every command is deterministic given its flags (randomness only comes from
 --seed, default 0), so reruns write byte-identical files. Exit codes: 0
 success, 1 usage or validation error, 2 I/O or parse error.
 
-Inputs: a model or scene file is read a piece at a time by its loader (a
+Inputs: a model or scene file is read a line at a time by its loader (a
 pipe is read whole); the small inputs (probes, scores, reports, label maps)
 are read whole.
 
@@ -85,16 +85,11 @@ class _Input(io.FileIO):
         return os.fstat(self.fileno()).st_size
 
 
-def _load(what: str, path: str):
-    """The "model" or "scene" at path: from the parse cache when it holds the file's bytes."""
-    return _load_hashed(what, path)[0]
-
-
-def _load_hashed(what: str, path: str) -> tuple:
+def _load(what: str, path: str) -> tuple:
     """The "model" or "scene" at path, and the digest of the bytes the parse cache held.
 
     The digest is None when the file goes to its loader instead, which reads
-    it a piece at a time; a pipe or a device cannot seek, so the loader reads
+    it a line at a time; a pipe or a device cannot seek, so the loader reads
     it whole first. The file is closed on return.
     """
     with _Input(path) as f:
@@ -251,12 +246,12 @@ def _cmd_gen_scene(args) -> int:
 def _cmd_prune(args) -> int:
     if (args.scene is None) == (args.probe is None):
         raise UsageError("exactly one of --scene or --probe is required")
-    net, digest = _load_hashed("model", args.model)
+    net, digest = _load("model", args.model)
     cfg = PruneConfig(args.tau)
     if args.scene is not None:
         if args.layer != 0:
             raise UsageError("--layer must be 0 when pruning from a scene")
-        sc = _load("scene", args.scene)
+        sc, _ = _load("scene", args.scene)
         pruned_net, rep = prune_input_channels(
             net, channel_sums(sc.fmap), sc.pool_h, sc.pool_w, cfg
         )
@@ -278,7 +273,7 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_topn(args) -> int:
-    net, digest = _load_hashed("model", args.model)
+    net, digest = _load("model", args.model)
     scores = _jsonio.parse_vector(_read(args.scores), "scores")
     pruned_net, label_map, rep = prune_output_topn(net, scores, args.n)
     del net  # the write needs only the pruned model, as in prune
@@ -293,9 +288,9 @@ def _cmd_topn(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    original = _load("model", args.model_a)
-    pruned = _load("model", args.model_b)
-    sc = _load("scene", args.scene)
+    original, _ = _load("model", args.model_a)
+    pruned, _ = _load("model", args.model_b)
+    sc, _ = _load("scene", args.scene)
     label_map = load_labelmap(_read(args.labelmap)) if args.labelmap is not None else None
     input_keep = None
     bound = None
@@ -327,8 +322,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    net = _load("model", args.model)
-    sc = _load("scene", args.scene)
+    net, _ = _load("model", args.model)
+    sc, _ = _load("scene", args.scene)
     text = sweep_csv(sweep(net, sc, _parse_thresholds(args.thresholds)))
     if args.out == "-":
         sys.stdout.write(text)

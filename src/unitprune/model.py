@@ -292,7 +292,7 @@ def _network_fields(net: Network) -> dict:
 def load_network(data: bytes | str | BinaryIO) -> Network:
     """Parse the version-1 text model format from bytes, text or a binary file.
 
-    A file is read a piece at a time, from where it stands to its end.
+    A file is read a line at a time, from where it stands to its end.
 
     Raises FormatError for anything unparseable and ValidationError when the
     parsed layers do not form a consistent network.

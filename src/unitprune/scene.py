@@ -315,7 +315,7 @@ def _scene_fields(scene: Scene) -> dict:
 def load_scene(data: bytes | str | BinaryIO) -> Scene:
     """Parse the version-1 scene format from bytes, text or a binary file.
 
-    A file is read a piece at a time, from where it stands to its end.
+    A file is read a line at a time, from where it stands to its end.
     """
     doc = _jsonio.parse_doc(data, "scene", arrays=("data",))
     del data  # parsed: the input can go before the map is built

@@ -144,8 +144,8 @@ def test_a_hit_is_the_strict_parse(net, sc, monkeypatch):
             # a hit never reaches the loaders
             m.setattr(cli, "load_network", None)
             m.setattr(cli, "load_scene", None)
-            got_net = cli._load("model", model)
-            got_scene = cli._load("scene", scene)
+            got_net, _ = cli._load("model", model)
+            got_scene, _ = cli._load("scene", scene)
     assert_same_network(got_net, ref_net)
     assert_same_scene(got_scene, ref_scene)
     assert got_net == net
@@ -300,7 +300,7 @@ def test_a_file_edited_after_it_was_written_misses(session, parses):
     digit = next(i for i in range(first, len(text)) if text[i] in "123456789")
     edited = text[:digit] + str(int(text[digit]) % 9 + 1) + text[digit + 1:]
     Path("m.net").write_text(edited)
-    got = cli._load("model", "m.net")
+    got, _ = cli._load("model", "m.net")
     assert parses == ["model"]
     assert got == load_network(edited.encode())
     assert got != load_network(text.encode())
@@ -315,7 +315,7 @@ def test_a_fifo_is_never_looked_up(session, monkeypatch, parses):
                               daemon=True)
     writer.start()
     try:
-        got = cli._load("model", str(fifo))
+        got, _ = cli._load("model", str(fifo))
     finally:
         writer.join(timeout=10)
     assert got == load_network(Path("m.net").read_bytes())
@@ -389,7 +389,7 @@ def test_the_cap_evicts_the_least_recently_used(tmp_path, monkeypatch, parses):
     for age, name in zip((200, 100), names):
         os.utime(cache_dir() / name, (now - age, now - age))
     # a hit makes the oldest entry the most recently used
-    assert cli._load("model", "n11.net") == load_network(Path("n11.net").read_bytes())
+    assert cli._load("model", "n11.net")[0] == load_network(Path("n11.net").read_bytes())
     assert parses == []
     size = (cache_dir() / names[0]).stat().st_size
     monkeypatch.setattr(_cache, "_CAP", 2 * size + 50)
@@ -448,10 +448,10 @@ def test_writing_the_same_bytes_again_keeps_the_entry(session, parses):
                          ids=lambda f: f.__name__)
 def test_a_damaged_entry_is_written_anew(session, parses, damage):
     damage(entry_of("p.net"))
-    assert cli._load("model", "p.net") == load_network(Path("p.net").read_bytes())
+    assert cli._load("model", "p.net")[0] == load_network(Path("p.net").read_bytes())
     assert parses == ["model"]
     assert run("prune", "--model", "m.net", "--scene", "s.scene", "--out", "p.net") == 0
     assert stat.S_IMODE(entry_of("p.net").stat().st_mode) == 0o600
     parses.clear()
-    assert cli._load("model", "p.net") == load_network(Path("p.net").read_bytes())
+    assert cli._load("model", "p.net")[0] == load_network(Path("p.net").read_bytes())
     assert parses == []

@@ -7,6 +7,7 @@ same order, as when every field was checked after parsing; and a load must
 hold less memory than json.loads' lists of floats.
 """
 
+import io
 import json
 import os
 import sys
@@ -755,3 +756,94 @@ def test_a_load_from_a_file_holds_about_one_copy_of_the_arrays(tmp_path):
             return load_network(f)
 
     assert traced_peak(load, path) < 1.5 * array_bytes
+
+
+# -- the block path a line at a time ------------------------------------------------
+
+
+class CountingFile(io.FileIO):
+    """An unbuffered file, as the CLI opens, that counts the reads made of it."""
+
+    reads = 0
+
+    def readinto(self, b):
+        self.reads += 1
+        return super().readinto(b)
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("load,data", [
+    (load_network, save_network(gen_network([60, 40, 5], sparsity=0.2, seed=6))),
+    (load_scene, save_scene(gen_scene(6, 9, 9, zero_channels=2, n_rois=3, pool_h=3, pool_w=3,
+                                      seed=6))),
+], ids=["model", "scene"])
+def test_an_unbuffered_file_is_read_through_a_buffer_and_stays_open(tmp_path, load, data, crlf):
+    if crlf:
+        data = data.replace(b"\n", b"\r\n")  # the block path gives up; the whole parse reads
+    path = tmp_path / "f"
+    path.write_bytes(data)
+    want = outcome(load, data)
+    assert want[0] == "ok"
+    with mock.patch.object(_jsonio, "_loads", wraps=_jsonio._loads) as loads:
+        with CountingFile(path) as f:
+            assert outcome(load, f) == want
+            reads = f.reads
+            assert not f.closed and f.read() == b""  # still open, and read to its end
+    # a buffer's worth a read, not one read a byte; CRLF adds the whole read
+    assert reads <= len(data) // io.DEFAULT_BUFFER_SIZE + 2 + crlf
+    assert [c.args[0] for c in loads.call_args_list] == ([data] if crlf else [])
+
+
+# labels the writer would escape, written raw: 2-, 3- and 4-byte UTF-8 sequences
+RAW_LABELS = ["é", "猫", "\U0001f408"]
+
+
+def raw_utf8_model() -> bytes:
+    data = save_network(Network(gen_network([3, 4, 3], seed=2).layers, labels=("a", "b", "c")))
+    return edit(data, ('["a", "b", "c"]', json.dumps(RAW_LABELS, ensure_ascii=False)))
+
+
+def test_raw_utf8_labels_take_the_block_path(read_size):
+    data = raw_utf8_model()
+    assert "\U0001f408".encode() in data
+    for given in (data, data.decode("utf-8")):
+        assert _jsonio._block_doc(given, ("weights", "bias")) is not None
+    assert from_file(lambda f: _jsonio._block_doc(f, ("weights", "bias")), data) is not None
+    want = assert_same_as_whole_parse(load_network, data)
+    assert want == outcome(load_network, data.decode("utf-8"))
+    assert assert_file_reads_as_the_whole_parse(load_network, data) == want
+    assert load_network(data).labels == tuple(RAW_LABELS)
+
+
+@pytest.mark.parametrize("label", RAW_LABELS)
+def test_a_bad_byte_in_a_raw_utf8_label_is_the_same_format_error(read_size, label):
+    raw = label.encode()
+    data = raw_utf8_model().replace(raw, raw[:-1] + b"\xff", 1)
+    cls, msg = assert_same_as_whole_parse(load_network, data)
+    assert cls is FormatError and msg.startswith("model file is not UTF-8: ")
+    assert assert_file_reads_as_the_whole_parse(load_network, data) == (cls, msg)
+
+
+def test_each_chunk_of_rows_is_at_most_chunk_bytes_and_a_row(monkeypatch):
+    # layer 0: 20000 short rows; layer 1: one row longer than a chunk
+    data = save_network(gen_network([4, 20000, 1], seed=7))
+    lines = [len(line) + 1 for line in data.split(b"\n")]  # with their newlines
+    longest, short_row = max(lines), max(n for n in lines if n < _jsonio._CHUNK_BYTES)
+    assert longest > _jsonio._CHUNK_BYTES
+    add, texts = _jsonio._Block.add, []
+
+    def spy(self, rows, rest):
+        texts.append(rows)
+        return add(self, rows, rest)
+
+    monkeypatch.setattr(_jsonio._Block, "add", spy)
+    assert_same_network(load_network(data), plain_network(data))
+    short = [t for t in texts if t.count("\n") > 1]  # layer 0's chunks
+    assert len(short) > 2 and len(texts) == len(short) + 1
+    # each call's text, without its brackets, is whole rows that stop at the first past a chunk
+    assert all(len(text) - 2 <= _jsonio._CHUNK_BYTES + short_row for text in short)
+    assert all(len(text) - 2 <= _jsonio._CHUNK_BYTES + longest for text in texts)

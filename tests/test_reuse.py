@@ -283,7 +283,7 @@ def test_a_source_rewritten_before_the_write_is_formatted(session, monkeypatch, 
     data = Path("m.net").read_bytes()
     changed = change_a_digit(data, weights_line(data, 2) + 1)
     assert len(changed) == len(data) and changed != data
-    load = cli._load_hashed
+    load = cli._load
 
     def load_then_rewrite(what, path):
         got = load(what, path)
@@ -292,7 +292,7 @@ def test_a_source_rewritten_before_the_write_is_formatted(session, monkeypatch, 
             Path(path).write_bytes(changed)
         return got
 
-    monkeypatch.setattr(cli, "_load_hashed", load_then_rewrite)
+    monkeypatch.setattr(cli, "_load", load_then_rewrite)
     assert (run(*argv), outputs(argv)) == want
     assert len(opened) == 1 and opened[0].closed
     assert no_temporaries(session)
@@ -332,7 +332,7 @@ def test_an_output_that_replaces_its_source(session, monkeypatch, opened, comman
     source = Path("m.net").read_bytes()
     want = reference(argv, monkeypatch)
     Path("m.net").write_bytes(source)
-    assert cli._load_hashed("model", "m.net")[1] is not None  # still a cache hit
+    assert cli._load("model", "m.net")[1] is not None  # still a cache hit
     assert (run(*argv), outputs(argv)) == want
     assert len(opened) == 1 and opened[0].closed
     assert no_temporaries(session)
