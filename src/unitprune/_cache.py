@@ -1,24 +1,27 @@
-"""The CLI's cache of the models and scenes it wrote, as parsed arrays keyed by content.
+"""The CLI's cache of the models and scenes it wrote, as documents keyed by content.
 
 A command that writes a model or a scene to a regular file hashes the bytes
 as it streams them (BLAKE2b, 32 bytes). Once every output of the command is
-in place, store keeps the object's float64 and integer arrays and its small
-header in an entry named by that digest, under $XDG_CACHE_HOME/unitprune
-(~/.cache/unitprune when the variable is unset or not an absolute path).
-Loading a regular file hashes its bytes first, and fetch builds the Network
-or Scene from the entry of that name through the same constructors and
-_adopt checks the loaders use. Entries come only from the writer, and the
-strict parse of written bytes gives back the written arrays bit for bit, so
-a hit returns the object the parse would have returned.
+in place, store keeps the object's document in an entry named by that
+digest, under $XDG_CACHE_HOME/unitprune (~/.cache/unitprune when the
+variable is unset or not an absolute path): a header line, the document
+with each number array described by its dtype and shape, then the arrays
+raw. Loading a regular file hashes its bytes first, and fetch puts the
+arrays of the entry of that name back into its document, which the
+loader's own document step (_network_doc or _scene_doc) builds. Entries
+come only from the writer, and the strict parse of written bytes gives back
+the written arrays bit for bit, so a hit returns the object the parse would
+have returned.
 
 An entry is used only when the directory and the entry are owned by the
 user and not writable by group or others, the entry is a regular file (it
 is opened without following a symlink), its header names the kind the
 caller loads and the digest it is filed under, its size matches its header,
-and the BLAKE2b checksum at its end matches what precedes it. Anything else
-is a miss, and the caller parses the file as if there were no cache. The
-entries together stay under _CAP bytes: after each store the least recently
-used entries go first, and a hit refreshes its entry's time.
+the BLAKE2b checksum at its end matches what precedes it, and the loader
+accepts its document. Anything else is a miss, and the caller parses the
+file as if there were no cache. The entries together stay under _CAP bytes:
+after each store the least recently used entries go first, and a hit
+refreshes its entry's time.
 
 Nothing here prints or raises: a cache that cannot be used is silent. To
 clear it, remove the directory; to turn it off, leave no directory it can
@@ -33,13 +36,14 @@ import stat
 
 import numpy as np
 
-from .model import ActivationKind, DenseLayer, Network
-from .scene import FeatureMap, Scene
+from . import _jsonio
+from .model import Network, _network_doc, _network_fields
+from .scene import _scene_doc, _scene_fields
 
 # The most bytes all entries together take; the least recently used go first.
 _CAP = 256 << 20
 
-_MAGIC = b"unitprune parse cache 1\n"
+_MAGIC = b"unitprune parse cache 2\n"
 _DIGEST = 32
 # Input hashed at a time on a lookup, into one reused buffer: below malloc's
 # 128 KiB mmap threshold, which freeing a larger buffer would raise for the
@@ -48,6 +52,8 @@ _READ = 1 << 16
 # The longest header line read (a model's labels are in it).
 _HEAD = 1 << 24
 _F8, _I8 = np.dtype("<f8"), np.dtype("<i8")
+# the dtypes an entry may name: bytes read into another (an object array) could crash
+_DTYPES = {_F8.str: _F8, _I8.str: _I8}
 
 
 def hasher():
@@ -83,19 +89,18 @@ def _trusted(st: os.stat_result, is_kind) -> bool:
     return is_kind(st.st_mode) and st.st_uid == os.geteuid() and not st.st_mode & 0o022
 
 
-def _layout(obj) -> tuple[dict, list[np.ndarray]]:
-    """The header of a Network or Scene and its arrays, in entry order."""
-    if isinstance(obj, Network):
-        head = {
-            "kind": "model",
-            "labels": None if obj.labels is None else list(obj.labels),
-            "layers": [[lay.activation.value, lay.units, lay.inputs] for lay in obj.layers],
-        }
-        return head, [a for lay in obj.layers for a in (lay.weights, lay.bias)]
-    data = obj.fmap.data
-    head = {"kind": "scene", "shape": list(data.shape), "pool": [obj.pool_h, obj.pool_w],
-            "rois": len(obj.rois)}
-    return head, [data, obj.rois]
+def _taken_out(v, arrays: list):
+    """Document value v with each number array moved to arrays, described in its place."""
+    if isinstance(v, dict):
+        return {key: _taken_out(x, arrays) for key, x in v.items()}
+    if isinstance(v, list):
+        return [_taken_out(x, arrays) for x in v]
+    if isinstance(v, _jsonio.Rows):
+        v = v.array.reshape(-1)  # flat, as parse_doc reads a block
+    if isinstance(v, np.ndarray):
+        arrays.append(np.ascontiguousarray(v, _I8 if v.dtype.kind in "iu" else _F8))
+        return {"dtype": arrays[-1].dtype.str, "shape": list(v.shape)}
+    return v
 
 
 def store(root: str, digest: bytes, obj) -> None:
@@ -109,9 +114,12 @@ def store(root: str, digest: bytes, obj) -> None:
     path = os.path.join(root, name)
     tmp = os.path.join(root, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
-        head, arrays = _layout(obj)
-        head["source"] = name
-        arrays = [np.ascontiguousarray(a, _I8 if a.dtype.kind in "iu" else _F8) for a in arrays]
+        kind = "model" if isinstance(obj, Network) else "scene"
+        fields = _network_fields(obj) if kind == "model" else _scene_fields(obj)
+        # "version" as parse_doc gives it; it also makes every header longer than layout 1's
+        doc = {"kind": kind, "source": name, "version": _jsonio.FORMAT_VERSION, **fields}
+        arrays = []
+        head = _taken_out(doc, arrays)
         text = _MAGIC + json.dumps(head).encode("ascii") + b"\n"
         size = len(text) + sum(a.nbytes for a in arrays) + _DIGEST
         if size > _CAP:
@@ -177,9 +185,9 @@ def fetch(f, kind: str):
             f.seek(here)
         got = _entry(os.path.join(root, digest.hex()), digest.hex(), kind)
         return None if got is None else (got, digest)
-    except (OSError, ValueError, LookupError, TypeError):
-        # unreadable, or an entry not as store writes it (the loaders' checks
-        # raise ValueErrors): the caller parses the file
+    except (OSError, ValueError, LookupError, TypeError, MemoryError):
+        # unreadable, or an entry not as store writes it (its header asks for more
+        # memory than there is, or the loader refuses it): the caller parses the file
         return None
 
 
@@ -192,12 +200,6 @@ def _digest_of(f, h=None) -> bytes:
     return h.digest()
 
 
-def _count(v) -> int:
-    if type(v) is not int or v < 0:
-        raise ValueError("not a count")
-    return v
-
-
 def _entry(path: str, name: str, kind: str):
     """The object in the entry at path if every check passes, else None."""
     with open(os.open(path, os.O_RDONLY | os.O_NOFOLLOW), "rb") as f:
@@ -205,44 +207,30 @@ def _entry(path: str, name: str, kind: str):
         if not _trusted(st, stat.S_ISREG) or f.read(len(_MAGIC)) != _MAGIC:
             return None
         line = f.readline(_HEAD)
-        head = json.loads(line)
-        if head["kind"] != kind or head["source"] != name or not line.endswith(b"\n"):
+        arrays = []
+
+        def array(obj: dict):
+            """An array the header describes, unfilled; no document field is named "dtype"."""
+            if "dtype" not in obj:
+                return obj
+            arrays.append(np.empty(obj["shape"], _DTYPES[obj["dtype"]]))
+            return arrays[-1]
+
+        doc = json.loads(line, object_hook=array)
+        if doc["kind"] != kind or doc["source"] != name or not line.endswith(b"\n"):
             return None
-        if kind == "model":
-            layers = [(ActivationKind(act), _count(r), _count(c)) for act, r, c in head["layers"]]
-            sizes = [(_F8, n) for _, r, c in layers for n in (r * c, r)]
-        else:
-            c, h, w = map(_count, head["shape"])
-            sizes = [(_F8, c * h * w), (_I8, 4 * _count(head["rois"]))]
-        if len(_MAGIC) + len(line) + sum(t.itemsize * n for t, n in sizes) + _DIGEST != st.st_size:
+        if len(_MAGIC) + len(line) + sum(a.nbytes for a in arrays) + _DIGEST != st.st_size:
             return None  # truncated, or a header that does not fit the file
         check = hasher()
         check.update(_MAGIC)
         check.update(line)
-        arrays = []
-        for dtype, n in sizes:
-            a = np.empty(n, dtype)
+        for a in arrays:
             if f.readinto(a) != a.nbytes:
                 return None
             check.update(a)
-            arrays.append(a)
         if f.read(_DIGEST) != check.digest():
             os.unlink(path)  # damaged: the next store of these bytes writes it anew
             return None
-        if kind == "model":
-            labels = head["labels"]
-            if labels is not None and not all(type(s) is str for s in labels):
-                return None
-            built = Network(
-                tuple(
-                    DenseLayer._adopt(arrays[2 * k].reshape(r, c), arrays[2 * k + 1], act)
-                    for k, (act, r, c) in enumerate(layers)
-                ),
-                labels=labels,
-            )
-        else:
-            pool_h, pool_w = map(_count, head["pool"])
-            fmap = FeatureMap._adopt(arrays[0].reshape(c, h, w))
-            built = Scene(fmap, arrays[1].reshape(-1, 4), pool_h, pool_w)
+        built = (_network_doc if kind == "model" else _scene_doc)(doc)
         os.utime(f.fileno())  # used now: the last to be evicted
         return built

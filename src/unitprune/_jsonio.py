@@ -7,7 +7,7 @@ that own the types only say which fields a document has.
 dump_doc lays a document out for diffing: a dict goes one key per line, and
 a dict-valued key opens "{" on the next line. A Rows value is a 2-D float
 array written flat, one row per line, or [] when it has no entries; a Lines
-value is written one item per line; anything else is written inline. Floats
+value or a 2-D array goes one item per line; anything else is inline. Floats
 take their shortest round-trip form, so equal documents give equal bytes.
 JSON has no NaN or infinity, so writing one raises ContractViolation.
 
@@ -160,7 +160,7 @@ def _lines(v, key: str) -> list:
     """The lines of v; a checked Rows body stays a Rows, written by _chunks."""
     if isinstance(v, dict):
         return _bracket("{", [_field(k, x) for k, x in v.items()], "}")
-    if isinstance(v, Lines):
+    if isinstance(v, Lines) or isinstance(v, np.ndarray) and v.ndim == 2:
         return _bracket("[", [_lines(x, key) for x in v], "]")
     if isinstance(v, Rows):
         if v.array.size == 0:

@@ -9,10 +9,10 @@ pipe is read whole); the small inputs (probes, scores, reports, label maps)
 are read whole.
 
 Parse cache: a model or scene that gen-net, gen-scene, prune or topn writes
-to a regular file is also kept as its parsed arrays, named by the BLAKE2b
-digest of its bytes, under $XDG_CACHE_HOME/unitprune (~/.cache/unitprune by
-default). A later load of a regular file with those bytes builds the object
-from the entry, through the loader's checks; anything else is parsed. An
+to a regular file is also kept as its document, arrays raw, named by the
+BLAKE2b digest of its bytes, under $XDG_CACHE_HOME/unitprune (~/.cache/unitprune
+by default). A later load of a regular file with those bytes builds the object
+from the entry, through the loader's document step; anything else is parsed. An
 entry is used only when it and the directory are the user's own, not
 writable by group or others, and its checksum matches; together they stay
 under 256 MiB, the least recently used going first. Remove the directory
@@ -206,12 +206,9 @@ def _stream(f, chunks, digest):
 
 def _parse_sizes(text: str) -> list[int]:
     try:
-        sizes = [int(part) for part in text.split(",")]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise UsageError(f"--sizes must be comma-separated integers, got {text!r}") from None
-    if not sizes:
-        raise UsageError("--sizes must name at least one width")
-    return sizes
 
 
 def _parse_thresholds(text: str) -> list[float]:

@@ -292,13 +292,18 @@ def _network_fields(net: Network) -> dict:
 def load_network(data: bytes | str | BinaryIO) -> Network:
     """Parse the version-1 text model format from bytes, text or a binary file.
 
-    A file is read a line at a time, from where it stands to its end.
-
+    A file is read a line at a time, from where it stands to its end; then
+    _network_doc builds the document, as it builds every parse-cache hit.
     Raises FormatError for anything unparseable and ValidationError when the
-    parsed layers do not form a consistent network.
+    layers do not form a consistent network.
     """
     doc = _jsonio.parse_doc(data, "model", arrays=("weights", "bias"))
     del data  # parsed: the input can go before the layers are built
+    return _network_doc(doc)
+
+
+def _network_doc(doc: dict) -> Network:
+    """The Network of a model document whose "weights" and "bias" may be float64 arrays."""
     raw_layers = _jsonio.get(doc, "layers", list, "model")
     layers = []
     for k in range(len(raw_layers)):

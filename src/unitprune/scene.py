@@ -308,17 +308,23 @@ def _scene_fields(scene: Scene) -> dict:
         "pool_h": scene.pool_h,
         "pool_w": scene.pool_w,
         "data": _jsonio.Rows(fm.data.reshape(-1, fm.width)),
-        "rois": _jsonio.Lines(scene.rois),
+        "rois": scene.rois,
     }
 
 
 def load_scene(data: bytes | str | BinaryIO) -> Scene:
     """Parse the version-1 scene format from bytes, text or a binary file.
 
-    A file is read a line at a time, from where it stands to its end.
+    A file is read a line at a time, from where it stands to its end; then
+    _scene_doc builds the document, as it builds every parse-cache hit.
     """
     doc = _jsonio.parse_doc(data, "scene", arrays=("data",))
     del data  # parsed: the input can go before the map is built
+    return _scene_doc(doc)
+
+
+def _scene_doc(doc: dict) -> Scene:
+    """The Scene of a scene document; "rois" is a JSON list, or an (n, 4) integer array."""
     c = _jsonio.get(doc, "C", int, "scene")
     h = _jsonio.get(doc, "H", int, "scene")
     w = _jsonio.get(doc, "W", int, "scene")
@@ -329,9 +335,10 @@ def load_scene(data: bytes | str | BinaryIO) -> Scene:
         raise FormatError(f"scene dimensions must be >= 1, got {c}x{h}x{w}")
     if len(flat) != c * h * w:
         raise FormatError(f"scene data: expected {c * h * w} values, got {len(flat)}")
-    raw_rois = _jsonio.get(doc, "rois", list, "scene")
-    for i, entry in enumerate(raw_rois):
-        if len(_jsonio.int_list(entry, f"roi {i}")) != 4:
-            raise FormatError(f"roi {i}: expected four integers [x0, y0, x1, y1]")
+    raw_rois = _jsonio.get(doc, "rois", (list, np.ndarray), "scene")
+    if isinstance(raw_rois, list):  # a cache hit's (n, 4) array is left to Scene's _boxes
+        for i, entry in enumerate(raw_rois):
+            if len(_jsonio.int_list(entry, f"roi {i}")) != 4:
+                raise FormatError(f"roi {i}: expected four integers [x0, y0, x1, y1]")
     with _jsonio.building("scene"):
         return Scene(FeatureMap._adopt(flat.reshape(c, h, w)), raw_rois, pool_h, pool_w)

@@ -6,6 +6,7 @@ XDG_CACHE_HOME at it).
 
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -455,3 +456,54 @@ def test_a_damaged_entry_is_written_anew(session, parses, damage):
     parses.clear()
     assert cli._load("model", "p.net")[0] == load_network(Path("p.net").read_bytes())
     assert parses == []
+
+
+def layout_1_entry(net: Network, name: str) -> bytes:
+    """net's entry as the first layout kept it: [activation, units, inputs] triples, then arrays."""
+    head = {"kind": "model", "labels": None if net.labels is None else list(net.labels),
+            "layers": [[lay.activation.value, lay.units, lay.inputs] for lay in net.layers],
+            "source": name}
+    body = b"unitprune parse cache 1\n" + json.dumps(head).encode("ascii") + b"\n"
+    for lay in net.layers:
+        body += lay.weights.astype("<f8").tobytes() + lay.bias.astype("<f8").tobytes()
+    h = _cache.hasher()
+    h.update(body)
+    return body + h.digest()
+
+
+def test_an_entry_of_the_first_layout_is_a_miss_and_written_anew(session, capsys, monkeypatch,
+                                                                  parses):
+    # a cache shared with an older version of the CLI holds entries of its layout
+    entry = entry_of("m.net")
+    old = layout_1_entry(load_network(Path("m.net").read_bytes()), entry.name)
+    entry.write_bytes(old)
+    assert stat.S_IMODE(entry.stat().st_mode) == 0o600
+    expected = without_cache(capsys, monkeypatch, EVAL)
+    parses.clear()
+    assert outcome(capsys, EVAL) == expected
+    assert parses == ["model"]
+    assert entry.read_bytes() == old
+    # the same bytes written again replace it: an entry of this layout is never as long
+    assert run("gen-net", "--sizes", "16,8,3", "--seed", 4, "--out", "m.net") == 0
+    assert entry.read_bytes().startswith(_cache._MAGIC) and entry.stat().st_size != len(old)
+    parses.clear()
+    assert cli._load("model", "m.net")[0] == load_network(Path("m.net").read_bytes())
+    assert parses == []
+
+
+@pytest.mark.parametrize("old, new", [
+    (rb'"activation": "identity"', b'"activation": "tanh"'),
+    (rb'"shape": \[\d+\]', b'"shape": [1000000000000000]'),
+], ids=["activation-the-loader-refuses", "an-array-larger-than-memory"])
+def test_a_whole_entry_of_a_refused_document_is_a_miss(session, capsys, monkeypatch, parses,
+                                                       old, new):
+    # the entry is as store writes it, checksum and all, but its document is refused
+    entry = entry_of("p.net")
+    data = re.sub(old, new, entry.read_bytes()[:-_cache._DIGEST], count=1)
+    h = _cache.hasher()
+    h.update(data)
+    entry.write_bytes(data + h.digest())
+    expected = without_cache(capsys, monkeypatch, EVAL)
+    parses.clear()
+    assert outcome(capsys, EVAL) == expected
+    assert parses == ["model"]

@@ -859,3 +859,28 @@ def test_outputs_may_share_a_character_device(tmp_path):
     scene = gen_scene_file(tmp_path / "s.scene", c=2, h=4, w=4, n_rois=3, pool_h=2, pool_w=2)
     assert run("prune", "--model", model, "--scene", scene,
                "--out", os.devnull, "--report", os.devnull) == 0
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["eval", "--model-a", "m.net", "--model-b", "m.net", "--scene", "s.scene"], 1,
+     "error: model expects 16 inputs but the scene pools to 3136"),
+    (["prune", "--model", "list.net", "--scene", "s.scene", "--out", "p.net"], 2,
+     "format error: model: expected a top-level object"),
+    (["prune", "--model", "empty.net", "--scene", "s.scene", "--out", "p.net"], 1,
+     "error: cannot prune the input of an empty network"),
+    (["topn", "--model", "empty.net", "--scores", "scores.json", "--n", 1, "--out", "p.net",
+      "--labelmap", "p.labels"], 1, "error: cannot prune the outputs of an empty network"),
+], ids=["eval-input-width", "top-level-list", "prune-empty-model", "topn-empty-model"])
+def test_a_refused_input_is_one_error_line_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                              argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    gen_net("m.net", sizes="16,8,3", sparsity=0.0)
+    gen_net("empty.net", sizes="4")  # no layers
+    gen_scene_file("s.scene", c=64, h=8, w=8, n_rois=2)  # pools 64 x 7 x 7
+    Path("list.net").write_text("[1, 2]")
+    Path("scores.json").write_text("[0.5]")
+    before = sorted(os.listdir())
+    capsys.readouterr()
+    assert run(*argv) == code
+    assert capsys.readouterr() == ("", message + "\n")
+    assert sorted(os.listdir()) == before

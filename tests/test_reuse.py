@@ -300,6 +300,40 @@ def test_a_source_rewritten_before_the_write_is_formatted(session, monkeypatch, 
     assert load("model", "p.net")[1] == digest_of(want[1]["p.net"])
 
 
+def through_layer_0s_first_row(data: bytes) -> bytes:
+    """data cut after the first weight row line of layer 0: the source ends inside it."""
+    lines = data.split(b"\n")
+    return b"\n".join(lines[: weights_line(data, 0) + 1]) + b"\n"
+
+
+def with_rowless_layer_0(data: bytes) -> bytes:
+    """Another model, whose layer 0 has no input columns: its weights line is "weights": [],"""
+    return save_network(gen_network([0, 3, 2], seed=1))
+
+
+@pytest.mark.parametrize("rewrite", [through_layer_0s_first_row, with_rowless_layer_0],
+                         ids=["ends-early", "rowless-layer-0"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_source_cut_or_replaced_before_the_write_is_formatted(session, monkeypatch, opened,
+                                                                 command, rewrite):
+    argv = COMMANDS[command]
+    want = reference(argv, monkeypatch)
+    load = cli._load
+
+    def load_then_rewrite(what, path):
+        got = load(what, path)
+        if path == "m.net":
+            assert got[1] is not None  # a cache hit
+            Path(path).write_bytes(rewrite(Path(path).read_bytes()))
+        return got
+
+    monkeypatch.setattr(cli, "_load", load_then_rewrite)
+    assert (run(*argv), outputs(argv)) == want
+    assert want[0] == 0
+    assert len(opened) == 1 and opened[0].closed
+    assert no_temporaries(session)
+
+
 def test_a_hand_written_source_is_parsed_and_formatted(session, monkeypatch, opened):
     # tokens the writer never makes: the model is parsed, so nothing is copied
     Path("m.net").write_text(json.dumps({
