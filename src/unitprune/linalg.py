@@ -29,10 +29,18 @@ column the shared array is copied, the dropping members keep the copy and
 the others add the product. matmat is the one-member case of the same loop.
 
 matvec is not the one-row case of that loop, on purpose: np.add.accumulate
-makes the same left-to-right additions along a row in one C call, where the
-loop takes one Python step per live column. One vector at a time is how
-probe mode and column_drop_bound call it (256x3136 layer, 852 live entries,
-2-CPU VM: 1.9 ms per call, against 3.7 ms as a one-row column pass).
+makes the same left-to-right additions along a row in one C call per block,
+where the loop takes one Python step per live column. One vector at a time
+is how probe mode and column_drop_bound call it (256x3136 layer, 852 live
+entries, 2-CPU VM: 1.9 ms per call, against 3.7 ms as a one-row column pass).
+
+Both work on _BLOCK live columns at a time, so neither holds a copy of more
+than one block of its matrix. matvec multiplies one block's columns and
+carries each row's running sum into the block's first column before
+accumulating it: carry + p is the addition accumulate itself makes, with the
+running sum as the first operand, so even a NaN keeps its payload. The
+column pass gathers one block of live rows of xs.T and m.T at a time. The
+products and additions, and their order, are those of one whole pass.
 
 The loop forms each column's products in place, tmp[...] = w_j then
 tmp *= x_j, rather than as one broadcast multiply(x_j, w_j): every entry is
@@ -71,6 +79,11 @@ __all__ = [
     "fmt_float",
 ]
 
+# Columns or rows of a layer an exact pass takes at a time: matvec's live
+# columns, a column pass's live rows of xs.T and m.T, and the row blocks of
+# prune._inf_op_norm and report._same_first_layer. No pass copies a whole layer.
+_BLOCK = 64
+
 
 def vector(data) -> np.ndarray:
     """Coerce to a finite 1-D float64 array."""
@@ -102,6 +115,8 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     is bit-identical even when a whole row's kept set is empty. Only the
     nonzero entries of v are multiplied, by that same argument; m must be
     finite (every DenseLayer is), so a skipped product is ±0.0, never NaN.
+    The live columns are multiplied _BLOCK at a time, each row's running sum
+    carried from one block into the next (module docstring).
     Do not replace this with m @ v: the BLAS path reassociates the sum and
     breaks that guarantee.
     """
@@ -118,12 +133,19 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     if live.size == 0:
         # nothing to add to the +0.0 seed; accumulate needs a column to read
         return np.zeros(rows)
-    prod = m[:, live]
-    prod *= v[live]
-    # 0.0 + x == x for every x except -0.0; this is the accumulator seed
-    prod[:, 0] += 0.0
-    np.add.accumulate(prod, axis=1, out=prod)
-    return np.ascontiguousarray(prod[:, -1])
+    for lo in range(0, live.size, _BLOCK):
+        cols = live[lo : lo + _BLOCK]
+        prod = m[:, cols]
+        prod *= v[cols]
+        if lo:
+            # the running sum is the first operand, as accumulate has it
+            np.add(carry, prod[:, 0], out=prod[:, 0])
+        else:
+            # 0.0 + x == x for every x except -0.0; this is the accumulator seed
+            prod[:, 0] += 0.0
+        np.add.accumulate(prod, axis=1, out=prod)
+        carry = prod[:, -1].copy()
+    return carry
 
 
 def matmat(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -173,32 +195,35 @@ def _column_pass(name: str, m: np.ndarray, xs: np.ndarray, depth, members: int) 
     live = np.flatnonzero(kept)
     if acc.size == 0 or live.size == 0:
         return [acc] * members
-    # one gather per call, so each step reads one contiguous row of xt and wt;
-    # a column-major xs or m is read in place when every column is live
-    xt = _live_rows(xs.T, live)[:, :, None]
-    wt = _live_rows(m.T, live)
     reach = [members] * live.size if depth is None else depth[live].tolist()
     # sums[g] serves members firsts[g] .. firsts[g + 1] - 1; the last first is a bound
     firsts, sums = [0, members], [acc]
     tmp = np.empty_like(acc)
     # finite weights can still overflow; the inf/NaN is the result, not a fault
     with np.errstate(over="ignore", invalid="ignore"):
-        for xj, wj, d in zip(xt, wt, reach):
-            tmp[...] = wj
-            tmp *= xj
-            k = bisect_left(firsts, d)  # groups 0..k-1 start below d and keep column j
-            if d < firsts[k]:
-                # members d.. of group k-1 drop column j: they part here with a copy
-                firsts.insert(k, d)
-                sums.insert(k, sums[k - 1].copy())
-            for s in sums[:k]:
-                s += tmp
+        for lo in range(0, live.size, _BLOCK):
+            # one gather per block, so each step reads one contiguous row of xt and
+            # wt; a column-major xs or m is read in place when every column is live
+            xt = _live_rows(xs.T, live, lo)[:, :, None]
+            wt = _live_rows(m.T, live, lo)
+            for xj, wj, d in zip(xt, wt, reach[lo : lo + _BLOCK]):
+                tmp[...] = wj
+                tmp *= xj
+                k = bisect_left(firsts, d)  # groups 0..k-1 start below d and keep column j
+                if d < firsts[k]:
+                    # members d.. of group k-1 drop column j: they part here with a copy
+                    firsts.insert(k, d)
+                    sums.insert(k, sums[k - 1].copy())
+                for s in sums[:k]:
+                    s += tmp
     return [s for s, lo, hi in zip(sums, firsts, firsts[1:]) for _ in range(lo, hi)]
 
 
-def _live_rows(at: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """at[live], or at itself when live is every row and at is C-contiguous."""
-    return at if live.size == len(at) and at.flags.c_contiguous else at[live]
+def _live_rows(at: np.ndarray, live: np.ndarray, lo: int) -> np.ndarray:
+    """at[live[lo:lo + _BLOCK]], a view of at when live is every row and at is C-contiguous."""
+    if live.size == len(at) and at.flags.c_contiguous:
+        return at[lo : lo + _BLOCK]
+    return at[live[lo : lo + _BLOCK]]
 
 
 def relu(v: np.ndarray) -> np.ndarray:

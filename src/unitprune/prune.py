@@ -302,14 +302,18 @@ def _profile_layer(profile: tuple[np.ndarray, ...], k: int) -> np.ndarray:
 def _narrow(net: Network, width: int, keep: np.ndarray) -> Network:
     """net keeping the keep positions of the vector at width: the rows and bias
     entries of layer width-1, the input columns of layer width, the labels at the output.
+
+    The new layers keep the arrays gathered for them, without a second copy.
     """
     layers, labels = list(net.layers), net.labels
     if width > 0:
         lay = layers[width - 1]
-        layers[width - 1] = DenseLayer(lay.weights[keep], lay.bias[keep], lay.activation)
+        layers[width - 1] = DenseLayer._adopt(lay.weights[keep], lay.bias[keep], lay.activation)
     if width < len(layers):
         lay = layers[width]
-        layers[width] = DenseLayer(np.take(lay.weights, keep, axis=1), lay.bias, lay.activation)
+        weights = np.take(lay.weights, keep, axis=1)
+        # the bias is read-only, so the old and the new layer can both hold it
+        layers[width] = DenseLayer._adopt(weights, lay.bias, lay.activation)
     elif labels is not None:
         labels = tuple(labels[i] for i in keep)
     return Network(tuple(layers), labels=labels)
@@ -451,10 +455,16 @@ def prune_output_topn(
 
 
 def _inf_op_norm(w: np.ndarray) -> float:
-    """Operator norm for the infinity norm: max absolute row sum."""
-    if w.shape[0] == 0:
-        return 0.0
-    return float(np.abs(w).sum(axis=1).max())
+    """Operator norm for the infinity norm: max absolute row sum.
+
+    The rows are taken linalg._BLOCK at a time, so no |w| of the whole layer
+    is made. numpy sums each row on its own, pairwise along the row, so a
+    row's sum does not depend on how many rows are reduced together.
+    """
+    norm = 0.0
+    for lo in range(0, w.shape[0], linalg._BLOCK):
+        norm = max(norm, float(np.abs(w[lo : lo + linalg._BLOCK]).sum(axis=1).max()))
+    return norm
 
 
 def column_drop_bound(net: Network, layer: int, magnitudes, cols: Sequence[int]) -> float:
@@ -474,6 +484,10 @@ def column_drop_bound(net: Network, layer: int, magnitudes, cols: Sequence[int])
     it. The allowance is inflated 8x to absorb second-order terms. When every
     dropped column contributes an exactly-zero product the evaluations are
     bit-identical and the bound is exactly 0.0.
+
+    Only the dropped columns with a nonzero magnitude are gathered (matvec
+    skips the others), and _inf_op_norm reads each layer a block of rows at
+    a time, so the bound holds no copy of a whole layer.
     """
     _check_layer(net, layer)
     w = net.layers[layer].weights
@@ -485,9 +499,13 @@ def column_drop_bound(net: Network, layer: int, magnitudes, cols: Sequence[int])
         )
     if (mags < 0.0).any():
         raise ContractViolation("magnitudes must be nonnegative")
+    # matvec skips zero magnitudes, so only the columns it multiplies are gathered
+    idx = idx[mags[idx] != 0.0]
     if not idx.size:
         return 0.0
-    per_row = linalg.matvec(np.abs(w[:, idx]), mags[idx])
+    dropped = w[:, idx]
+    per_row = linalg.matvec(np.abs(dropped, out=dropped), mags[idx])
+    del dropped  # the norms below read whole layers; no gather is held while they do
     head = float(per_row.max()) if per_row.size else 0.0
     if head == 0.0:
         # every dropped product is +-0.0, so the accumulation is unchanged

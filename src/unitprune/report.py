@@ -15,11 +15,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import _jsonio, linalg, prune
+from . import _jsonio, linalg
 from .errors import ContractViolation
 from .model import DenseLayer, Network, output
 from .prune import LabelMap, PruneConfig, channel_columns, channel_drop_bound, select_channels
-from .scene import FeatureMap, Scene, channel_sums, pool_regions
+from .scene import FeatureMap, Scene, _pool_into, channel_sums
 
 __all__ = [
     "DeviationReport",
@@ -91,24 +91,49 @@ def _finish(first: DenseLayer, rest: Network, acc: np.ndarray) -> np.ndarray:
 
 
 def _same_first_layer(original: Network, pruned: Network, keep: np.ndarray | None) -> bool:
-    """Whether pruned's first layer is original's on the keep columns, byte for byte."""
-    first = Network(original.layers[:1])
-    return pruned.layers[0] == (first if keep is None else prune._narrow(first, 0, keep)).layers[0]
+    """Whether pruned's first layer is original's on the keep columns, byte for byte.
+
+    Activation, shape and bias bytes compare as DenseLayer.__eq__ compares
+    them; the weights compare in place, linalg._BLOCK rows at a time, so no
+    narrowed copy of the original layer is built.
+    """
+    a, b = original.layers[0], pruned.layers[0]
+    width = a.inputs if keep is None else keep.size
+    if not (
+        a.activation is b.activation
+        and b.weights.shape == (a.units, width)
+        and a.bias.tobytes() == b.bias.tobytes()
+    ):
+        return False
+    step = linalg._BLOCK
+    for lo in range(0, a.units, step):
+        rows = a.weights[lo : lo + step]
+        if keep is not None:
+            rows = rows[:, keep]
+        # as uint64, so the bytes compare: -0.0 is not 0.0
+        if not np.array_equal(rows.view(np.uint64), b.weights[lo : lo + step].view(np.uint64)):
+            return False
+    return True
 
 
 def _region_blocks(scene: Scene, fmap: FeatureMap | None) -> Iterator[np.ndarray]:
     """The scene's regions max-pooled from fmap, _BLOCK_ROWS rows at a time.
 
     fmap is the scene's map or a map of some of its channels; with None,
-    nothing is pooled and each block has shape (rows, 0).
+    nothing is pooled and each block has shape (rows, 0). Every block is
+    pooled into one buffer made for the first, the last, shorter block into
+    a prefix of it, so each block is overwritten by the next: score a block
+    before asking for the next one.
     """
     rois = scene.rois
+    cells = scene.pool_h * scene.pool_w
+    buf = None if fmap is None else np.empty(min(len(rois), _BLOCK_ROWS) * fmap.channels * cells)
     for lo in range(0, len(rois), _BLOCK_ROWS):
         block = rois[lo : lo + _BLOCK_ROWS]
         if fmap is None:
             yield np.zeros((len(block), 0))
         else:
-            yield pool_regions(fmap, block, scene.pool_h, scene.pool_w)
+            yield _pool_into(fmap, block, scene.pool_h, scene.pool_w, buf)
 
 
 class _Deviation:

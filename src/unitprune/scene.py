@@ -186,6 +186,15 @@ def pool_regions(fmap: FeatureMap, rois, pool_h: int, pool_w: int) -> np.ndarray
     channels, and folds them in, so pooling holds the result and that
     buffer, not a second result-sized gather.
     """
+    return _pool_into(fmap, rois, pool_h, pool_w, None)
+
+
+def _pool_into(fmap: FeatureMap, rois, pool_h: int, pool_w: int, out) -> np.ndarray:
+    """pool_regions, into a prefix of the flat float64 array out when one is given.
+
+    The result is then a view of out, which must hold at least
+    C * pool_h * pool_w * len(rois) values.
+    """
     if pool_h < 1 or pool_w < 1:
         raise ContractViolation(f"pool grid must be at least 1x1, got {pool_h}x{pool_w}")
     box = _boxes(rois, fmap)
@@ -200,7 +209,10 @@ def pool_regions(fmap: FeatureMap, rois, pool_h: int, pool_w: int) -> np.ndarray
     flat = fmap.data.reshape(c, -1)
     # _boxes and _cell_spans keep every index inside the map, so "clip" never
     # clips; with out= given, it also spares take the copy "raise" makes of out
-    out = np.take(flat, (ylo * w + xlo).ravel(), axis=1, mode="clip")
+    idx = (ylo * w + xlo).ravel()
+    if out is not None:
+        out = out[: c * idx.size].reshape(c, idx.size)
+    out = np.take(flat, idx, axis=1, out=out, mode="clip")
     # a few channels at a time, and at most an eighth of them, so a small result
     # (a 1x1 grid, say) is not matched by a buffer as large as itself
     step = max(1, min(_GATHER_VALUES // max(out.shape[1], 1), c // 8))

@@ -5,10 +5,13 @@ accumulation order is left-to-right by construction. matvec must match it
 bit for bit, and the zero-drop property must hold bit for bit.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unitprune import linalg
 from unitprune.errors import ContractViolation
 from unitprune.linalg import (
     complement,
@@ -371,6 +374,125 @@ class TestNestedMatmat:
             nested_matmat(m, xs, np.array([1.0, 1.0, 1.0]), 2)
         with pytest.raises(ContractViolation, match="2x3"):
             nested_matmat(m, np.zeros((1, 4)), np.array([1, 1, 1, 1]), 2)
+
+
+# -- bounded blocks --------------------------------------------------------------
+# matvec and the column pass take linalg._BLOCK columns at a time. The
+# properties above hold for every block length: each block's sums carry into
+# the next, and no column is lost at a block's edge.
+
+BLOCKS = [1, 2, 3, linalg._BLOCK]
+
+
+def in_blocks(block):
+    return mock.patch.object(linalg, "_BLOCK", block)
+
+
+def assert_members_match_reference(m, xs, depth, members):
+    """Every member's rows equal matvec and ref_matvec on the member's columns, byte for byte."""
+    got = nested_matmat(m, xs, depth, members)
+    for i, acc in enumerate(got):
+        keep = np.flatnonzero(depth > i)
+        for r in range(xs.shape[0]):
+            assert acc[r].tobytes() == matvec(m[:, keep], xs[r, keep]).tobytes()
+            assert acc[r].tobytes() == ref_matvec(m[:, keep], xs[r, keep]).tobytes()
+    assert_members_match(m, xs, depth, members)
+
+
+class TestBlockEdges:
+    @settings(deadline=None, max_examples=200)
+    @given(matrix_and_vector(), st.sampled_from(BLOCKS))
+    def test_matvec_matches_reference_bitwise(self, mv, block):
+        m, v = mv
+        with in_blocks(block):
+            assert matvec(m, v).tobytes() == ref_matvec(m, v).tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(matrix_and_vector(), st.data(), st.sampled_from(BLOCKS))
+    def test_zero_drop_bit_identity(self, mv, data, block):
+        m, v = mv
+        zero_at = data.draw(st.sets(st.integers(0, m.shape[1] - 1)))
+        v = v.copy()
+        v[sorted(zero_at)] = 0.0
+        keep = complement(sorted(zero_at), m.shape[1])
+        with in_blocks(block):
+            assert matvec(m[:, keep], v[keep]).tobytes() == matvec(m, v).tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(weights_and_batch(), st.sampled_from(BLOCKS))
+    def test_matmat_rows_match_matvec_and_reference(self, mx, block):
+        with in_blocks(block):
+            assert_rows_match(*mx)
+
+    @settings(deadline=None, max_examples=200)
+    @given(weights_and_batch(scale=1.7e308, x_max=1e10), st.sampled_from(BLOCKS))
+    def test_matmat_overflow_bitwise(self, mx, block):
+        with in_blocks(block), np.errstate(over="ignore", invalid="ignore"):
+            assert_rows_match(*mx)
+
+    @settings(deadline=None, max_examples=200)
+    @given(nested_family(), st.sampled_from(BLOCKS))
+    def test_nested_members_match_reference(self, family, block):
+        with in_blocks(block):
+            assert_members_match_reference(*family)
+
+    @settings(deadline=None, max_examples=200)
+    @given(nested_family(scale=1.7e308, x_max=1e10), st.sampled_from(BLOCKS))
+    def test_nested_overflow_bitwise(self, family, block):
+        with in_blocks(block), np.errstate(over="ignore", invalid="ignore"):
+            assert_members_match_reference(*family)
+
+    def test_negative_zero_entries(self):
+        m = np.array([[-0.0, 1.5, -0.0, 2.0, -3.0, 0.5, -0.0, 4.0],
+                      [2.0, -0.0, -1.0, -0.0, 0.25, -0.0, 3.0, -2.0]])
+        v = np.array([1.0, -0.0, 2.0, 3.0, -0.0, 5.0, 7.0, 1.0])
+        xs = np.array([v, -v, [-0.0, 1.0, -0.0, 2.0, 3.0, -0.0, 1.0, 4.0]])
+        for block in BLOCKS:
+            with in_blocks(block):
+                assert matvec(m, v).tobytes() == ref_matvec(m, v).tobytes()
+                assert_rows_match(m, xs)
+                assert_members_match_reference(m, xs, np.array([2, 1, 2, 2, 1, 2, 1, 2]), 2)
+
+    def test_products_overflow_to_inf_and_nan(self):
+        # 1e308 * 10 is inf; inf + -inf is NaN, and NaN stays NaN across blocks
+        m = np.array([[1e308, 1.0, 1e308, -1e308, -1e308, 2.0, 3.0],
+                      [1.0, 1e308, 2.0, 3.0, 4.0, 1e308, 5.0]])
+        v = np.array([10.0, 1.0, 10.0, 1.0, 10.0, 10.0, 1.0])
+        xs = np.array([v, [1.0, 10.0, 1.0, 2.0, 3.0, 10.0, 4.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block in BLOCKS:
+                with in_blocks(block):
+                    got = matvec(m, v)
+                    assert np.isnan(got[0]) and got[1] == np.inf
+                    assert got.tobytes() == ref_matvec(m, v).tobytes()
+                    assert_rows_match(m, xs)
+                    assert_members_match_reference(m, xs, np.array([2, 2, 1, 2, 1, 2, 2]), 2)
+
+    def test_members_part_inside_a_block_and_at_its_edge(self):
+        m = np.arange(1.0, 17.0).reshape(2, 8) * [1.0, -0.5, 2.0, 0.25, -3.0, 1.5, 0.75, -2.0]
+        xs = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+                       [0.5, -1.0, 1.5, -2.0, 2.5, -3.0, 3.5, -4.0]])
+        # member 3 parts at column 1, member 2 at column 3 and member 1 at
+        # column 6: inside a block, or at a block's first or last column
+        depth = np.array([4, 3, 4, 2, 4, 4, 1, 4])
+        for block in BLOCKS:
+            with in_blocks(block):
+                assert_members_match_reference(m, xs, depth, 4)
+                a, b, c, d = nested_matmat(m, xs, depth, 4)
+                assert len({id(a), id(b), id(c), id(d)}) == 4
+
+    def test_column_major_batch_is_read_in_place(self):
+        rng = np.random.default_rng(8)
+        m = np.asfortranarray(rng.uniform(-1, 1, size=(3, 8)))
+        xs = np.asfortranarray(rng.uniform(0.5, 1, size=(4, 8)))
+        live = np.arange(8)
+        for block in BLOCKS:
+            with in_blocks(block):
+                for lo in range(0, 8, block):
+                    assert np.shares_memory(linalg._live_rows(xs.T, live, lo), xs)
+                    assert np.shares_memory(linalg._live_rows(m.T, live, lo), m)
+                assert_rows_match(m, xs)
+                assert_members_match_reference(m, xs, np.array([2, 2, 1, 2, 2, 1, 2, 2]), 2)
 
 
 # -- vectorized index-set checks ------------------------------------------------

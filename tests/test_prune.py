@@ -1,12 +1,15 @@
 """prune tests: selection rules, the two transforms, accounting, certificate."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unitprune import linalg
 from unitprune.errors import ContractViolation, FormatError, ValidationError
+from unitprune.linalg import matvec
 from unitprune.model import (
     ActivationKind,
     DenseLayer,
@@ -703,3 +706,70 @@ def test_channel_drop_bound_is_the_bound_of_repeated_sums():
         assert channel_drop_bound(net, sums, 1, 3, rep.channels.pruned) == want
         assert rep.deviation_bound == want
     assert want > 0.0
+
+
+# -- bounds in blocks ------------------------------------------------------------
+
+
+def whole_layer_bound(net, layer, mags, cols):
+    """column_drop_bound as it was computed before blocks: a gather of every
+    dropped column and |w| of each whole layer."""
+    w = net.layers[layer].weights
+    idx = np.asarray(cols, dtype=np.intp)
+    if not idx.size:
+        return 0.0
+    per_row = matvec(np.abs(w[:, idx]), mags[idx])
+    head = float(per_row.max()) if per_row.size else 0.0
+    if head == 0.0:
+        return 0.0
+    amp = 1.0
+    u = float(np.finfo(np.float64).eps) / 2.0
+    in_env = float(mags.max())
+    real_gap = fp = 0.0
+    for i, lay in enumerate(net.layers[layer:]):
+        norm = float(np.abs(lay.weights).sum(axis=1).max()) if lay.units else 0.0
+        if i:
+            amp *= norm
+        bmax = float(np.abs(lay.bias).max()) if lay.bias.size else 0.0
+        s = norm * (in_env + real_gap) + bmax
+        fp = fp * norm + 2.0 * (lay.inputs + 1) * u * s
+        real_gap = head if i == 0 else real_gap * norm
+        in_env = s
+    return head * amp + 8.0 * fp
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    sizes=st.lists(st.integers(0, 9), min_size=2, max_size=4),
+    seed=st.integers(0, 99),
+    layer=st.integers(0, 2),
+    block=st.sampled_from([1, 2, 3, linalg._BLOCK]),
+    data=st.data(),
+)
+def test_column_drop_bound_in_blocks_is_the_whole_layer_bound(sizes, seed, layer, block, data):
+    net = gen_network(sizes, sparsity=0.3, seed=seed)
+    layer %= len(net.layers)
+    width = net.layers[layer].inputs
+    rng = np.random.default_rng(seed)
+    # all-zero magnitudes, some zeros, or none
+    mags = rng.uniform(0.0, 3.0, width) * data.draw(st.sampled_from([0.0, 1.0]))
+    mags[rng.uniform(size=width) < data.draw(st.sampled_from([0.0, 0.5]))] = 0.0
+    cols = np.flatnonzero(rng.uniform(size=width) < 0.6)
+    with mock.patch.object(linalg, "_BLOCK", block):
+        got = column_drop_bound(net, layer, mags, cols)
+    assert np.float64(got).tobytes() == np.float64(whole_layer_bound(net, layer, mags, cols)).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, linalg._BLOCK])
+@pytest.mark.parametrize("units", [0, 5])  # a zero-row layer 0, and one with rows
+def test_channel_drop_bound_in_blocks_is_the_whole_layer_bound(block, units):
+    net = gen_network([4 * 6, units, 3], sparsity=0.3, seed=units)
+    rng = np.random.default_rng(units)
+    for sums in (np.zeros(4), rng.uniform(0.0, 5.0, 4) * [1.0, 0.0, 1.0, 1.0]):
+        for channels in ((), (1,), (0, 2), (0, 1, 2, 3)):
+            cols = channel_columns(channels, 4, 2, 3)
+            want = whole_layer_bound(net, 0, np.repeat(sums, 6), cols)
+            with mock.patch.object(linalg, "_BLOCK", block):
+                got = channel_drop_bound(net, sums, 2, 3, channels)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert units == 0 or want > 0.0

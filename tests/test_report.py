@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from unitprune import linalg
+from unitprune import linalg, report
 from unitprune.errors import ContractViolation
 from unitprune.model import (
     ActivationKind,
@@ -28,7 +28,7 @@ from unitprune.report import (
     sweep,
     sweep_csv,
 )
-from unitprune.scene import channel_sums, gen_scene, roi_pool
+from unitprune.scene import channel_sums, gen_scene, pool_regions, roi_pool
 
 
 def id_net(w, b):
@@ -524,6 +524,41 @@ def test_compare_outputs_holds_one_pooled_block_at_a_time(pruned_seed):
         compare_outputs(net, pruned, _region_blocks(sc, sc.fmap))
 
     assert peak_in_blocks(run) < 2
+
+
+def test_region_blocks_pool_into_one_buffer():
+    sc = gen_scene(5, 9, 9, n_rois=600, pool_h=2, pool_w=3, seed=2)
+    blocks = []
+    for lo, xs in zip(range(0, 600, 256), _region_blocks(sc, sc.fmap)):
+        want = pool_regions(sc.fmap, sc.rois[lo : lo + 256], 2, 3)
+        assert xs.flags.f_contiguous and xs.tobytes() == want.tobytes()
+        blocks.append(xs)
+    assert [len(xs) for xs in blocks] == [256, 256, 88]
+    # the last, shorter block is a prefix of the same buffer
+    assert all(np.shares_memory(a, b) for a, b in zip(blocks, blocks[1:]))
+    assert blocks[2].__array_interface__["data"] == blocks[0].__array_interface__["data"]
+
+
+def test_one_buffer_scores_as_blocks_pooled_anew(monkeypatch):
+    sc = gen_scene(6, 8, 8, zero_channels=2, n_rois=600, pool_h=2, pool_w=2, seed=5)
+    net = gen_network([24, 7, 3], sparsity=0.3, seed=5)
+    sums = channel_sums(sc.fmap)
+    taus = [0.0, float(np.sort(sums)[3]), math.inf]
+    pruned, rep = prune_input_channels(net, sums, 2, 2, PruneConfig(taus[1]))
+    keep = rep.selections[0].kept
+
+    def scores():
+        return (
+            [fields(p) for p in sweep(net, sc, taus)],
+            fields(compare_outputs(net, pruned, _region_blocks(sc, sc.fmap), input_keep=keep)),
+            fields(compare_outputs(net, gen_network([24, 7, 3], seed=6),
+                                   _region_blocks(sc, sc.fmap))),
+        )
+
+    shared = scores()
+    monkeypatch.setattr(report, "_pool_into", lambda fmap, rois, ph, pw, out:
+                        pool_regions(fmap, rois, ph, pw))
+    assert scores() == shared
 
 
 # -- live channels only, and one shared first-layer pass in compare_outputs -----
