@@ -39,8 +39,13 @@ than one block of its matrix. matvec multiplies one block's columns and
 carries each row's running sum into the block's first column before
 accumulating it: carry + p is the addition accumulate itself makes, with the
 running sum as the first operand, so even a NaN keeps its payload. The
-column pass gathers one block of live rows of xs.T and m.T at a time. The
-products and additions, and their order, are those of one whole pass.
+column pass reads windows of at most _BLOCK live columns in ascending order,
+gathering each window's rows of xs.T and m.T (or reading consecutive rows
+of a C-ordered array in place). xs may also be a block of regions pooled
+as it is read (scene._PooledBlock): it yields a few channels' columns at a
+time, whose live columns are windowed before the next channels are pooled,
+so no pooled batch is held whole. The products and additions, and their
+order, are those of one whole pass.
 
 The loop forms each column's products in place, tmp[...] = w_j then
 tmp *= x_j, rather than as one broadcast multiply(x_j, w_j): every entry is
@@ -80,8 +85,9 @@ __all__ = [
 ]
 
 # Columns or rows of a layer an exact pass takes at a time: matvec's live
-# columns, a column pass's live rows of xs.T and m.T, and the row blocks of
-# prune._inf_op_norm and report._same_first_layer. No pass copies a whole layer.
+# columns, a column pass's windows of live rows of xs.T and m.T, and the row
+# blocks of prune._inf_op_norm and report._same_first_layer. No pass copies a
+# whole layer.
 _BLOCK = 64
 
 
@@ -148,9 +154,10 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return carry
 
 
-def matmat(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def matmat(m: np.ndarray, xs) -> np.ndarray:
     """Batched matvec: row r of the (n, units) result is matvec(m, xs[r]) byte for byte.
 
+    xs is an (n, d) array or a pooled block of regions (module docstring).
     Adds the column products xs[:, j] * m[:, j] to a +0.0 accumulator for j
     in ascending order, skipping columns that are zero (or -0.0) in every
     row; the module docstring gives the argument. m must be finite.
@@ -158,8 +165,8 @@ def matmat(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return _column_pass("matmat", m, xs, None, 1)[0]
 
 
-def nested_matmat(m: np.ndarray, xs: np.ndarray, depth, members: int) -> list[np.ndarray]:
-    """matmat for `members` nested column subsets of m, in one column pass.
+def nested_matmat(m: np.ndarray, xs, depth, members: int) -> list[np.ndarray]:
+    """matmat for `members` nested column subsets of m, in one column pass over xs.
 
     Member i keeps the columns j with depth[j] > i, so depth holds one
     integer in 0..members per column. Result i is byte-identical to
@@ -175,38 +182,42 @@ def nested_matmat(m: np.ndarray, xs: np.ndarray, depth, members: int) -> list[np
     return _column_pass("nested_matmat", m, xs, d, members)
 
 
-def _column_pass(name: str, m: np.ndarray, xs: np.ndarray, depth, members: int) -> list:
-    """The one column loop behind matmat and nested_matmat (depth None: all ones)."""
+def _column_pass(name: str, m: np.ndarray, xs, depth, members: int, keep=None) -> list:
+    """The one column loop behind matmat and nested_matmat (depth None: all ones).
+
+    xs is an (n, d) array or a block of regions pooled as it is read
+    (scene._PooledBlock). With keep, an ascending index array, m holds only
+    the columns keep of xs, and the one member keeps just those: the sums
+    are matmat(m, xs[:, keep]) byte for byte, with xs read in place.
+    """
     if m.ndim != 2:
         raise ContractViolation(f"{name}: matrix must be 2-dimensional, got shape {m.shape}")
     if xs.ndim != 2:
         raise ContractViolation(f"{name}: batch must be 2-dimensional, got shape {xs.shape}")
     units, cols = m.shape
-    if cols != xs.shape[1]:
+    width = xs.shape[1]
+    if cols != (width if keep is None else keep.size):
         raise ContractViolation(
-            f"{name}: matrix is {units}x{cols} but batch rows have length {xs.shape[1]}"
+            f"{name}: matrix is {units}x{cols} but batch rows have length {width}"
         )
+    if depth is not None and depth.shape[0] != width:
+        raise ContractViolation(f"{name}: {depth.shape[0]} depths for {width} columns")
+    if keep is not None:
+        depth = np.zeros(width, dtype=np.intp)
+        depth[keep] = 1
     acc = np.zeros((xs.shape[0], units))
-    kept = xs.any(axis=0)
-    if depth is not None:
-        if depth.shape[0] != cols:
-            raise ContractViolation(f"{name}: {depth.shape[0]} depths for {cols} columns")
-        kept &= depth > 0
-    live = np.flatnonzero(kept)
-    if acc.size == 0 or live.size == 0:
+    if acc.size == 0:
         return [acc] * members
-    reach = [members] * live.size if depth is None else depth[live].tolist()
     # sums[g] serves members firsts[g] .. firsts[g + 1] - 1; the last first is a bound
     firsts, sums = [0, members], [acc]
     tmp = np.empty_like(acc)
     # finite weights can still overflow; the inf/NaN is the result, not a fault
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, live.size, _BLOCK):
-            # one gather per block, so each step reads one contiguous row of xt and
-            # wt; a column-major xs or m is read in place when every column is live
-            xt = _live_rows(xs.T, live, lo)[:, :, None]
-            wt = _live_rows(m.T, live, lo)
-            for xj, wj, d in zip(xt, wt, reach[lo : lo + _BLOCK]):
+        for at, xt in _windows(xs, depth):
+            # each step reads one contiguous row of xt and wt
+            wt = _live_rows(m.T, at if keep is None else np.searchsorted(keep, at), 0)
+            reach = [members] * at.size if depth is None else depth[at].tolist()
+            for xj, wj, d in zip(xt[:, :, None], wt, reach):
                 tmp[...] = wj
                 tmp *= xj
                 k = bisect_left(firsts, d)  # groups 0..k-1 start below d and keep column j
@@ -219,11 +230,33 @@ def _column_pass(name: str, m: np.ndarray, xs: np.ndarray, depth, members: int) 
     return [s for s, lo, hi in zip(sums, firsts, firsts[1:]) for _ in range(lo, hi)]
 
 
+def _windows(xs, depth):
+    """(columns, their rows of xs.T) for xs's live columns, ascending, at most _BLOCK at a time.
+
+    A column is live when some row holds a nonzero there and its depth (if
+    any) is above 0. An array is one group of columns; a pooled block yields
+    its channel groups one at a time.
+    """
+    groups = [(slice(0, xs.shape[1]), xs.T)] if isinstance(xs, np.ndarray) else xs
+    for span, rows in groups:
+        kept = rows.any(axis=1)
+        if depth is not None:
+            kept &= depth[span] > 0
+        live = np.flatnonzero(kept)
+        for lo in range(0, live.size, _BLOCK):
+            at = live[lo : lo + _BLOCK]
+            yield span.start + at, _live_rows(rows, live, lo)
+
+
 def _live_rows(at: np.ndarray, live: np.ndarray, lo: int) -> np.ndarray:
-    """at[live[lo:lo + _BLOCK]], a view of at when live is every row and at is C-contiguous."""
-    if live.size == len(at) and at.flags.c_contiguous:
-        return at[lo : lo + _BLOCK]
-    return at[live[lo : lo + _BLOCK]]
+    """at[live[lo:lo + _BLOCK]], a view of at when at is C-contiguous and those rows are a run.
+
+    live is ascending, so its first and last entries tell whether it is a run.
+    """
+    rows = live[lo : lo + _BLOCK]
+    if at.flags.c_contiguous and rows[-1] - rows[0] == rows.size - 1:
+        return at[rows[0] : rows[-1] + 1]
+    return at[rows]
 
 
 def relu(v: np.ndarray) -> np.ndarray:

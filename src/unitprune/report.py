@@ -19,7 +19,7 @@ from . import _jsonio, linalg
 from .errors import ContractViolation
 from .model import DenseLayer, Network, output
 from .prune import LabelMap, PruneConfig, channel_columns, channel_drop_bound, select_channels
-from .scene import FeatureMap, Scene, _pool_into, channel_sums
+from .scene import FeatureMap, Scene, _PooledBlock, channel_sums
 
 __all__ = [
     "DeviationReport",
@@ -77,17 +77,25 @@ class SweepPoint:
     bound: float = 0.0
 
 
-def _columns(xs: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
-    """xs[:, keep], gathered column-major: the layout linalg.matmat reads in place."""
-    return xs if keep is None else xs.T[keep].T
-
-
 def _finish(first: DenseLayer, rest: Network, acc: np.ndarray) -> np.ndarray:
     """Outputs from first-layer sums: bias, activation, then the rest, on a new array.
 
     acc may be shared with other networks, so it is never changed in place.
     """
     return output(rest, first.activate(acc))
+
+
+def _outputs(net: Network, xs, keep: np.ndarray | None) -> np.ndarray:
+    """output(net, xs[:, keep]) byte for byte, its first layer reading xs in place (keep None: all).
+
+    An empty network in compare_outputs has input width 0, the keep set's
+    size or the block's, so its output has no columns.
+    """
+    if not net.layers:
+        return np.zeros((xs.shape[0], 0))
+    first = net.layers[0]
+    acc = linalg._column_pass("matmat", first.weights, xs, None, 1, keep)[0]
+    return _finish(first, Network(net.layers[1:]), acc)
 
 
 def _same_first_layer(original: Network, pruned: Network, keep: np.ndarray | None) -> bool:
@@ -116,24 +124,21 @@ def _same_first_layer(original: Network, pruned: Network, keep: np.ndarray | Non
     return True
 
 
-def _region_blocks(scene: Scene, fmap: FeatureMap | None) -> Iterator[np.ndarray]:
-    """The scene's regions max-pooled from fmap, _BLOCK_ROWS rows at a time.
+def _region_blocks(scene: Scene, fmap: FeatureMap | None) -> Iterator:
+    """The scene's regions, _BLOCK_ROWS at a time, as blocks max-pooled from fmap when read.
 
-    fmap is the scene's map or a map of some of its channels; with None,
-    nothing is pooled and each block has shape (rows, 0). Every block is
-    pooled into one buffer made for the first, the last, shorter block into
-    a prefix of it, so each block is overwritten by the next: score a block
-    before asking for the next one.
+    fmap is the scene's map or a map of some of its channels. Each block is
+    a scene._PooledBlock: nothing is pooled until a column pass reads it, a
+    few channels at a time. With fmap None, nothing is pooled and each block
+    is a (rows, 0) array.
     """
     rois = scene.rois
-    cells = scene.pool_h * scene.pool_w
-    buf = None if fmap is None else np.empty(min(len(rois), _BLOCK_ROWS) * fmap.channels * cells)
     for lo in range(0, len(rois), _BLOCK_ROWS):
         block = rois[lo : lo + _BLOCK_ROWS]
         if fmap is None:
             yield np.zeros((len(block), 0))
         else:
-            yield _pool_into(fmap, block, scene.pool_h, scene.pool_w, buf)
+            yield _PooledBlock(fmap, block, scene.pool_h, scene.pool_w)
 
 
 class _Deviation:
@@ -191,8 +196,10 @@ def compare_outputs(
     """Run both networks over blocks of examples and measure output deviation.
 
     Each block is a (rows, d) array of examples, d the original network's
-    input width; blocks are scored as given, and every field equals what
-    scoring the examples one at a time gives. When the pruned network's
+    input width, or a block of regions pooled as it is read (the blocks of
+    _region_blocks, from a map already checked finite and nonnegative);
+    blocks are scored as given, and every field equals what scoring the
+    examples one at a time gives. When the pruned network's
     input was shrunk (forward pruning), input_keep lists the surviving input
     coordinates; when its output was shrunk (top-n pruning), label_map says
     which original outputs survive, and deviations are measured on those. An
@@ -202,7 +209,9 @@ def compare_outputs(
     When the pruned first layer is the original one on the input_keep
     columns (same bytes, bias and activation), both first layers run in one
     two-member linalg.nested_matmat pass, as in sweep, and the later layers
-    run once per distinct sum; otherwise each network runs on its own.
+    run once per distinct sum; otherwise each network runs on its own, the
+    pruned first layer reading the block's input_keep columns in place (a
+    pooled block is then pooled once per network).
     """
     kept_out = None
     if label_map is not None:
@@ -243,21 +252,22 @@ def compare_outputs(
         depth[slice(None) if keep is None else keep] += 1
 
     for xs in blocks:
-        xs = linalg.matrix(xs)
+        if not isinstance(xs, _PooledBlock):
+            xs = linalg.matrix(xs)
         if xs.shape[1] != width:
             raise ContractViolation(
                 f"example {dev.n} has {xs.shape[1]} values but the original "
                 f"network expects {width} inputs"
             )
         # each branch drops the block once its first layers have read it, so
-        # no block is alive while the caller's iterator pools the next one
+        # no array block is alive while the caller's iterator makes the next one
         if shared:
             acc_a, acc_b = linalg.nested_matmat(first.weights, xs, depth, 2)
             del xs
             oa = _finish(first, rest_a, acc_a)
             dev.add(oa, oa if acc_b is acc_a and same_rest else _finish(first, rest_b, acc_b))
         else:
-            oa, ob = output(original, xs), output(pruned, _columns(xs, keep))
+            oa, ob = _outputs(original, xs, None), _outputs(pruned, xs, keep)
             del xs
             dev.add(oa, ob)
     return dev.report(bound)
@@ -273,8 +283,9 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
     superset of channels, so pruned_units and both reduction columns are
     non-decreasing.
 
-    The regions are pooled and scored a block at a time, in one pass shared
-    by the original network and every threshold: each pruned first layer is
+    The regions are scored a block at a time, in one pass shared by the
+    original network and every threshold, which pools each block a few
+    channels at a time as it reads them: each pruned first layer is
     the original one on a nested subset of its columns, so one
     linalg.nested_matmat pass over the block gives every network's
     first-layer sums, byte for byte what each pruned network computes. A
@@ -314,8 +325,8 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
     fmap, live = scene.fmap, np.flatnonzero(sums)
     cols = channel_columns(live, sums.size, scene.pool_h, scene.pool_w)
     # gathered once, column-major: nested_matmat reads it in place for every
-    # block whose columns are all live
-    weights, depth = _columns(first.weights, cols), depth[cols]
+    # window of consecutive live columns
+    weights, depth = first.weights.T[cols].T, depth[cols]
     if live.size < sums.size:
         # a feature map has at least one channel; with none live, nothing is pooled
         fmap = FeatureMap(fmap.data[live]) if live.size else None
@@ -323,8 +334,6 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
     devs = [_Deviation() for _ in taus]
     for xs in _region_blocks(scene, fmap):
         accs = linalg.nested_matmat(weights, xs, depth, len(taus) + 1)
-        # drop the block now, so it is not alive while _region_blocks pools the next
-        del xs
         base = _finish(first, rest, accs[0])
         for dev, acc in zip(devs, accs[1:]):
             dev.add(base, base if acc is accs[0] else _finish(first, rest, acc))

@@ -145,9 +145,9 @@ class Scene:
         return self.fmap.channels * self.pool_h * self.pool_w
 
 
-# Floats a pooling pass gathers at a time (512 KiB): five channels of a
-# 256-region block at 7x7, small next to the block itself, yet enough values
-# per call that the overhead of each take and maximum call stays small.
+# Floats a pooling step holds at a time (512 KiB): two buffers of two channels
+# of a 256-region block at 7x7, small next to the block itself, yet enough
+# values per call that the overhead of each take and maximum call stays small.
 _GATHER_VALUES = 65536
 
 
@@ -176,58 +176,79 @@ def pool_regions(fmap: FeatureMap, rois, pool_h: int, pool_w: int) -> np.ndarray
     statistics be mapped onto head-network input columns. The rows are laid
     out column-major, the layout linalg.matmat reads in place.
 
-    All regions are pooled together, one pass per (row, column) offset into
-    a cell: each pass takes the entry at that offset in every cell of every
-    region, clamped to the cell's last row and column, and folds it into a
-    running max. The tallest and the widest cell set the number of passes.
-    The first pass's gather is the result. Each later pass gathers a few
-    channels at a time into one reused buffer of _GATHER_VALUES floats (one
-    channel's entries, when those are more), and of at most an eighth of the
-    channels, and folds them in, so pooling holds the result and that
-    buffer, not a second result-sized gather.
+    The result is filled one channel group at a time from _PooledBlock, the
+    one pooling routine, so pooling holds the result and two group buffers.
     """
-    return _pool_into(fmap, rois, pool_h, pool_w, None)
+    block = _PooledBlock(fmap, rois, pool_h, pool_w)
+    out = np.empty(block.shape[::-1])
+    for span, rows in block:
+        out[span] = rows
+    return out.T
 
 
-def _pool_into(fmap: FeatureMap, rois, pool_h: int, pool_w: int, out) -> np.ndarray:
-    """pool_regions, into a prefix of the flat float64 array out when one is given.
+class _PooledBlock:
+    """pool_regions' (n, d) batch, pooled a few channels at a time as it is read, never whole.
 
-    The result is then a view of out, which must hold at least
-    C * pool_h * pool_w * len(rois) values.
+    linalg.matmat and nested_matmat take it in place of an array. Iterating
+    pools anew and yields (span, rows) per channel group: the slice of
+    columns the group owns, and those columns as rows of the transposed
+    batch, in a buffer the next group overwrites.
+
+    Each group's rows are its gather at the first (row, column) offset into
+    every cell of every region, with the gather at each later offset folded
+    in by a running max; an offset past a cell's last row or column is
+    clamped to it, so the tallest and the widest cell set the number of
+    offsets. Each group computes the offsets' indices anew: kept for every
+    offset, they would hold as many values as the regions' boxes cover.
     """
-    if pool_h < 1 or pool_w < 1:
-        raise ContractViolation(f"pool grid must be at least 1x1, got {pool_h}x{pool_w}")
-    box = _boxes(rois, fmap)
-    ylo, yhi = _cell_spans(box[:, 1], box[:, 3], pool_h)
-    xlo, xhi = _cell_spans(box[:, 0], box[:, 2], pool_w)
-    # index arrays shaped (pool_h, pool_w, regions), flattened over the map's
-    # rows and columns: taking them from each channel gives the transposed
-    # (C * pool_h * pool_w, regions) result, one region per column
-    ylo, yhi = ylo.T[:, None, :], yhi.T[:, None, :]
-    xlo, xhi = xlo.T[None, :, :], xhi.T[None, :, :]
-    c, w = fmap.channels, fmap.width
-    flat = fmap.data.reshape(c, -1)
-    # _boxes and _cell_spans keep every index inside the map, so "clip" never
-    # clips; with out= given, it also spares take the copy "raise" makes of out
-    idx = (ylo * w + xlo).ravel()
-    if out is not None:
-        out = out[: c * idx.size].reshape(c, idx.size)
-    out = np.take(flat, idx, axis=1, out=out, mode="clip")
-    # a few channels at a time, and at most an eighth of them, so a small result
-    # (a 1x1 grid, say) is not matched by a buffer as large as itself
-    step = max(1, min(_GATHER_VALUES // max(out.shape[1], 1), c // 8))
-    buf = np.empty((step, out.shape[1]))
-    for dy in range(int((yhi - ylo).max(initial=1))):
-        y = np.minimum(ylo + dy, yhi - 1) * w
-        for dx in range(int((xhi - xlo).max(initial=1))):
-            if dy or dx:
-                idx = (y + np.minimum(xlo + dx, xhi - 1)).ravel()
-                for lo in range(0, c, step):
-                    part = out[lo : lo + step]
-                    into = buf[: len(part)]
-                    np.take(flat[lo : lo + step], idx, axis=1, out=into, mode="clip")
-                    np.maximum(part, into, out=part)
-    return out.reshape(c * pool_h * pool_w, len(box)).T
+
+    ndim = 2
+
+    def __init__(self, fmap: FeatureMap, rois, pool_h: int, pool_w: int):
+        if pool_h < 1 or pool_w < 1:
+            raise ContractViolation(f"pool grid must be at least 1x1, got {pool_h}x{pool_w}")
+        self.fmap, self.rois = fmap, _boxes(rois, fmap)
+        self.pool_h, self.pool_w = pool_h, pool_w
+        self.shape = (len(self.rois), fmap.channels * pool_h * pool_w)
+
+    def group_channels(self) -> int:
+        """Channels per group: as many as its two buffers fit in _GATHER_VALUES floats, or one.
+
+        The buffers also hold at most an eighth of the batch, so a small batch
+        (a 1x1 grid, say) is not matched by buffers as large as itself.
+        """
+        n, d = self.shape
+        c = self.fmap.channels
+        return max(1, min(_GATHER_VALUES // max(2 * n * d // c, 1), c // 16))
+
+    def __iter__(self):
+        box, cells, n = self.rois, self.pool_h * self.pool_w, len(self.rois)
+        ylo, yhi = _cell_spans(box[:, 1], box[:, 3], self.pool_h)
+        xlo, xhi = _cell_spans(box[:, 0], box[:, 2], self.pool_w)
+        # index arrays shaped (pool_h, pool_w, regions), flattened over the map's
+        # rows and columns: taking them from a channel gives its (cells, regions)
+        # rows of the transposed batch, one region per column
+        ylo, yhi = ylo.T[:, None, :], yhi.T[:, None, :]
+        xlo, xhi = xlo.T[None, :, :], xhi.T[None, :, :]
+        c, w = self.fmap.channels, self.fmap.width
+        tall, wide = int((yhi - ylo).max(initial=1)), int((xhi - xlo).max(initial=1))
+        flat = self.fmap.data.reshape(c, -1)
+        step = self.group_channels()
+        bufs = np.empty((2, step, cells * n))
+        idx = np.empty((self.pool_h, self.pool_w, n), dtype=np.intp)
+        for lo in range(0, c, step):
+            part = flat[lo : lo + step]
+            rows, into = bufs[:, : len(part)]
+            for dy in range(tall):
+                y = np.minimum(ylo + dy, yhi - 1) * w
+                for dx in range(wide):
+                    np.add(y, np.minimum(xlo + dx, xhi - 1), out=idx)
+                    # _boxes and _cell_spans keep every index inside the map, so
+                    # "clip" never clips; it spares take the copy "raise" makes of out
+                    np.take(part, idx.ravel(), axis=1, out=into if dy or dx else rows, mode="clip")
+                    if dy or dx:
+                        np.maximum(rows, into, out=rows)
+            yield slice(lo * cells, (lo + len(part)) * cells), rows.reshape(len(part) * cells, n)
 
 
 def roi_pool(fmap: FeatureMap, roi, pool_h: int, pool_w: int) -> np.ndarray:

@@ -8,13 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
-from unitprune import linalg, report
+from unitprune import cli, linalg, report
 from unitprune.errors import ContractViolation
 from unitprune.model import (
     ActivationKind,
     DenseLayer,
     Network,
     gen_network,
+    load_network,
     output,
 )
 from unitprune.prune import PruneConfig, prune_input_channels, prune_output_topn
@@ -28,7 +29,15 @@ from unitprune.report import (
     sweep,
     sweep_csv,
 )
-from unitprune.scene import channel_sums, gen_scene, pool_regions, roi_pool
+from unitprune.scene import (
+    FeatureMap,
+    Scene,
+    _PooledBlock,
+    channel_sums,
+    gen_scene,
+    pool_regions,
+    roi_pool,
+)
 
 
 def id_net(w, b):
@@ -526,20 +535,38 @@ def test_compare_outputs_holds_one_pooled_block_at_a_time(pruned_seed):
     assert peak_in_blocks(run) < 2
 
 
-def test_region_blocks_pool_into_one_buffer():
+def assembled(block):
+    """A pooled block's channel groups as one (n, d) array; they must tile its columns in order."""
+    out = np.empty(block.shape)
+    at = 0
+    for span, rows in block:
+        assert span.start == at and rows.shape == (span.stop - at, block.shape[0])
+        out[:, span] = rows.T
+        at = span.stop
+    assert at == block.shape[1]
+    return out
+
+
+def whole_blocks(scene, fmap):
+    """_region_blocks as arrays: each block of 256 regions pooled at once by pool_regions."""
+    for lo in range(0, len(scene.rois), 256):
+        rois = scene.rois[lo : lo + 256]
+        if fmap is None:
+            yield np.zeros((len(rois), 0))
+        else:
+            yield pool_regions(fmap, rois, scene.pool_h, scene.pool_w)
+
+
+def test_region_blocks_pool_as_pool_regions():
     sc = gen_scene(5, 9, 9, n_rois=600, pool_h=2, pool_w=3, seed=2)
-    blocks = []
-    for lo, xs in zip(range(0, 600, 256), _region_blocks(sc, sc.fmap)):
+    blocks = list(_region_blocks(sc, sc.fmap))
+    assert [xs.shape for xs in blocks] == [(256, 30), (256, 30), (88, 30)]
+    for lo, xs in zip(range(0, 600, 256), blocks):
         want = pool_regions(sc.fmap, sc.rois[lo : lo + 256], 2, 3)
-        assert xs.flags.f_contiguous and xs.tobytes() == want.tobytes()
-        blocks.append(xs)
-    assert [len(xs) for xs in blocks] == [256, 256, 88]
-    # the last, shorter block is a prefix of the same buffer
-    assert all(np.shares_memory(a, b) for a, b in zip(blocks, blocks[1:]))
-    assert blocks[2].__array_interface__["data"] == blocks[0].__array_interface__["data"]
+        assert assembled(xs).tobytes() == want.tobytes()
 
 
-def test_one_buffer_scores_as_blocks_pooled_anew(monkeypatch):
+def test_pooled_blocks_score_as_whole_blocks(monkeypatch):
     sc = gen_scene(6, 8, 8, zero_channels=2, n_rois=600, pool_h=2, pool_w=2, seed=5)
     net = gen_network([24, 7, 3], sparsity=0.3, seed=5)
     sums = channel_sums(sc.fmap)
@@ -547,18 +574,152 @@ def test_one_buffer_scores_as_blocks_pooled_anew(monkeypatch):
     pruned, rep = prune_input_channels(net, sums, 2, 2, PruneConfig(taus[1]))
     keep = rep.selections[0].kept
 
-    def scores():
+    def scores(blocks):
         return (
             [fields(p) for p in sweep(net, sc, taus)],
-            fields(compare_outputs(net, pruned, _region_blocks(sc, sc.fmap), input_keep=keep)),
-            fields(compare_outputs(net, gen_network([24, 7, 3], seed=6),
-                                   _region_blocks(sc, sc.fmap))),
+            fields(compare_outputs(net, pruned, blocks(sc, sc.fmap), input_keep=keep)),
+            fields(compare_outputs(net, gen_network([24, 7, 3], seed=6), blocks(sc, sc.fmap))),
         )
 
-    shared = scores()
-    monkeypatch.setattr(report, "_pool_into", lambda fmap, rois, ph, pw, out:
-                        pool_regions(fmap, rois, ph, pw))
-    assert scores() == shared
+    pooled = scores(_region_blocks)
+    monkeypatch.setattr(report, "_region_blocks", whole_blocks)
+    assert scores(whole_blocks) == pooled
+
+
+# -- window edges: channel groups of 1, 2, 3 and the default 4 ------------------
+# 64 channels at 2x2 make 256 columns; a group of k channels owns 4k of them.
+# Column 17 (channel 4) is inside a window for every k; column 48 (channel 12)
+# starts one for every k, since 12 is a multiple of 1, 2, 3 and 4.
+
+
+def ref_pool(scene):
+    """Every region's pooled row, one np.max per cell: no gather, no channel groups."""
+    ph, pw = scene.pool_h, scene.pool_w
+    rows = np.zeros((len(scene.rois), scene.pooled_width))
+
+    def span(lo, hi, i, cells):
+        start = min(i * (hi - lo) // cells, hi - lo - 1)
+        return lo + start, lo + max((i + 1) * (hi - lo) // cells, start + 1)
+
+    for r, (x0, y0, x1, y1) in enumerate(scene.rois.tolist()):
+        for i in range(ph):
+            ya, yb = span(y0, y1, i, ph)
+            for j in range(pw):
+                xa, xb = span(x0, x1, j, pw)
+                rows[r, i * pw + j :: ph * pw] = scene.fmap.data[:, ya:yb, xa:xb].max(axis=(1, 2))
+    return rows
+
+
+def edge_case(name):
+    """(scene, input columns the compared pruned model drops, tau rank the sweep prunes up to)."""
+    kw = dict(pool_h=2, pool_w=2)
+    if name == "no live channel":
+        return gen_scene(64, 6, 6, zero_channels=64, n_rois=20, seed=21, **kw), [17, 48], 0
+    if name == "no regions":
+        return gen_scene(64, 6, 6, zero_channels=16, n_rois=0, seed=22, **kw), [17, 48], 20
+    if name == "one region":
+        return gen_scene(64, 6, 6, zero_channels=16, n_rois=1, seed=23, **kw), [17, 48], 20
+    if name == "short last block":
+        return gen_scene(64, 6, 6, zero_channels=16, n_rois=260, seed=24, **kw), [17, 48], 20
+    # nested members part at column 17, inside a window, or at column 48, which
+    # starts one; the sweep prunes channel 13 (inside a window for k > 1) or 12
+    sc = gen_scene(64, 6, 6, n_rois=40, seed=25, **kw)
+    inside = name == "part inside a window"
+    data = sc.fmap.data.copy()
+    data[13 if inside else 12] *= 1e-3  # the smallest channel sum
+    sc = Scene(FeatureMap(data), sc.rois, 2, 2)
+    return sc, [17] if inside else [48, 49, 50, 51], 0
+
+
+EDGE_CASES = ["no live channel", "no regions", "one region", "short last block",
+              "part inside a window", "part at a window's first column"]
+
+
+@pytest.mark.parametrize("group", [1, 2, 3, None], ids=["1", "2", "3", "default"])
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_window_edges_score_as_whole_blocks(monkeypatch, case, group):
+    sc, drop, rank = edge_case(case)
+    if group is not None:
+        monkeypatch.setattr(_PooledBlock, "group_channels", lambda self: group)
+    assert _PooledBlock(sc.fmap, sc.rois, 2, 2).group_channels() == (group or 4)
+    whole = ref_pool(sc)
+    assert pool_regions(sc.fmap, sc.rois, 2, 2).tobytes() == whole.tobytes()
+    assert assembled(_PooledBlock(sc.fmap, sc.rois, 2, 2)).tobytes() == whole.tobytes()
+    for lo, xs in zip(range(0, len(sc.rois), 256), _region_blocks(sc, sc.fmap)):
+        assert assembled(xs).tobytes() == whole[lo : lo + 256].tobytes()
+    if case.startswith("part"):
+        live = whole.any(axis=0)
+        assert live[drop[0]] and live[16] and live[47]  # the members part where named
+
+    net = gen_network([256, 9, 6, 5], seed=25)
+    keep = np.setdiff1d(np.arange(256), drop)
+    first = net.layers[0]
+    w = first.weights[:, keep]
+    shared = Network((DenseLayer(w, first.bias),) + net.layers[1:])
+    w = w.copy()
+    w.view(np.uint64)[3, 5] ^= 1  # one weight bit off: each network runs on its own
+    apart = Network((DenseLayer(w, first.bias),) + net.layers[1:])
+    for pruned in (shared, apart):
+        top, lm, _ = prune_output_topn(pruned, [0.3, 0.9, 0.1, 0.8, 0.5], 3)
+        got = compare_outputs(net, top, _region_blocks(sc, sc.fmap), label_map=lm,
+                              input_keep=keep)
+        blocks = [whole[lo : lo + 256] for lo in range(0, len(sc.rois), 256)]
+        assert fields(got) == fields(compare_outputs(net, top, blocks, label_map=lm,
+                                                     input_keep=keep))
+        assert fields(got) == fields(ref_compare(net, top, whole, lm, keep))
+
+    sums = channel_sums(sc.fmap)
+    if case.startswith("part"):
+        assert np.argmin(sums) == (13 if case == "part inside a window" else 12)
+    order = np.sort(sums)
+    taus = [0.0, float(order[rank] + order[rank + 1]) / 2, math.inf]
+    points = [fields(p) for p in sweep(net, sc, taus)]
+    assert points == [fields(p) for p in ref_sweep(net, sc, taus)]
+    monkeypatch.setattr(report, "_region_blocks", whole_blocks)
+    assert [fields(p) for p in sweep(net, sc, taus)] == points
+
+
+# -- no pooled block held: bounds well below one block --------------------------
+
+
+def test_sweep_holds_no_pooled_block():
+    assert peak_in_blocks(lambda sc, net: sweep(net, sc, [0.0, 0.5, 1.0])) < 0.25
+
+
+@pytest.mark.parametrize("pruned_seed", [3, 4])  # the shared first-layer pass, and two passes
+def test_compare_outputs_holds_no_pooled_block(pruned_seed):
+    def run(sc, net):
+        pruned = gen_network([64 * 49, 8, 4], seed=pruned_seed)
+        compare_outputs(net, pruned, _region_blocks(sc, sc.fmap))
+
+    assert peak_in_blocks(run) < 0.25
+
+
+def test_eval_command_holds_no_pooled_block(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["gen-scene", "--c", "64", "--h", "14", "--w", "14", "--zero-channels", "30",
+         "--n-rois", "200", "--pool-h", "7", "--pool-w", "7", "--seed", "3", "--out", "s.scene"],
+        ["gen-net", "--sizes", "3136,64,10", "--seed", "3", "--out", "a.net"],
+        ["prune", "--model", "a.net", "--scene", "s.scene", "--tau", "0", "--out", "b.net",
+         "--report", "b.report"],
+    ):
+        assert cli.main(argv) == 0
+    models = sum(a.nbytes for name in ("a.net", "b.net")
+                 for layer in load_network((tmp_path / name).read_bytes()).layers
+                 for a in (layer.weights, layer.bias))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert cli.main(["eval", "--model-a", "a.net", "--model-b", "b.net",
+                         "--scene", "s.scene", "--report", "b.report"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert '"max_abs": 0.0' in capsys.readouterr().out
+    # the two models, and a pass that pools a few channels at a time: less
+    # above the models than the 200x3136 block that pooling it whole would take
+    assert peak - models < 200 * 3136 * 8
 
 
 # -- live channels only, and one shared first-layer pass in compare_outputs -----
