@@ -19,9 +19,9 @@ Rows value a block of rows at a time (about _CHUNK_VALUES floats), so a
 writer holds one block's text, not the whole document.
 
 parse_doc and parse_vector reject the NaN/Infinity constants the stdlib
-parser would accept, and the typed accessors turn structural surprises into
-FormatError with a usable path string. Bytes that are not UTF-8 are a
-FormatError too.
+parser would accept, and the typed accessors turn structural surprises (and
+a number past the float range) into FormatError with a usable path string.
+Bytes that are not UTF-8 are a FormatError too.
 
 A caller of parse_doc names its numeric-array fields (a model's "weights"
 and "bias", a scene's "data"), and each comes back as a float64 array. The
@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -428,7 +429,10 @@ def parse_vector(data: bytes | str, what: str) -> np.ndarray:
     doc = _loads(data, what)
     if not isinstance(doc, list) or not _numbers(doc):
         raise FormatError(f"{what} file must be a JSON array of numbers")
-    return _floats(doc, f"{what} file")
+    v = _floats(doc, f"{what} file")
+    if not np.isfinite(v).all():  # json reads a float literal past the range as ±inf
+        raise FormatError(f"{what} file: number too large for a float")
+    return v
 
 
 def get(obj, key: str, kind, where: str):
@@ -442,9 +446,12 @@ def get(obj, key: str, kind, where: str):
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise FormatError(f"{where}: key {key!r} must be a number")
         try:
-            return float(val)
+            val = float(val)  # json reads a float literal past the range as ±inf
         except OverflowError:
-            raise FormatError(f"{where}: key {key!r} is too large for a float") from None
+            val = math.inf
+        if math.isinf(val):
+            raise FormatError(f"{where}: key {key!r} is too large for a float")
+        return val
     if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise FormatError(f"{where}: key {key!r} must be an integer")

@@ -310,7 +310,7 @@ def _cmd_eval(args) -> int:
             f"model expects {original.input_dim} inputs but the scene pools to "
             f"{sc.pooled_width}"
         )
-    blocks = _region_blocks(sc, sc.fmap)
+    blocks = _region_blocks(sc)
     dr = compare_outputs(
         original, pruned, blocks, label_map=label_map, input_keep=input_keep, bound=bound
     )

@@ -42,10 +42,10 @@ running sum as the first operand, so even a NaN keeps its payload. The
 column pass reads windows of at most _BLOCK live columns in ascending order,
 gathering each window's rows of xs.T and m.T (or reading consecutive rows
 of a C-ordered array in place). xs may also be a block of regions pooled
-as it is read (scene._PooledBlock): it yields a few channels' columns at a
-time, whose live columns are windowed before the next channels are pooled,
-so no pooled batch is held whole. The products and additions, and their
-order, are those of one whole pass.
+as it is read (scene._PooledBlock): it yields a few live channels' columns
+at a time, whose live columns are windowed before the next channels are
+pooled, so no pooled batch is held whole. A dead channel it leaves out is
+a column the pass would skip, so the arithmetic is one whole pass's.
 
 The loop forms each column's products in place, tmp[...] = w_j then
 tmp *= x_j, rather than as one broadcast multiply(x_j, w_j): every entry is
@@ -234,18 +234,19 @@ def _windows(xs, depth):
     """(columns, their rows of xs.T) for xs's live columns, ascending, at most _BLOCK at a time.
 
     A column is live when some row holds a nonzero there and its depth (if
-    any) is above 0. An array is one group of columns; a pooled block yields
-    its channel groups one at a time.
+    any) is above 0. xs yields groups (cols, rows): ascending column indices
+    and those columns as rows of xs.T. An array is one group over all its
+    columns; a pooled block yields its channel groups one at a time.
     """
-    groups = [(slice(0, xs.shape[1]), xs.T)] if isinstance(xs, np.ndarray) else xs
-    for span, rows in groups:
+    groups = [(np.arange(xs.shape[1]), xs.T)] if isinstance(xs, np.ndarray) else xs
+    for cols, rows in groups:
         kept = rows.any(axis=1)
         if depth is not None:
-            kept &= depth[span] > 0
+            kept &= depth[cols] > 0
         live = np.flatnonzero(kept)
         for lo in range(0, live.size, _BLOCK):
             at = live[lo : lo + _BLOCK]
-            yield span.start + at, _live_rows(rows, live, lo)
+            yield cols[at], _live_rows(rows, live, lo)
 
 
 def _live_rows(at: np.ndarray, live: np.ndarray, lo: int) -> np.ndarray:

@@ -18,8 +18,8 @@ import numpy as np
 from . import _jsonio, linalg
 from .errors import ContractViolation
 from .model import DenseLayer, Network, output
-from .prune import LabelMap, PruneConfig, channel_columns, channel_drop_bound, select_channels
-from .scene import FeatureMap, Scene, _PooledBlock, channel_sums
+from .prune import LabelMap, PruneConfig, channel_drop_bound, select_channels
+from .scene import Scene, _PooledBlock, channel_sums
 
 __all__ = [
     "DeviationReport",
@@ -124,21 +124,15 @@ def _same_first_layer(original: Network, pruned: Network, keep: np.ndarray | Non
     return True
 
 
-def _region_blocks(scene: Scene, fmap: FeatureMap | None) -> Iterator:
-    """The scene's regions, _BLOCK_ROWS at a time, as blocks max-pooled from fmap when read.
+def _region_blocks(scene: Scene) -> Iterator[_PooledBlock]:
+    """The scene's regions, _BLOCK_ROWS at a time, as blocks max-pooled from its map when read.
 
-    fmap is the scene's map or a map of some of its channels. Each block is
-    a scene._PooledBlock: nothing is pooled until a column pass reads it, a
-    few channels at a time. With fmap None, nothing is pooled and each block
-    is a (rows, 0) array.
+    Each block is a scene._PooledBlock: nothing is pooled until a column pass
+    reads it, a few live channels at a time; a dead channel is never pooled.
     """
     rois = scene.rois
     for lo in range(0, len(rois), _BLOCK_ROWS):
-        block = rois[lo : lo + _BLOCK_ROWS]
-        if fmap is None:
-            yield np.zeros((len(block), 0))
-        else:
-            yield _PooledBlock(fmap, block, scene.pool_h, scene.pool_w)
+        yield _PooledBlock(scene.fmap, rois[lo : lo + _BLOCK_ROWS], scene.pool_h, scene.pool_w)
 
 
 class _Deviation:
@@ -197,14 +191,14 @@ def compare_outputs(
 
     Each block is a (rows, d) array of examples, d the original network's
     input width, or a block of regions pooled as it is read (the blocks of
-    _region_blocks, from a map already checked finite and nonnegative);
-    blocks are scored as given, and every field equals what scoring the
-    examples one at a time gives. When the pruned network's
-    input was shrunk (forward pruning), input_keep lists the surviving input
-    coordinates; when its output was shrunk (top-n pruning), label_map says
-    which original outputs survive, and deviations are measured on those. An
-    example whose original winning output was pruned away counts against
-    argmax_agreement.
+    _region_blocks, from a map already checked finite and nonnegative, which
+    leave out its dead channels); blocks are scored as given, and every
+    field equals what scoring the examples one at a time gives. When the
+    pruned network's input was shrunk (forward pruning), input_keep lists the
+    surviving input coordinates; when its output was shrunk (top-n pruning),
+    label_map says which original outputs survive, and deviations are
+    measured on those. An example whose original winning output was pruned
+    away counts against argmax_agreement.
 
     When the pruned first layer is the original one on the input_keep
     columns (same bytes, bias and activation), both first layers run in one
@@ -284,16 +278,13 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
     non-decreasing.
 
     The regions are scored a block at a time, in one pass shared by the
-    original network and every threshold, which pools each block a few
-    channels at a time as it reads them: each pruned first layer is
-    the original one on a nested subset of its columns, so one
-    linalg.nested_matmat pass over the block gives every network's
-    first-layer sums, byte for byte what each pruned network computes. A
-    pruned network whose sums are the original's (it drops no live column)
-    reuses the original's outputs, as in compare_outputs. Only the
-    channels with a nonzero sum are pooled and multiplied: a zero-sum
-    channel of the nonnegative map pools to exact zeros in every region,
-    columns the pass would skip anyway.
+    original network and every threshold, over the blocks compare_outputs
+    gets from eval: each pruned first layer is the original one on a nested
+    subset of its columns, so one linalg.nested_matmat pass over the block
+    gives every network's first-layer sums, byte for byte what each pruned
+    network computes. A pruned network whose sums are the original's (it
+    drops no live column) reuses the original's outputs, as in
+    compare_outputs.
     """
     taus = [float(t) for t in thresholds]
     if not taus:
@@ -322,18 +313,10 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
         selections.append(sel)
     depth = np.repeat(channel_depth, cells)
     first, rest = net.layers[0], Network(net.layers[1:])
-    fmap, live = scene.fmap, np.flatnonzero(sums)
-    cols = channel_columns(live, sums.size, scene.pool_h, scene.pool_w)
-    # gathered once, column-major: nested_matmat reads it in place for every
-    # window of consecutive live columns
-    weights, depth = first.weights.T[cols].T, depth[cols]
-    if live.size < sums.size:
-        # a feature map has at least one channel; with none live, nothing is pooled
-        fmap = FeatureMap(fmap.data[live]) if live.size else None
 
     devs = [_Deviation() for _ in taus]
-    for xs in _region_blocks(scene, fmap):
-        accs = linalg.nested_matmat(weights, xs, depth, len(taus) + 1)
+    for xs in _region_blocks(scene):
+        accs = linalg.nested_matmat(first.weights, xs, depth, len(taus) + 1)
         base = _finish(first, rest, accs[0])
         for dev, acc in zip(devs, accs[1:]):
             dev.add(base, base if acc is accs[0] else _finish(first, rest, acc))

@@ -176,13 +176,13 @@ def pool_regions(fmap: FeatureMap, rois, pool_h: int, pool_w: int) -> np.ndarray
     statistics be mapped onto head-network input columns. The rows are laid
     out column-major, the layout linalg.matmat reads in place.
 
-    The result is filled one channel group at a time from _PooledBlock, the
-    one pooling routine, so pooling holds the result and two group buffers.
+    The result is filled over +0.0 one group at a time from _PooledBlock,
+    the one pooling routine, so pooling holds the result and two buffers.
     """
     block = _PooledBlock(fmap, rois, pool_h, pool_w)
-    out = np.empty(block.shape[::-1])
-    for span, rows in block:
-        out[span] = rows
+    out = np.zeros(block.shape[::-1])
+    for cols, rows in block:
+        out[cols] = rows
     return out.T
 
 
@@ -190,9 +190,10 @@ class _PooledBlock:
     """pool_regions' (n, d) batch, pooled a few channels at a time as it is read, never whole.
 
     linalg.matmat and nested_matmat take it in place of an array. Iterating
-    pools anew and yields (span, rows) per channel group: the slice of
-    columns the group owns, and those columns as rows of the transposed
-    batch, in a buffer the next group overwrites.
+    pools anew and yields (cols, rows) per channel group: the ascending intp
+    array of the group's columns, and those columns as rows of the
+    transposed batch, in a buffer the next group overwrites. A dead channel,
+    +0.0 throughout by bit pattern, pools to +0.0 and is left out.
 
     Each group's rows are its gather at the first (row, column) offset into
     every cell of every region, with the gather at each later offset folded
@@ -233,11 +234,13 @@ class _PooledBlock:
         c, w = self.fmap.channels, self.fmap.width
         tall, wide = int((yhi - ylo).max(initial=1)), int((xhi - xlo).max(initial=1))
         flat = self.fmap.data.reshape(c, -1)
+        live = np.flatnonzero(flat.view(np.uint64).any(axis=1))
         step = self.group_channels()
         bufs = np.empty((2, step, cells * n))
         idx = np.empty((self.pool_h, self.pool_w, n), dtype=np.intp)
-        for lo in range(0, c, step):
-            part = flat[lo : lo + step]
+        for lo in range(0, live.size, step):
+            chans = live[lo : lo + step]
+            part = flat[chans]
             rows, into = bufs[:, : len(part)]
             for dy in range(tall):
                 y = np.minimum(ylo + dy, yhi - 1) * w
@@ -248,7 +251,8 @@ class _PooledBlock:
                     np.take(part, idx.ravel(), axis=1, out=into if dy or dx else rows, mode="clip")
                     if dy or dx:
                         np.maximum(rows, into, out=rows)
-            yield slice(lo * cells, (lo + len(part)) * cells), rows.reshape(len(part) * cells, n)
+            cols = (chans[:, None] * cells + np.arange(cells)).ravel()
+            yield cols, rows.reshape(cols.size, n)
 
 
 def roi_pool(fmap: FeatureMap, roi, pool_h: int, pool_w: int) -> np.ndarray:

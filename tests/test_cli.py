@@ -616,6 +616,40 @@ def test_integer_too_large_for_a_float_is_format_error(tmp_path, capsys, which):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("literal", ["1e400", "-1e400"])
+@pytest.mark.parametrize("command", ["prune --probe", "topn --scores", "eval --report"])
+def test_float_literal_too_large_for_a_float_is_format_error(tmp_path, capsys, command, literal):
+    # json reads such a literal as inf: refused as the file's fault, before anything is written
+    model = gen_net(tmp_path / "m.net", sizes="16,5,3", sparsity=0.0)
+    scene = gen_scene_file(tmp_path / "s.scene", c=4, h=4, w=4, n_rois=3,
+                           pool_h=2, pool_w=2, seed=1)
+    numbers = tmp_path / "v.json"
+    numbers.write_text(f"[{', '.join(['1.5'] * 15)}, {literal}]")
+    out = tmp_path / "x"
+    if command == "prune --probe":
+        argv = ["prune", "--model", model, "--probe", numbers, "--tau", 0, "--out", out]
+        message = "probe file: number too large for a float"
+    elif command == "topn --scores":
+        numbers.write_text(f"[0.5, 1.5, {literal}]")
+        argv = ["topn", "--model", model, "--scores", numbers, "--n", 2, "--out", out,
+                "--labelmap", tmp_path / "x.labels"]
+        message = "scores file: number too large for a float"
+    else:
+        report = tmp_path / "p.report"
+        assert run("prune", "--model", model, "--scene", scene, "--tau", 0,
+                   "--out", tmp_path / "p.net", "--report", report) == 0
+        text = report.read_text()
+        assert '"deviation_bound": 0.0' in text
+        report.write_text(text.replace('"deviation_bound": 0.0', f'"deviation_bound": {literal}'))
+        argv = ["eval", "--model-a", model, "--model-b", tmp_path / "p.net", "--scene", scene,
+                "--report", report]
+        message = "report: key 'deviation_bound' is too large for a float"
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert capsys.readouterr() == ("", f"format error: {message}\n")
+    assert not out.exists() and not (tmp_path / "x.labels").exists()
+
+
 def test_overflowing_sweep_prints_only_the_error(tmp_path):
     gen_net(tmp_path / "m.net", sizes="16,8,3", sparsity=0.0, seed=3)
     net = load_network((tmp_path / "m.net").read_bytes())

@@ -292,6 +292,16 @@ def test_integers_too_large_for_a_float_are_format_errors():
     doc = save_report(rep).replace(b'"deviation_bound": 0.0', b'"deviation_bound": 1' + b"0" * 400)
     with pytest.raises(FormatError, match="'deviation_bound' is too large for a float"):
         load_report(doc)
+    # a float literal past the float range: json reads it as inf
+    for literal in ("1e400", "-1e400"):
+        with pytest.raises(FormatError, match="probe file: number too large for a float"):
+            _jsonio.parse_vector(f"[1.5, {literal}]", "probe")
+        with pytest.raises(FormatError, match="key 'x' is too large for a float"):
+            _jsonio.get({"x": float(literal)}, "x", float, "doc")
+        doc = save_report(rep).replace(b'"deviation_bound": 0.0',
+                                       b'"deviation_bound": ' + literal.encode())
+        with pytest.raises(FormatError, match="'deviation_bound' is too large for a float"):
+            load_report(doc)
 
 
 # -- index sets ------------------------------------------------------------------

@@ -530,36 +530,34 @@ def test_sweep_holds_one_pooled_block_at_a_time():
 def test_compare_outputs_holds_one_pooled_block_at_a_time(pruned_seed):
     def run(sc, net):
         pruned = gen_network([64 * 49, 8, 4], seed=pruned_seed)
-        compare_outputs(net, pruned, _region_blocks(sc, sc.fmap))
+        compare_outputs(net, pruned, _region_blocks(sc))
 
     assert peak_in_blocks(run) < 2
 
 
 def assembled(block):
-    """A pooled block's channel groups as one (n, d) array; they must tile its columns in order."""
-    out = np.empty(block.shape)
+    """A pooled block's channel groups as one (n, d) array, +0.0 where no group reaches;
+    the groups' columns must be ascending and disjoint."""
+    out = np.zeros(block.shape)
     at = 0
-    for span, rows in block:
-        assert span.start == at and rows.shape == (span.stop - at, block.shape[0])
-        out[:, span] = rows.T
-        at = span.stop
-    assert at == block.shape[1]
+    for cols, rows in block:
+        assert cols.dtype == np.intp and cols[0] >= at and (np.diff(cols) > 0).all()
+        assert rows.shape == (cols.size, block.shape[0])
+        out[:, cols] = rows.T
+        at = cols[-1] + 1
+    assert at <= block.shape[1]
     return out
 
 
-def whole_blocks(scene, fmap):
+def whole_blocks(scene):
     """_region_blocks as arrays: each block of 256 regions pooled at once by pool_regions."""
     for lo in range(0, len(scene.rois), 256):
-        rois = scene.rois[lo : lo + 256]
-        if fmap is None:
-            yield np.zeros((len(rois), 0))
-        else:
-            yield pool_regions(fmap, rois, scene.pool_h, scene.pool_w)
+        yield pool_regions(scene.fmap, scene.rois[lo : lo + 256], scene.pool_h, scene.pool_w)
 
 
 def test_region_blocks_pool_as_pool_regions():
     sc = gen_scene(5, 9, 9, n_rois=600, pool_h=2, pool_w=3, seed=2)
-    blocks = list(_region_blocks(sc, sc.fmap))
+    blocks = list(_region_blocks(sc))
     assert [xs.shape for xs in blocks] == [(256, 30), (256, 30), (88, 30)]
     for lo, xs in zip(range(0, 600, 256), blocks):
         want = pool_regions(sc.fmap, sc.rois[lo : lo + 256], 2, 3)
@@ -577,8 +575,8 @@ def test_pooled_blocks_score_as_whole_blocks(monkeypatch):
     def scores(blocks):
         return (
             [fields(p) for p in sweep(net, sc, taus)],
-            fields(compare_outputs(net, pruned, blocks(sc, sc.fmap), input_keep=keep)),
-            fields(compare_outputs(net, gen_network([24, 7, 3], seed=6), blocks(sc, sc.fmap))),
+            fields(compare_outputs(net, pruned, blocks(sc), input_keep=keep)),
+            fields(compare_outputs(net, gen_network([24, 7, 3], seed=6), blocks(sc))),
         )
 
     pooled = scores(_region_blocks)
@@ -645,7 +643,7 @@ def test_window_edges_score_as_whole_blocks(monkeypatch, case, group):
     whole = ref_pool(sc)
     assert pool_regions(sc.fmap, sc.rois, 2, 2).tobytes() == whole.tobytes()
     assert assembled(_PooledBlock(sc.fmap, sc.rois, 2, 2)).tobytes() == whole.tobytes()
-    for lo, xs in zip(range(0, len(sc.rois), 256), _region_blocks(sc, sc.fmap)):
+    for lo, xs in zip(range(0, len(sc.rois), 256), _region_blocks(sc)):
         assert assembled(xs).tobytes() == whole[lo : lo + 256].tobytes()
     if case.startswith("part"):
         live = whole.any(axis=0)
@@ -661,7 +659,7 @@ def test_window_edges_score_as_whole_blocks(monkeypatch, case, group):
     apart = Network((DenseLayer(w, first.bias),) + net.layers[1:])
     for pruned in (shared, apart):
         top, lm, _ = prune_output_topn(pruned, [0.3, 0.9, 0.1, 0.8, 0.5], 3)
-        got = compare_outputs(net, top, _region_blocks(sc, sc.fmap), label_map=lm,
+        got = compare_outputs(net, top, _region_blocks(sc), label_map=lm,
                               input_keep=keep)
         blocks = [whole[lo : lo + 256] for lo in range(0, len(sc.rois), 256)]
         assert fields(got) == fields(compare_outputs(net, top, blocks, label_map=lm,
@@ -679,6 +677,47 @@ def test_window_edges_score_as_whole_blocks(monkeypatch, case, group):
     assert [fields(p) for p in sweep(net, sc, taus)] == points
 
 
+# -- dead channels: all +0.0 by bit pattern, so never pooled ---------------------
+
+
+def test_signed_zero_and_subnormal_channels_pool_as_ref_pool(monkeypatch):
+    sc = gen_scene(6, 6, 6, n_rois=300, pool_h=2, pool_w=2, seed=26)
+    data = sc.fmap.data.copy()
+    data[1] = 0.0  # dead
+    data[3] = -0.0  # pools to -0.0, so it must be pooled
+    data[4] = 0.0
+    data[4, 2, 3] = 5e-324  # the one nonzero entry is the smallest subnormal
+    sc = Scene(FeatureMap(data), sc.rois, 2, 2)
+    whole = ref_pool(sc)
+    assert np.signbit(whole[:, 12:16]).all() and whole[:, 16:20].max() == 5e-324
+    groups = record_groups(monkeypatch)
+    assert pool_regions(sc.fmap, sc.rois, 2, 2).tobytes() == whole.tobytes()
+    assert assembled(_PooledBlock(sc.fmap, sc.rois, 2, 2)).tobytes() == whole.tobytes()
+    for lo, xs in zip(range(0, 300, 256), _region_blocks(sc)):
+        assert assembled(xs).tobytes() == whole[lo : lo + 256].tobytes()
+    # pool_regions, the whole block, then two blocks of regions: each leaves out channel 1 only
+    assert [pooled_channels(cols, 4) for cols in groups] == [[0, 2, 3, 4, 5]] * 4
+
+
+@pytest.mark.parametrize("shared", [True, False])  # one shared first-layer pass, or two
+def test_compare_outputs_over_region_blocks_pools_no_dead_channel(monkeypatch, shared):
+    sc = gen_scene(8, 6, 6, zero_channels=3, n_rois=300, pool_h=2, pool_w=2, seed=27)
+    net = gen_network([32, 7, 4], seed=27)
+    sums = channel_sums(sc.fmap)
+    if shared:
+        pruned, rep = prune_input_channels(net, sums, 2, 2, PruneConfig(0.0))
+        keep = rep.selections[0].kept
+    else:
+        pruned, keep = gen_network([32, 7, 4], seed=28), None
+    want = fields(ref_compare(net, pruned, pooled_examples(sc), input_keep=keep))
+    groups = record_groups(monkeypatch)
+    assert fields(compare_outputs(net, pruned, _region_blocks(sc), input_keep=keep)) == want
+    live = np.flatnonzero(sums).tolist()
+    assert len(live) == 5
+    # two blocks of regions, each pooled once per first-layer pass
+    assert [pooled_channels(cols, 4) for cols in groups] == [live] * (2 if shared else 4)
+
+
 # -- no pooled block held: bounds well below one block --------------------------
 
 
@@ -690,7 +729,7 @@ def test_sweep_holds_no_pooled_block():
 def test_compare_outputs_holds_no_pooled_block(pruned_seed):
     def run(sc, net):
         pruned = gen_network([64 * 49, 8, 4], seed=pruned_seed)
-        compare_outputs(net, pruned, _region_blocks(sc, sc.fmap))
+        compare_outputs(net, pruned, _region_blocks(sc))
 
     assert peak_in_blocks(run) < 0.25
 
@@ -739,6 +778,29 @@ def record_nested(monkeypatch):
     return calls
 
 
+def record_groups(monkeypatch):
+    """Record the columns of every channel group pooled: one list per pass over a pooled block."""
+    passes = []
+    real = _PooledBlock.__iter__
+
+    def recording(self):
+        passes.append([])
+        for cols, rows in real(self):
+            passes[-1].append(cols.copy())
+            yield cols, rows
+
+    monkeypatch.setattr(_PooledBlock, "__iter__", recording)
+    return passes
+
+
+def pooled_channels(groups, cells):
+    """The channels a pass over a pooled block pooled, ascending, each owning all its cells."""
+    cols = np.concatenate(groups) if groups else np.zeros(0, dtype=np.intp)
+    channels = np.unique(cols // cells)
+    assert np.array_equal(cols, (channels[:, None] * cells + np.arange(cells)).ravel())
+    return channels.tolist()
+
+
 def assert_sums_untouched(calls):
     for _, accs in calls:
         for acc, before in accs:
@@ -752,14 +814,16 @@ class TestLiveChannelSweep:
                        seed=zero_channels)
         net = gen_network([20, 7, 4], seed=zero_channels)
         sums = channel_sums(sc.fmap)
-        live = int(np.count_nonzero(sums))
+        live = np.flatnonzero(sums).tolist()
         taus = [0.0, float(np.max(sums)) / 2, math.inf]
         calls = record_nested(monkeypatch)
-        points = sweep(net, sc, taus)
-        assert [fields(p) for p in points] == [fields(p) for p in ref_sweep(net, sc, taus)]
+        groups = record_groups(monkeypatch)
+        points = [fields(p) for p in sweep(net, sc, taus)]
         # two blocks of regions, each pooled over the live channels' 2x2 cells only
-        assert [width for width, _ in calls] == [live * 4] * 2
+        assert len(calls) == 2
+        assert [pooled_channels(cols, 4) for cols in groups] == [live] * 2
         assert_sums_untouched(calls)
+        assert points == [fields(p) for p in ref_sweep(net, sc, taus)]
 
     def test_every_channel_zero_needs_no_feature_map(self):
         sc = gen_scene(3, 4, 4, zero_channels=3, n_rois=7, pool_h=1, pool_w=2, seed=2)
