@@ -36,16 +36,17 @@ entries, 2-CPU VM: 1.9 ms per call, against 3.7 ms as a one-row column pass).
 
 Both work on _BLOCK live columns at a time, so neither holds a copy of more
 than one block of its matrix. matvec multiplies one block's columns and
-carries each row's running sum into the block's first column before
-accumulating it: carry + p is the addition accumulate itself makes, with the
-running sum as the first operand, so even a NaN keeps its payload. The
-column pass reads windows of at most _BLOCK live columns in ascending order,
-gathering each window's rows of xs.T and m.T (or reading consecutive rows
-of a C-ordered array in place). xs may also be a block of regions pooled
-as it is read (scene._PooledBlock): it yields a few live channels' columns
-at a time, whose live columns are windowed before the next channels are
-pooled, so no pooled batch is held whole. A dead channel it leaves out is
-a column the pass would skip, so the arithmetic is one whole pass's.
+carries each row's running sum, seeded at +0.0, into every block's first
+column before accumulating it: carry + p is the addition accumulate itself
+makes, with the running sum as the first operand, so even a NaN keeps its
+payload. The column pass reads windows of at most _BLOCK live columns in
+ascending order, gathering each window's rows of xs.T and m.T (or reading
+consecutive rows of a C-ordered array in place). xs may also be a block of
+regions pooled as it is read (scene._PooledBlock): it yields a few live
+channels' columns at a time, whose live columns are windowed before the next
+channels are pooled, so no pooled batch is held whole. A dead channel it
+leaves out is a column the pass would skip, so the arithmetic is one whole
+pass's.
 
 The loop forms each column's products in place, tmp[...] = w_j then
 tmp *= x_j, rather than as one broadcast multiply(x_j, w_j): every entry is
@@ -122,7 +123,7 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     nonzero entries of v are multiplied, by that same argument; m must be
     finite (every DenseLayer is), so a skipped product is ±0.0, never NaN.
     The live columns are multiplied _BLOCK at a time, each row's running sum
-    carried from one block into the next (module docstring).
+    carried from its +0.0 seed into every block (module docstring).
     Do not replace this with m @ v: the BLAS path reassociates the sum and
     breaks that guarantee.
     """
@@ -135,20 +136,14 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ContractViolation(
             f"matvec: matrix is {rows}x{cols} but vector has length {v.shape[0]}"
         )
+    carry = np.zeros(rows)
     live = np.flatnonzero(v)
-    if live.size == 0:
-        # nothing to add to the +0.0 seed; accumulate needs a column to read
-        return np.zeros(rows)
     for lo in range(0, live.size, _BLOCK):
         cols = live[lo : lo + _BLOCK]
         prod = m[:, cols]
         prod *= v[cols]
-        if lo:
-            # the running sum is the first operand, as accumulate has it
-            np.add(carry, prod[:, 0], out=prod[:, 0])
-        else:
-            # 0.0 + x == x for every x except -0.0; this is the accumulator seed
-            prod[:, 0] += 0.0
+        # the running sum is the first operand, as accumulate has it
+        np.add(carry, prod[:, 0], out=prod[:, 0])
         np.add.accumulate(prod, axis=1, out=prod)
         carry = prod[:, -1].copy()
     return carry
@@ -187,8 +182,8 @@ def _column_pass(name: str, m: np.ndarray, xs, depth, members: int, keep=None) -
 
     xs is an (n, d) array or a block of regions pooled as it is read
     (scene._PooledBlock). With keep, an ascending index array, m holds only
-    the columns keep of xs, and the one member keeps just those: the sums
-    are matmat(m, xs[:, keep]) byte for byte, with xs read in place.
+    the columns keep of xs, and depth is 1 on keep alone: the sums are
+    matmat(m, xs[:, keep]) byte for byte, with xs read in place.
     """
     if m.ndim != 2:
         raise ContractViolation(f"{name}: matrix must be 2-dimensional, got shape {m.shape}")
@@ -205,48 +200,38 @@ def _column_pass(name: str, m: np.ndarray, xs, depth, members: int, keep=None) -
     if keep is not None:
         depth = np.zeros(width, dtype=np.intp)
         depth[keep] = 1
+    elif depth is None:
+        depth = np.ones(width, dtype=np.intp)
     acc = np.zeros((xs.shape[0], units))
     if acc.size == 0:
         return [acc] * members
     # sums[g] serves members firsts[g] .. firsts[g + 1] - 1; the last first is a bound
     firsts, sums = [0, members], [acc]
     tmp = np.empty_like(acc)
+    # an array is one group over all its columns; a pooled block yields its
+    # channel groups (ascending columns, those columns as rows of xs.T) in turn
+    groups = [(np.arange(width), xs.T)] if isinstance(xs, np.ndarray) else xs
     # finite weights can still overflow; the inf/NaN is the result, not a fault
     with np.errstate(over="ignore", invalid="ignore"):
-        for at, xt in _windows(xs, depth):
-            # each step reads one contiguous row of xt and wt
-            wt = _live_rows(m.T, at if keep is None else np.searchsorted(keep, at), 0)
-            reach = [members] * at.size if depth is None else depth[at].tolist()
-            for xj, wj, d in zip(xt[:, :, None], wt, reach):
-                tmp[...] = wj
-                tmp *= xj
-                k = bisect_left(firsts, d)  # groups 0..k-1 start below d and keep column j
-                if d < firsts[k]:
-                    # members d.. of group k-1 drop column j: they part here with a copy
-                    firsts.insert(k, d)
-                    sums.insert(k, sums[k - 1].copy())
-                for s in sums[:k]:
-                    s += tmp
+        for span, rows in groups:
+            # a column is live when some row is nonzero there and some member keeps it
+            live = np.flatnonzero(rows.any(axis=1) & (depth[span] > 0))
+            for lo in range(0, live.size, _BLOCK):
+                # a window of live columns; each step reads one contiguous row of xt and wt
+                at = span[live[lo : lo + _BLOCK]]
+                xt = _live_rows(rows, live, lo)
+                wt = _live_rows(m.T, at if keep is None else np.searchsorted(keep, at), 0)
+                for xj, wj, d in zip(xt[:, :, None], wt, depth[at].tolist()):
+                    tmp[...] = wj
+                    tmp *= xj
+                    k = bisect_left(firsts, d)  # groups 0..k-1 start below d and keep column j
+                    if d < firsts[k]:
+                        # members d.. of group k-1 drop column j: they part here with a copy
+                        firsts.insert(k, d)
+                        sums.insert(k, sums[k - 1].copy())
+                    for s in sums[:k]:
+                        s += tmp
     return [s for s, lo, hi in zip(sums, firsts, firsts[1:]) for _ in range(lo, hi)]
-
-
-def _windows(xs, depth):
-    """(columns, their rows of xs.T) for xs's live columns, ascending, at most _BLOCK at a time.
-
-    A column is live when some row holds a nonzero there and its depth (if
-    any) is above 0. xs yields groups (cols, rows): ascending column indices
-    and those columns as rows of xs.T. An array is one group over all its
-    columns; a pooled block yields its channel groups one at a time.
-    """
-    groups = [(np.arange(xs.shape[1]), xs.T)] if isinstance(xs, np.ndarray) else xs
-    for cols, rows in groups:
-        kept = rows.any(axis=1)
-        if depth is not None:
-            kept &= depth[cols] > 0
-        live = np.flatnonzero(kept)
-        for lo in range(0, live.size, _BLOCK):
-            at = live[lo : lo + _BLOCK]
-            yield cols[at], _live_rows(rows, live, lo)
 
 
 def _live_rows(at: np.ndarray, live: np.ndarray, lo: int) -> np.ndarray:

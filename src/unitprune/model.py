@@ -258,7 +258,9 @@ def gen_network(sizes: Sequence[int], sparsity: float = 0.0, seed: int = 0) -> N
                 rows = np.sort(rng.choice(units, size=dead, replace=False))
                 w[rows, :] = 0.0
                 b[rows] = 0.0
-        layers.append(DenseLayer(w, b, ActivationKind.RELU if hidden else ActivationKind.IDENTITY))
+        act = ActivationKind.RELU if hidden else ActivationKind.IDENTITY
+        # the arrays come straight from the rng and nothing else holds them
+        layers.append(DenseLayer._adopt(w, b, act))
     return Network(tuple(layers))
 
 

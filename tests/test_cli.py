@@ -918,3 +918,61 @@ def test_a_refused_input_is_one_error_line_and_writes_nothing(tmp_path, monkeypa
     assert run(*argv) == code
     assert capsys.readouterr() == ("", message + "\n")
     assert sorted(os.listdir()) == before
+
+
+PRUNE = ["prune", "--model", "m.net", "--scene", "s.scene", "--out", "x.net",
+         "--report", "x.report"]
+EVAL_REPORT = ["eval", "--model-a", "m.net", "--model-b", "p.net", "--scene", "s.scene",
+               "--report", "p.report"]
+
+
+@pytest.mark.parametrize("argv, edit, code, message", [
+    (PRUNE, ("m.net", '"labels": ', ",\n", "[1, 2, 3, 4]"), 2,
+     "format error: model: labels must be null or an array of strings"),
+    (PRUNE, ("m.net", '"layers": [\n', ",\n{", "1"), 2,
+     "format error: layer 0: expected an object"),
+    (EVAL_REPORT, ("p.report", '"per_layer": [', ", [", "[1, -2]"), 2,
+     "format error: params_before per_layer[0]: expected two nonnegative integers"),
+    (EVAL_REPORT, ("p.report", '"deviation_bound": ', ",\n", '"x"'), 2,
+     "format error: report: deviation_bound must be null or a number"),
+    (PRUNE, ("s.scene", '"rois": [\n', ",\n", "[0, 0, 1]"), 2,
+     "format error: roi 0: expected four integers [x0, y0, x1, y1]"),
+    (PRUNE, ("s.scene", '"pool_h": ', ",\n", "0"), 2,
+     "format error: scene: pool grid must be at least 1x1, got 0x2"),
+    (PRUNE, ("s.scene", '"data": [\n', ",", "1e400"), 2,
+     "format error: scene: feature map contains non-finite values"),
+    (["gen-net", "--sizes", "4,-1", "--out", "x.net"], None, 1,
+     "error: gen_network: sizes must be nonnegative, got [4, -1]"),
+    (["topn", "--model", "m.net", "--scores", "three.json", "--n", 2, "--out", "x.net",
+      "--labelmap", "x.labels"], None, 1, "error: 3 scores for 4 output units"),
+    (["sweep", "--model", "empty.net", "--scene", "s.scene", "--thresholds", "0"], None, 1,
+     "error: cannot sweep an empty network"),
+    (["eval", "--model-a", "m.net", "--model-b", "m.net", "--scene", "s.scene",
+      "--labelmap", "t.labels"], None, 1,
+     "error: label map keeps 2 outputs but the pruned network has 4"),
+], ids=["model-labels", "model-layer", "report-params", "report-bound", "scene-roi",
+        "scene-pool-grid", "scene-data", "gen-net-sizes", "topn-scores", "sweep-empty",
+        "eval-labelmap"])
+def test_a_refused_field_is_one_error_line_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                              argv, edit, code, message):
+    monkeypatch.chdir(tmp_path)
+    gen_net("m.net", sizes="16,6,4", sparsity=0.0, seed=1)
+    gen_net("empty.net", sizes="4")  # no layers
+    gen_scene_file("s.scene", c=4, h=5, w=5, n_rois=3, pool_h=2, pool_w=2, seed=1)
+    assert run("prune", "--model", "m.net", "--scene", "s.scene", "--tau", 0,
+               "--out", "p.net", "--report", "p.report") == 0
+    Path("scores.json").write_text("[0.1, 0.9, 0.3, 0.8]")
+    Path("three.json").write_text("[0.1, 0.9, 0.3]")
+    assert run("topn", "--model", "m.net", "--scores", "scores.json", "--n", 2,
+               "--out", "t.net", "--labelmap", "t.labels") == 0
+    if edit:
+        # the value after the first `after` in the file, up to the next `until`, becomes `value`
+        name, after, until, value = edit
+        text = Path(name).read_text()
+        start = text.index(after) + len(after)
+        Path(name).write_text(text[:start] + value + text[text.index(until, start):])
+    before = sorted(os.listdir())
+    capsys.readouterr()
+    assert run(*argv) == code
+    assert capsys.readouterr() == ("", message + "\n")
+    assert sorted(os.listdir()) == before

@@ -76,6 +76,20 @@ class TestMatvec:
         with pytest.raises(ContractViolation, match="2x3"):
             matvec(np.zeros((2, 3)), np.zeros(4))
 
+    def test_shape_refusals_name_the_operand(self):
+        with pytest.raises(ContractViolation) as e:
+            matvec(np.zeros(3), np.zeros(3))
+        assert str(e.value) == "matvec: matrix must be 2-dimensional, got shape (3,)"
+        with pytest.raises(ContractViolation) as e:
+            matvec(np.zeros((2, 3)), np.zeros((3, 1)))
+        assert str(e.value) == "matvec: vector must be 1-dimensional, got shape (3, 1)"
+        with pytest.raises(ContractViolation) as e:
+            matmat(np.zeros(3), np.zeros((1, 3)))
+        assert str(e.value) == "matmat: matrix must be 2-dimensional, got shape (3,)"
+        with pytest.raises(ContractViolation) as e:
+            nested_matmat(np.zeros((1, 2, 3)), np.zeros((1, 3)), np.ones(3, dtype=int), 1)
+        assert str(e.value) == "nested_matmat: matrix must be 2-dimensional, got shape (1, 2, 3)"
+
     def test_repeated_calls_bit_identical(self):
         rng = np.random.default_rng(11)
         m = rng.uniform(-1, 1, size=(9, 17))

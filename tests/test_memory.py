@@ -5,6 +5,8 @@ Every test runs on a 256x3136 layer (6.4 MB of float64, the size of the
 README head's layer 0) and measures with tracemalloc, as the pooled-block
 tests in test_report.py do: the peak of the call, as a fraction of the
 layer's bytes, with the layer and the inputs made before measuring starts.
+The gen_network test measures the call that draws such a layer, against the
+bytes of the model it returns.
 """
 
 import tracemalloc
@@ -12,7 +14,7 @@ import tracemalloc
 import numpy as np
 
 from unitprune import linalg
-from unitprune.model import ActivationKind, DenseLayer, Network
+from unitprune.model import ActivationKind, DenseLayer, Network, gen_network
 from unitprune.prune import _narrow, channel_drop_bound
 from unitprune.report import _same_first_layer
 
@@ -79,3 +81,16 @@ def test_narrow_adopts_what_it_gathers():
     net = Network((layer(),))
     # the new layer is half the old one; a second copy of it would make a whole
     assert peak_fraction(lambda: _narrow(net, 0, half_the_columns())) < 0.75
+
+
+def test_gen_network_adopts_what_it_draws():
+    sizes = (INPUTS, UNITS, 64, 20)
+    tracemalloc.start()
+    try:
+        net = gen_network(sizes, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    model_bytes = sum(lay.weights.nbytes + lay.bias.nbytes for lay in net.layers)
+    # each layer is the rng's own arrays; a copy of layer 0 would add most of the model again
+    assert peak / model_bytes < 1.5
