@@ -79,6 +79,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .errors import ContractViolation, FormatError
 
 FORMAT_VERSION = 1
@@ -128,7 +129,8 @@ class Lines(list):
 
 
 def _check_finite(a, key: str) -> None:
-    if not np.isfinite(a).all():
+    """Refuse a NaN or infinity in a, read a block of rows at a time as a load checks it."""
+    if not linalg._all_finite(a):
         raise ContractViolation(f"cannot write non-finite {key!r}: JSON has no NaN or infinity")
 
 
@@ -325,9 +327,11 @@ def _block_doc(data, arrays: tuple[str, ...]):
 
     data is bytes, text, or a seekable binary file, read a line at a time from
     where it stands to its end. An unbuffered file (the CLI's FileIO) is read
-    through a buffer that is detached before this returns, so it stays open
-    and a read is not a system call per byte. A block's row lines go to
-    _Block.add about _CHUNK_BYTES at a time, a whole row with its comma last.
+    through a buffer of _CHUNK_BYTES that is detached before this returns, so
+    it stays open, a read is not a system call per byte, and a row of a wide
+    layer (about 66 KB of text in the README head's layer 0) takes one or two.
+    A block's row lines go to _Block.add about _CHUNK_BYTES at a time, a whole
+    row with its comma last.
     """
     openers = {json.dumps(name) + ": [\n" for name in arrays}
     if _in_memory(data):
@@ -336,7 +340,7 @@ def _block_doc(data, arrays: tuple[str, ...]):
         here = data.tell()
         unread = data.seek(0, os.SEEK_END) - here
         data.seek(here)
-    buffered = io.BufferedReader(data) if isinstance(data, io.RawIOBase) else None
+    buffered = io.BufferedReader(data, _CHUNK_BYTES) if isinstance(data, io.RawIOBase) else None
     outside, blocks = [], []  # the text outside the blocks, a sentinel for each; the arrays
     rows, size, block = [], 0, None  # the open block's row lines not parsed yet, their length
     try:

@@ -43,7 +43,8 @@ class _Source:
 
     def line(self) -> bytes:
         if self.file is None:
-            self.file = open(self.path, "rb")
+            # a row of a layer as wide as the README head's is about 66 KB of text
+            self.file = open(self.path, "rb", buffering=_cache._READ)
         line = self.file.readline()
         if not line:
             raise ValueError("the source ends early")

@@ -286,7 +286,9 @@ def _cmd_topn(args) -> int:
 
 def _cmd_eval(args) -> int:
     original, _ = _load("model", args.model_a)
-    pruned, _ = _load("model", args.model_b)
+    # compare_outputs gets the only reference to model-b, so a first layer that
+    # duplicates model-a's goes before scoring; the scene still loads last
+    pruned = [_load("model", args.model_b)[0]]
     sc, _ = _load("scene", args.scene)
     label_map = load_labelmap(_read(args.labelmap)) if args.labelmap is not None else None
     input_keep = None
@@ -312,7 +314,7 @@ def _cmd_eval(args) -> int:
         )
     blocks = _region_blocks(sc)
     dr = compare_outputs(
-        original, pruned, blocks, label_map=label_map, input_keep=input_keep, bound=bound
+        original, pruned.pop(), blocks, label_map=label_map, input_keep=input_keep, bound=bound
     )
     print(deviation_json(dr))
     return 0

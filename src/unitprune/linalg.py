@@ -86,10 +86,23 @@ __all__ = [
 ]
 
 # Columns or rows of a layer an exact pass takes at a time: matvec's live
-# columns, a column pass's windows of live rows of xs.T and m.T, and the row
-# blocks of prune._inf_op_norm and report._same_first_layer. No pass copies a
-# whole layer.
+# columns, a column pass's windows of live rows of xs.T and m.T, the row
+# blocks of prune._inf_op_norm, and the rows a finiteness check reads at once
+# (_all_finite). No pass copies a whole layer.
 _BLOCK = 64
+
+
+def _all_finite(a) -> bool:
+    """Whether every entry of a is finite, read _BLOCK rows at a time when a has rows.
+
+    np.isfinite(a).all() would build a bool array an eighth of a's bytes (a
+    layer as it loads); a block's is an eighth of one block. A scalar or a
+    vector is checked at once.
+    """
+    a = np.asarray(a)
+    if a.ndim < 2:
+        return bool(np.isfinite(a).all())
+    return all(np.isfinite(a[lo : lo + _BLOCK]).all() for lo in range(0, a.shape[0], _BLOCK))
 
 
 def vector(data) -> np.ndarray:
@@ -97,17 +110,17 @@ def vector(data) -> np.ndarray:
     v = np.asarray(data, dtype=np.float64)
     if v.ndim != 1:
         raise ContractViolation(f"vector must be 1-dimensional, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    if not _all_finite(v):
         raise ContractViolation("vector contains non-finite values")
     return v
 
 
 def matrix(data) -> np.ndarray:
-    """Coerce to a finite 2-D float64 array."""
+    """Coerce to a finite 2-D float64 array, checked _BLOCK rows at a time (_all_finite)."""
     m = np.asarray(data, dtype=np.float64)
     if m.ndim != 2:
         raise ContractViolation(f"matrix must be 2-dimensional, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if not _all_finite(m):
         raise ContractViolation("matrix contains non-finite values")
     return m
 

@@ -102,8 +102,9 @@ def _same_first_layer(original: Network, pruned: Network, keep: np.ndarray | Non
     """Whether pruned's first layer is original's on the keep columns, byte for byte.
 
     Activation, shape and bias bytes compare as DenseLayer.__eq__ compares
-    them; the weights compare in place, linalg._BLOCK rows at a time, so no
-    narrowed copy of the original layer is built.
+    them; the weights compare in place, one row at a time, so what the check
+    holds is one row's keep columns of the original and not a narrowed copy
+    of any block of it.
     """
     a, b = original.layers[0], pruned.layers[0]
     width = a.inputs if keep is None else keep.size
@@ -113,13 +114,11 @@ def _same_first_layer(original: Network, pruned: Network, keep: np.ndarray | Non
         and a.bias.tobytes() == b.bias.tobytes()
     ):
         return False
-    step = linalg._BLOCK
-    for lo in range(0, a.units, step):
-        rows = a.weights[lo : lo + step]
+    for row_a, row_b in zip(a.weights, b.weights):
         if keep is not None:
-            rows = rows[:, keep]
+            row_a = row_a[keep]
         # as uint64, so the bytes compare: -0.0 is not 0.0
-        if not np.array_equal(rows.view(np.uint64), b.weights[lo : lo + step].view(np.uint64)):
+        if not np.array_equal(row_a.view(np.uint64), row_b.view(np.uint64)):
             return False
     return True
 
@@ -206,6 +205,12 @@ def compare_outputs(
     run once per distinct sum; otherwise each network runs on its own, the
     pruned first layer reading the block's input_keep columns in place (a
     pooled block is then pooled once per network).
+
+    In the shared case the pruned first layer is never read again, and this
+    function drops its reference to pruned before the first block is read:
+    a caller that passes its only reference (cli's eval does) lets that
+    duplicate layer go before scoring. A caller that keeps a reference sees
+    no change. (CPython 3.10 holds a call's arguments until it returns.)
     """
     kept_out = None
     if label_map is not None:
@@ -241,6 +246,7 @@ def compare_outputs(
         first, rest_a, rest_b = original.layers[0], original.layers[1:], pruned.layers[1:]
         same_rest = rest_a == rest_b
         rest_a, rest_b = Network(rest_a), Network(rest_b)
+        del pruned  # scoring reads first and rest_b alone (see the docstring)
         # member 0 is the original network, keeping every column; member 1 the pruned one
         depth = np.ones(width, dtype=np.intp)
         depth[slice(None) if keep is None else keep] += 1

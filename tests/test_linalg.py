@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitprune import linalg
+from unitprune import _jsonio, linalg
 from unitprune.errors import ContractViolation
 from unitprune.linalg import (
     complement,
@@ -275,6 +275,40 @@ class TestConstructors:
     def test_matrix_rejects_inf(self):
         with pytest.raises(ContractViolation):
             matrix([[float("inf")]])
+
+
+# Both finiteness checks read a block of rows at a time: a bad value must be
+# found at either edge of a block and in a short last block.
+FINITE_CHECKS = [
+    (matrix, "matrix contains non-finite values"),
+    (lambda a: _jsonio.dump_doc({"weights": _jsonio.Rows(a)}),
+     "cannot write non-finite 'weights': JSON has no NaN or infinity"),
+]
+BLOCK_EDGE_ROWS = [0, linalg._BLOCK - 1, linalg._BLOCK, 2 * linalg._BLOCK + 4]
+
+
+def block_edges_matrix(fill=1.5):
+    """Two whole row blocks and a short one of 5 rows, 3 columns."""
+    return np.full((2 * linalg._BLOCK + 5, 3), fill)
+
+
+@pytest.mark.parametrize("check, message", FINITE_CHECKS)
+@pytest.mark.parametrize("row", BLOCK_EDGE_ROWS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finiteness_checks_find_a_bad_value_at_block_edges(check, message, row, bad):
+    a = block_edges_matrix()
+    a[row, 2] = bad
+    with pytest.raises(ContractViolation) as e:
+        check(a)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("check, message", FINITE_CHECKS)
+@pytest.mark.parametrize("fill", [-0.0, 5e-324, -5e-324, 1.7976931348623157e308])
+def test_finiteness_checks_accept_signed_zero_subnormals_and_the_largest_float(
+    check, message, fill
+):
+    check(block_edges_matrix(fill))
 
 
 class TestFmtFloat:
