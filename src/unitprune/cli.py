@@ -244,23 +244,26 @@ def _cmd_prune(args) -> int:
     if (args.scene is None) == (args.probe is None):
         raise UsageError("exactly one of --scene or --probe is required")
     net, digest = _load("model", args.model)
+    # the prune gets the only reference to the model, so it lets each source layer
+    # go once its narrowed copy is built (prune._narrow), where this command peaks
+    only = [net]
+    del net
     cfg = PruneConfig(args.tau)
     if args.scene is not None:
         if args.layer != 0:
             raise UsageError("--layer must be 0 when pruning from a scene")
         sc, _ = _load("scene", args.scene)
         pruned_net, rep = prune_input_channels(
-            net, channel_sums(sc.fmap), sc.pool_h, sc.pool_w, cfg
+            only.pop(), channel_sums(sc.fmap), sc.pool_h, sc.pool_w, cfg
         )
     else:
         probe = _jsonio.parse_vector(_read(args.probe), "probe")
         # an overflow is refused below, by layer, instead of warned about here
         with np.errstate(over="ignore", invalid="ignore"):
-            profile = forward(net, probe)
+            profile = forward(only[0], probe)
         check_finite(profile)
         sel = select_units(_profile_layer(profile, args.layer), cfg, layer=args.layer)
-        pruned_net, rep = prune_units(net, args.layer, sel, profile=profile)
-    del net  # the layers pruning replaced go before the write, which sets the peak
+        pruned_net, rep = prune_units(only.pop(), args.layer, sel, profile=profile)
     # check every document first, so a refused one leaves no file behind
     files = [(args.out, _pruned_chunks(pruned_net, args.model, digest, rep), pruned_net)]
     if args.report is not None:
@@ -271,9 +274,10 @@ def _cmd_prune(args) -> int:
 
 def _cmd_topn(args) -> int:
     net, digest = _load("model", args.model)
+    only = [net]  # as in prune, prune_output_topn gets the only reference to the model
+    del net
     scores = _jsonio.parse_vector(_read(args.scores), "scores")
-    pruned_net, label_map, rep = prune_output_topn(net, scores, args.n)
-    del net  # the write needs only the pruned model, as in prune
+    pruned_net, label_map, rep = prune_output_topn(only.pop(), scores, args.n)
     files = [
         (args.out, _pruned_chunks(pruned_net, args.model, digest, rep), pruned_net),
         (args.labelmap, _jsonio.dump_chunks(_labelmap_fields(label_map))),

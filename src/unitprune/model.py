@@ -94,13 +94,22 @@ class DenseLayer:
         return self.weights.shape[1]
 
     def __eq__(self, other):
+        """Same activation, shapes and bytes (-0.0 is not 0.0).
+
+        The weights compare in place, linalg._BLOCK rows at a time as uint64,
+        so no copy of either layer is made.
+        """
         if not isinstance(other, DenseLayer):
             return NotImplemented
+        a, b, rows = self.weights, other.weights, linalg._BLOCK
         return (
             self.activation is other.activation
-            and self.weights.shape == other.weights.shape
-            and self.weights.tobytes() == other.weights.tobytes()
+            and a.shape == b.shape
             and self.bias.tobytes() == other.bias.tobytes()
+            and all(
+                np.array_equal(a[lo : lo + rows].view(np.uint64), b[lo : lo + rows].view(np.uint64))
+                for lo in range(0, a.shape[0], rows)
+            )
         )
 
 

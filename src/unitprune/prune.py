@@ -8,7 +8,11 @@ network so; the public transforms choose the width and the positions:
 forward_prune (any layer-0 columns) and prune_input_channels (whole scene
 channels) at the input, prune_units at a hidden width, and backward_prune
 (any final-layer units) and prune_output_topn (the n best-scoring) at the
-output, where the labels follow.
+output, where the labels follow. prune_units, prune_input_channels and
+prune_output_topn hand _narrow the only reference they hold to the network,
+so a caller that passes its own only reference (the CLI does) lets each
+source layer go once its narrowed copy is built; a caller that keeps one
+sees no change. (CPython 3.10 holds a call's arguments until it returns.)
 
 Selections come from activation magnitudes on a probe input, one layer of
 the tuple forward returns. At threshold 0 only units that output exactly
@@ -303,18 +307,27 @@ def _narrow(net: Network, width: int, keep: np.ndarray) -> Network:
     """net keeping the keep positions of the vector at width: the rows and bias
     entries of layer width-1, the input columns of layer width, the labels at the output.
 
-    The new layers keep the arrays gathered for them, without a second copy.
+    The new layers keep the arrays gathered for them, without a second copy,
+    and replace the source layers one at a time: given the only reference to
+    net, each source layer goes as soon as its narrowed copy is built. Both
+    layers shrink by the same kept fraction f, and the one with fewer weights
+    is built first: for source sizes a <= b the peak above the model is then
+    max(f*a, f*a + f*b - a), never above f*b, which building the larger first
+    reaches at its first step alone.
     """
     layers, labels = list(net.layers), net.labels
-    if width > 0:
-        lay = layers[width - 1]
-        layers[width - 1] = DenseLayer._adopt(lay.weights[keep], lay.bias[keep], lay.activation)
-    if width < len(layers):
-        lay = layers[width]
-        weights = np.take(lay.weights, keep, axis=1)
-        # the bias is read-only, so the old and the new layer can both hold it
-        layers[width] = DenseLayer._adopt(weights, lay.bias, lay.activation)
-    elif labels is not None:
+    del net  # from here the list holds the source layers
+    rebuilt = [k for k in (width - 1, width) if 0 <= k < len(layers)]
+    for k in sorted(rebuilt, key=lambda k: layers[k].weights.size):
+        lay = layers[k]
+        if k < width:
+            layers[k] = DenseLayer._adopt(lay.weights[keep], lay.bias[keep], lay.activation)
+        else:
+            weights = np.take(lay.weights, keep, axis=1)
+            # the bias is read-only, so the old and the new layer can both hold it
+            layers[k] = DenseLayer._adopt(weights, lay.bias, lay.activation)
+        del lay  # the source layer goes here, unless the caller still holds it
+    if width == len(layers) and labels is not None:
         labels = tuple(labels[i] for i in keep)
     return Network(tuple(layers), labels=labels)
 
@@ -381,8 +394,11 @@ def prune_units(
         h = _profile_layer(profile, layer)
         _check_covers(sel, layer, h.shape[0], "units", "the profile")
         bound = column_drop_bound(net, layer + 1, np.abs(h), sel.pruned)
-    pruned_net = _narrow(net, layer + 1, sel.kept)
-    report = PruneReport("units", (sel,), param_count(net), param_count(pruned_net), bound)
+    before = param_count(net)
+    only = [net]  # _narrow gets the only reference this call holds
+    del net
+    pruned_net = _narrow(only.pop(), layer + 1, sel.kept)
+    report = PruneReport("units", (sel,), before, param_count(pruned_net), bound)
     return pruned_net, report
 
 
@@ -413,10 +429,14 @@ def prune_input_channels(
     csel = select_channels(s, config)
     cols = channel_columns(csel.pruned, s.shape[0], pool_h, pool_w)
     colsel = PruneSelection.from_pruned(cols, n_cols, layer=0)
-    pruned_net = _narrow(net, 0, colsel.kept)
+    # the bound's gather of dropped columns is freed before the new layer 0 is built
     bound = channel_drop_bound(net, s, pool_h, pool_w, csel.pruned)
+    before = param_count(net)
+    only = [net]  # _narrow gets the only reference this call holds
+    del net
+    pruned_net = _narrow(only.pop(), 0, colsel.kept)
     report = PruneReport(
-        "input-channels", (colsel,), param_count(net), param_count(pruned_net), bound, csel
+        "input-channels", (colsel,), before, param_count(pruned_net), bound, csel
     )
     return pruned_net, report
 
@@ -444,10 +464,14 @@ def prune_output_topn(
         raise ContractViolation(f"n must be in 1..{out_dim}, got {n}")
     # stable sort on negated scores: ties resolve to the lower index
     order = np.argsort(-s, kind="stable")
-    sel = PruneSelection.from_pruned(np.sort(order[n:]), out_dim, layer=len(net.layers) - 1)
-    pruned_net = _narrow(net, len(net.layers), sel.kept)
+    width = len(net.layers)
+    sel = PruneSelection.from_pruned(np.sort(order[n:]), out_dim, layer=width - 1)
+    before = param_count(net)
+    only = [net]  # _narrow gets the only reference this call holds
+    del net
+    pruned_net = _narrow(only.pop(), width, sel.kept)
     label_map = LabelMap(indices=sel.kept, names=pruned_net.labels)
-    report = PruneReport("topn", (sel,), param_count(net), param_count(pruned_net), 0.0)
+    report = PruneReport("topn", (sel,), before, param_count(pruned_net), 0.0)
     return pruned_net, label_map, report
 
 

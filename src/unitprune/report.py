@@ -259,17 +259,20 @@ def compare_outputs(
                 f"example {dev.n} has {xs.shape[1]} values but the original "
                 f"network expects {width} inputs"
             )
-        # each branch drops the block once its first layers have read it, so
-        # no array block is alive while the caller's iterator makes the next one
+        # each branch drops the block once its first layers have read it, and its
+        # sums and outputs once they are measured, so nothing of this block is
+        # alive while the caller's iterator makes the next one or it is scored
         if shared:
             acc_a, acc_b = linalg.nested_matmat(first.weights, xs, depth, 2)
             del xs
             oa = _finish(first, rest_a, acc_a)
             dev.add(oa, oa if acc_b is acc_a and same_rest else _finish(first, rest_b, acc_b))
+            del acc_a, acc_b, oa
         else:
             oa, ob = _outputs(original, xs, None), _outputs(pruned, xs, keep)
             del xs
             dev.add(oa, ob)
+            del oa, ob
     return dev.report(bound)
 
 
@@ -326,6 +329,7 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
         base = _finish(first, rest, accs[0])
         for dev, acc in zip(devs, accs[1:]):
             dev.add(base, base if acc is accs[0] else _finish(first, rest, acc))
+        del accs, acc, base  # not held while the next block is scored
     # a pruned first layer keeps every unit and bias, and cells columns per kept channel
     w0, b0 = first.weights.size, first.bias.size
     points = []

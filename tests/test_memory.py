@@ -10,9 +10,12 @@ bytes of the model it returns.
 
 The last tests check that eval holds each first-layer weight once: when the
 pruned first layer is the original's on the kept columns, compare_outputs
-lets it go before scoring, as long as it was given the only reference.
+lets it go before scoring, as long as it was given the only reference. A
+prune given the only reference to its model likewise lets each source layer
+go once its narrowed copy is built, the smaller first.
 """
 
+import json
 import sys
 import tracemalloc
 import weakref
@@ -21,9 +24,16 @@ import numpy as np
 import pytest
 
 from unitprune import _jsonio, cli, linalg
-from unitprune.model import ActivationKind, DenseLayer, Network, gen_network, load_network
-from unitprune.prune import PruneConfig, _narrow, channel_drop_bound, prune_input_channels
-from unitprune.report import _region_blocks, _same_first_layer, compare_outputs
+from unitprune.model import ActivationKind, DenseLayer, Network, forward, gen_network, load_network
+from unitprune.prune import (
+    PruneConfig,
+    _narrow,
+    channel_drop_bound,
+    prune_input_channels,
+    prune_units,
+    select_units,
+)
+from unitprune.report import _region_blocks, _same_first_layer, compare_outputs, sweep
 from unitprune.scene import channel_sums, gen_scene
 
 UNITS, INPUTS = 256, 64 * 49
@@ -107,6 +117,31 @@ def test_narrow_adopts_what_it_gathers():
     assert peak_fraction(lambda: _narrow(net, 0, half_the_columns())) < 0.75
 
 
+def test_dense_layer_equality_compares_in_place():
+    a, b = layer(), layer()
+    # tobytes() of both would be two whole layers; comparing 64 rows at a time
+    # makes a bool array of 64 rows, a 32nd of the layer's bytes
+    assert peak_fraction(lambda: a == b) < 1 / 16
+
+
+def test_sweep_holds_one_block_of_sums():
+    sc = gen_scene(64, 14, 14, zero_channels=30, n_rois=1024, seed=3)
+    net = Network((layer(), DenseLayer(np.ones((20, UNITS)), np.zeros(20), ActivationKind.IDENTITY)))
+    sums = np.sort(channel_sums(sc.fmap))
+    taus = [0.0, float(sums[40]), float(sums[50])]
+    tracemalloc.start()
+    try:
+        sweep(net, sc, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block's first-layer sums: at most one 256x256 accumulator per member,
+    # the original and each threshold's network; the last block's sums held
+    # while the next is scored would take about twice that
+    block_sums = (len(taus) + 1) * 256 * UNITS * 8
+    assert peak < 1.75 * block_sums
+
+
 def test_gen_network_adopts_what_it_draws():
     sizes = (INPUTS, UNITS, 64, 20)
     tracemalloc.start()
@@ -181,3 +216,60 @@ def test_eval_holds_one_copy_of_the_shared_first_layer(tmp_path, monkeypatch, ca
     # accumulators and windows would otherwise come on top of both models
     # (1.94 MB); what is left is a load's text and buffers (1.1 MB when parsing)
     assert peak - models < 1.5e6
+
+
+def model_bytes(net):
+    return sum(lay.weights.nbytes + lay.bias.nbytes for lay in net.layers)
+
+
+@callee_owns_its_arguments
+def test_prune_units_lets_each_source_layer_go_once_it_is_narrowed():
+    # the benchmark's probe-deep model, pruned at layer 0 by a probe at threshold 0
+    tracemalloc.start()
+    try:
+        net = gen_network((1024, 512, 512, 512, 256, 100), sparsity=0.3, seed=5)
+        profile = forward(net, np.random.default_rng(5).uniform(-1.0, 1.0, 1024))
+        sel = select_units(profile[0], PruneConfig(0.0), layer=0)
+        only = [net]
+        del net
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pruned, _ = prune_units(only.pop(), 0, sel, profile=profile)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    k = sel.kept.size
+    assert pruned.layers[0].weights.shape == (k, 1024) and pruned.layers[1].inputs == k
+    # layer 1's k kept columns (512 x k) are built first and its source goes;
+    # then layer 0's k kept rows (k x 1024) take less than that source gave back.
+    # Holding the source model while both new layers are built adds 3x as much.
+    smaller = 512 * k * 8
+    assert peak < smaller + 0.25e6
+
+
+@callee_owns_its_arguments
+@pytest.mark.parametrize("cache", ["hit", "parse"])
+def test_probe_prune_holds_less_than_both_models(tmp_path, monkeypatch, cache):
+    # two large layers, 512x1024 and 512x512, and a small output layer
+    monkeypatch.chdir(tmp_path)
+    probe = np.random.default_rng(3).uniform(-1.0, 1.0, 1024)
+    (tmp_path / "probe.json").write_text(json.dumps(probe.tolist()))
+    assert cli.main(["gen-net", "--sizes", "1024,512,512,10", "--sparsity", "0.3",
+                     "--seed", "3", "--out", "a.net"]) == 0
+    if cache == "parse":
+        # a regular file can hold no cache directory, so the load parses the text
+        (tmp_path / "no-cache").touch()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "no-cache"))
+    tracemalloc.start()
+    try:
+        assert cli.main(["prune", "--model", "a.net", "--probe", "probe.json", "--layer", "0",
+                         "--tau", "0", "--out", "b.net", "--report", "b.report"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    models = sum(model_bytes(load_network((tmp_path / name).read_bytes()))
+                 for name in ("a.net", "b.net"))
+    # holding the source model while both narrowed layers are built is both
+    # models' bytes here, the output layer aside; layer 1's source (2.1 MB)
+    # goes before layer 0's kept rows (about 1.5 MB) are built
+    assert peak < models - 0.5e6

@@ -141,6 +141,28 @@ class TestValidation:
             DenseLayer._adopt(w, np.zeros(3), ActivationKind.RELU)
 
 
+class TestLayerEquality:
+    def test_bytes_compare_in_every_block_of_rows(self):
+        # 150 rows are three blocks of linalg._BLOCK rows, the last one short
+        w = np.random.default_rng(0).uniform(-1.0, 1.0, (150, 3))
+        lay = relu_layer(w, np.zeros(150))
+        assert lay == relu_layer(w, np.zeros(150))
+        for row in (0, 63, 64, 149):
+            changed = w.copy()
+            changed[row, 2] = np.nextafter(changed[row, 2], 2.0)
+            assert lay != relu_layer(changed, np.zeros(150))
+
+    def test_negative_zero_is_not_zero(self):
+        assert relu_layer([[0.0, 1.0]], [0.0]) != relu_layer([[-0.0, 1.0]], [0.0])
+        assert relu_layer([[0.0, 1.0]], [0.0]) != relu_layer([[0.0, 1.0]], [-0.0])
+
+    def test_shape_and_activation(self):
+        assert relu_layer([[1.0, 2.0]], [0.0]) != relu_layer([[1.0], [2.0]], [0.0, 0.0])
+        assert relu_layer([[1.0]], [0.0]) != id_layer([[1.0]], [0.0])
+        assert relu_layer(np.zeros((0, 3)), []) == relu_layer(np.zeros((0, 3)), [])
+        assert relu_layer(np.zeros((2, 0)), [0, 0]) == relu_layer(np.zeros((2, 0)), [0, 0])
+
+
 class TestParamCount:
     def test_3_4_2(self):
         net = gen_network([3, 4, 2], seed=0)

@@ -42,6 +42,7 @@ from unitprune.prune import (
     select_channels,
     select_units,
 )
+from unitprune.scene import channel_sums, gen_scene
 
 
 def id_layer(w, b):
@@ -360,6 +361,32 @@ class TestPruneInputChannels:
             worst = max(worst, float(d))
         assert worst <= rep.deviation_bound
         assert worst > 0.0  # the case actually bites
+
+
+def test_prunes_leave_a_network_the_caller_holds_unchanged():
+    # a prune lets go of the source layers it narrows only when it was handed
+    # the only reference; a caller that keeps one sees the same network, and
+    # gets the same result as from a fresh copy
+    sc = gen_scene(6, 5, 5, zero_channels=2, pool_h=2, pool_w=2, seed=4)
+    net = gen_network([sc.pooled_width, 16, 12, 5], sparsity=0.3, seed=4)
+    text, layers = save_network(net), net.layers
+    rng = np.random.default_rng(4)
+    profile = forward(net, rng.uniform(-1.0, 1.0, sc.pooled_width))
+    scores = rng.uniform(size=5)
+    runs = [
+        lambda n: prune_units(n, 0, select_units(profile[0], PruneConfig(0.0)), profile),
+        lambda n: prune_units(
+            n, 1, select_units(profile[1], PruneConfig(0.5), layer=1), profile
+        ),
+        lambda n: prune_input_channels(n, channel_sums(sc.fmap), 2, 2, PruneConfig(0.0)),
+        lambda n: prune_output_topn(n, scores, 2),
+    ]
+    for run in runs:
+        held = run(net)
+        assert held[-1].selections[0].pruned.size  # the prune narrows something
+        assert save_network(net) == text
+        assert all(a is b for a, b in zip(net.layers, layers))
+        assert held == run(load_network(text))
 
 
 class TestTopN:
