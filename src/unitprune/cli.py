@@ -35,7 +35,6 @@ import io
 import os
 import stat
 import sys
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -99,20 +98,25 @@ def _load(what: str, path: str) -> tuple:
         return got
 
 
-def _pruned_chunks(net, path: str, digest: bytes | None, rep) -> Iterator[bytes]:
-    """The document of net, which rep's selection pruned from the model at path.
+def _write_pruned(args, net, digest: bytes | None, rep, *extra) -> None:
+    """Write net, which rep's selection pruned from args.model, then extra, then args.report.
 
     When the parse cache held that file as digest, the weight rows are copied
-    from its text (see _reuse); otherwise every number is formatted.
+    from its text (see _reuse); otherwise every number is formatted. Every
+    document is checked first, so a refused one leaves no file behind.
     """
     if digest is None:
-        return _jsonio.dump_chunks(_network_fields(net))
-    from . import _reuse
-
-    # the width and positions prune._narrow kept
-    sel = rep.selections[0]
-    width = 0 if rep.kind == "input-channels" else sel.layer + 1
-    return _reuse.chunks(net, path, digest, width, sel.kept)
+        chunks = _jsonio.dump_chunks(_network_fields(net))
+    else:
+        from . import _reuse
+        # the width and positions prune._narrow kept
+        sel = rep.selections[0]
+        width = 0 if rep.kind == "input-channels" else sel.layer + 1
+        chunks = _reuse.chunks(net, args.model, digest, width, sel.kept)
+    files = [(args.out, chunks, net), *extra]
+    if args.report is not None:
+        files.append((args.report, _jsonio.dump_chunks(_report_fields(rep))))
+    _write(files)
 
 
 def _write(outputs: list[tuple]) -> None:
@@ -243,11 +247,9 @@ def _cmd_gen_scene(args) -> int:
 def _cmd_prune(args) -> int:
     if (args.scene is None) == (args.probe is None):
         raise UsageError("exactly one of --scene or --probe is required")
-    net, digest = _load("model", args.model)
-    # the prune gets the only reference to the model, so it lets each source layer
-    # go once its narrowed copy is built (prune._narrow), where this command peaks
-    only = [net]
-    del net
+    # only, a one-item list, holds the model: the prune gets the only reference, so it
+    # lets each source layer go once its narrowed copy is built, where this command peaks
+    *only, digest = _load("model", args.model)
     cfg = PruneConfig(args.tau)
     if args.scene is not None:
         if args.layer != 0:
@@ -264,27 +266,17 @@ def _cmd_prune(args) -> int:
         check_finite(profile)
         sel = select_units(_profile_layer(profile, args.layer), cfg, layer=args.layer)
         pruned_net, rep = prune_units(only.pop(), args.layer, sel, profile=profile)
-    # check every document first, so a refused one leaves no file behind
-    files = [(args.out, _pruned_chunks(pruned_net, args.model, digest, rep), pruned_net)]
-    if args.report is not None:
-        files.append((args.report, _jsonio.dump_chunks(_report_fields(rep))))
-    _write(files)
+    _write_pruned(args, pruned_net, digest, rep)
     return 0
 
 
 def _cmd_topn(args) -> int:
-    net, digest = _load("model", args.model)
-    only = [net]  # as in prune, prune_output_topn gets the only reference to the model
-    del net
+    *only, digest = _load("model", args.model)  # as in prune, the prune gets the only reference
     scores = _jsonio.parse_vector(_read(args.scores), "scores")
     pruned_net, label_map, rep = prune_output_topn(only.pop(), scores, args.n)
-    files = [
-        (args.out, _pruned_chunks(pruned_net, args.model, digest, rep), pruned_net),
-        (args.labelmap, _jsonio.dump_chunks(_labelmap_fields(label_map))),
-    ]
-    if args.report is not None:
-        files.append((args.report, _jsonio.dump_chunks(_report_fields(rep))))
-    _write(files)
+    # checked before the model's, the label map's integers and strings can fail no check
+    labels = (args.labelmap, _jsonio.dump_chunks(_labelmap_fields(label_map)))
+    _write_pruned(args, pruned_net, digest, rep, labels)
     return 0
 
 

@@ -35,18 +35,6 @@ class ActivationKind(enum.Enum):
     IDENTITY = "identity"
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """Private read-only copy, so callers cannot mutate us and vice versa."""
-    return _seal(np.array(a, dtype=np.float64, order="C", copy=True))
-
-
-def _seal(a: np.ndarray) -> np.ndarray:
-    """a itself, C-ordered and read-only: for an array no one else holds."""
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class DenseLayer:
     """One fully connected layer: out = activation(bias + weights @ input).
@@ -59,26 +47,30 @@ class DenseLayer:
     activation: ActivationKind = ActivationKind.RELU
 
     def __post_init__(self):
-        self._settle(_freeze(linalg.matrix(self.weights)), _freeze(linalg.vector(self.bias)))
+        # private copies, so callers cannot mutate us and vice versa
+        w, b = linalg.matrix(self.weights), linalg.vector(self.bias)
+        self._settle(np.array(w, order="C"), np.array(b, order="C"))
 
     @classmethod
     def _adopt(cls, weights: np.ndarray, bias: np.ndarray, activation: ActivationKind):
         """A layer that keeps float64 arrays no one else holds, as a loader has, without a copy."""
         layer = object.__new__(cls)
         object.__setattr__(layer, "activation", activation)
-        layer._settle(_seal(linalg.matrix(weights)), _seal(linalg.vector(bias)))
+        layer._settle(linalg.matrix(weights), linalg.vector(bias))
         return layer
 
     def _settle(self, w: np.ndarray, b: np.ndarray) -> None:
-        """Check the layer's read-only arrays against each other and keep them."""
+        """Check the float64 arrays against each other; keep them C-ordered and read-only."""
         if b.shape[0] != w.shape[0]:
             raise ValidationError(
                 f"bias has {b.shape[0]} entries but the layer has {w.shape[0]} units"
             )
         if not isinstance(self.activation, ActivationKind):
             raise ValidationError(f"unknown activation: {self.activation!r}")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
+        for name, a in (("weights", w), ("bias", b)):
+            a = np.ascontiguousarray(a)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def units(self) -> int:

@@ -9,10 +9,10 @@ forward_prune (any layer-0 columns) and prune_input_channels (whole scene
 channels) at the input, prune_units at a hidden width, and backward_prune
 (any final-layer units) and prune_output_topn (the n best-scoring) at the
 output, where the labels follow. prune_units, prune_input_channels and
-prune_output_topn hand _narrow the only reference they hold to the network,
-so a caller that passes its own only reference (the CLI does) lets each
-source layer go once its narrowed copy is built; a caller that keeps one
-sees no change. (CPython 3.10 holds a call's arguments until it returns.)
+prune_output_topn end in _pruned, which counts, narrows and reports; given
+the only reference to the network, as the CLI gives it, each source layer
+goes once its narrowed copy is built, and a caller that keeps one sees no
+change. (CPython 3.10 holds a call's arguments until it returns.)
 
 Selections come from activation magnitudes on a probe input, one layer of
 the tuple forward returns. At threshold 0 only units that output exactly
@@ -309,11 +309,11 @@ def _narrow(net: Network, width: int, keep: np.ndarray) -> Network:
 
     The new layers keep the arrays gathered for them, without a second copy,
     and replace the source layers one at a time: given the only reference to
-    net, each source layer goes as soon as its narrowed copy is built. Both
-    layers shrink by the same kept fraction f, and the one with fewer weights
-    is built first: for source sizes a <= b the peak above the model is then
-    max(f*a, f*a + f*b - a), never above f*b, which building the larger first
-    reaches at its first step alone.
+    net (as _pruned passes it), each source layer goes as soon as its
+    narrowed copy is built. Both layers shrink by the same kept fraction f,
+    and the one with fewer weights is built first: for source sizes a <= b
+    the peak above the model is then max(f*a, f*a + f*b - a), never above
+    f*b, which building the larger first reaches at its first step alone.
     """
     layers, labels = list(net.layers), net.labels
     del net  # from here the list holds the source layers
@@ -330,6 +330,16 @@ def _narrow(net: Network, width: int, keep: np.ndarray) -> Network:
     if width == len(layers) and labels is not None:
         labels = tuple(labels[i] for i in keep)
     return Network(tuple(layers), labels=labels)
+
+
+def _pruned(only: list, width: int, kind: str, sel: PruneSelection, bound, channels=None):
+    """The end of every public prune: count, narrow at width to sel.kept, report.
+
+    only is a list whose one item, the network, goes to _narrow as it is popped.
+    """
+    before = param_count(only[0])
+    net = _narrow(only.pop(), width, sel.kept)
+    return net, PruneReport(kind, (sel,), before, param_count(net), bound, channels)
 
 
 def backward_prune(net: Network, layer: int, sel: PruneSelection) -> Network:
@@ -394,12 +404,9 @@ def prune_units(
         h = _profile_layer(profile, layer)
         _check_covers(sel, layer, h.shape[0], "units", "the profile")
         bound = column_drop_bound(net, layer + 1, np.abs(h), sel.pruned)
-    before = param_count(net)
-    only = [net]  # _narrow gets the only reference this call holds
+    only = [net]
     del net
-    pruned_net = _narrow(only.pop(), layer + 1, sel.kept)
-    report = PruneReport("units", (sel,), before, param_count(pruned_net), bound)
-    return pruned_net, report
+    return _pruned(only, layer + 1, "units", sel, bound)
 
 
 def prune_input_channels(
@@ -431,14 +438,9 @@ def prune_input_channels(
     colsel = PruneSelection.from_pruned(cols, n_cols, layer=0)
     # the bound's gather of dropped columns is freed before the new layer 0 is built
     bound = channel_drop_bound(net, s, pool_h, pool_w, csel.pruned)
-    before = param_count(net)
-    only = [net]  # _narrow gets the only reference this call holds
+    only = [net]
     del net
-    pruned_net = _narrow(only.pop(), 0, colsel.kept)
-    report = PruneReport(
-        "input-channels", (colsel,), before, param_count(pruned_net), bound, csel
-    )
-    return pruned_net, report
+    return _pruned(only, 0, "input-channels", colsel, bound, csel)
 
 
 def prune_output_topn(
@@ -466,13 +468,10 @@ def prune_output_topn(
     order = np.argsort(-s, kind="stable")
     width = len(net.layers)
     sel = PruneSelection.from_pruned(np.sort(order[n:]), out_dim, layer=width - 1)
-    before = param_count(net)
-    only = [net]  # _narrow gets the only reference this call holds
+    only = [net]
     del net
-    pruned_net = _narrow(only.pop(), width, sel.kept)
-    label_map = LabelMap(indices=sel.kept, names=pruned_net.labels)
-    report = PruneReport("topn", (sel,), before, param_count(pruned_net), 0.0)
-    return pruned_net, label_map, report
+    pruned_net, report = _pruned(only, width, "topn", sel, 0.0)
+    return pruned_net, LabelMap(indices=sel.kept, names=pruned_net.labels), report
 
 
 # -- deviation certificate ---------------------------------------------------

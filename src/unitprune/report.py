@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _jsonio, linalg
 from .errors import ContractViolation
-from .model import DenseLayer, Network, output
+from .model import Network, output
 from .prune import LabelMap, PruneConfig, channel_drop_bound, select_channels
 from .scene import Scene, _PooledBlock, channel_sums
 
@@ -77,14 +77,6 @@ class SweepPoint:
     bound: float = 0.0
 
 
-def _finish(first: DenseLayer, rest: Network, acc: np.ndarray) -> np.ndarray:
-    """Outputs from first-layer sums: bias, activation, then the rest, on a new array.
-
-    acc may be shared with other networks, so it is never changed in place.
-    """
-    return output(rest, first.activate(acc))
-
-
 def _outputs(net: Network, xs, keep: np.ndarray | None) -> np.ndarray:
     """output(net, xs[:, keep]) byte for byte, its first layer reading xs in place (keep None: all).
 
@@ -95,7 +87,7 @@ def _outputs(net: Network, xs, keep: np.ndarray | None) -> np.ndarray:
         return np.zeros((xs.shape[0], 0))
     first = net.layers[0]
     acc = linalg._column_pass("matmat", first.weights, xs, None, 1, keep)[0]
-    return _finish(first, Network(net.layers[1:]), acc)
+    return output(Network(net.layers[1:]), first.activate(acc))
 
 
 def _same_first_layer(original: Network, pruned: Network, keep: np.ndarray | None) -> bool:
@@ -265,9 +257,11 @@ def compare_outputs(
         if shared:
             acc_a, acc_b = linalg.nested_matmat(first.weights, xs, depth, 2)
             del xs
-            oa = _finish(first, rest_a, acc_a)
-            dev.add(oa, oa if acc_b is acc_a and same_rest else _finish(first, rest_b, acc_b))
-            del acc_a, acc_b, oa
+            # acc_b may be acc_a: activate adds the bias on a new array, changing neither
+            oa = output(rest_a, first.activate(acc_a))
+            ob = oa if acc_b is acc_a and same_rest else output(rest_b, first.activate(acc_b))
+            dev.add(oa, ob)
+            del acc_a, acc_b, oa, ob
         else:
             oa, ob = _outputs(original, xs, None), _outputs(pruned, xs, keep)
             del xs
@@ -326,9 +320,10 @@ def sweep(net: Network, scene: Scene, thresholds: Sequence[float]) -> list[Sweep
     devs = [_Deviation() for _ in taus]
     for xs in _region_blocks(scene):
         accs = linalg.nested_matmat(first.weights, xs, depth, len(taus) + 1)
-        base = _finish(first, rest, accs[0])
+        # accs may repeat one sum; activate leaves it as it is (see compare_outputs)
+        base = output(rest, first.activate(accs[0]))
         for dev, acc in zip(devs, accs[1:]):
-            dev.add(base, base if acc is accs[0] else _finish(first, rest, acc))
+            dev.add(base, base if acc is accs[0] else output(rest, first.activate(acc)))
         del accs, acc, base  # not held while the next block is scored
     # a pruned first layer keeps every unit and bias, and cells columns per kept channel
     w0, b0 = first.weights.size, first.bias.size

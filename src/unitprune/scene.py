@@ -21,7 +21,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from . import _jsonio
+from . import _jsonio, linalg
 from .errors import ContractViolation, FormatError, ValidationError
 
 __all__ = [
@@ -57,7 +57,7 @@ class FeatureMap:
             raise ContractViolation(f"feature map must be 3-dimensional, got shape {a.shape}")
         if a.shape[0] < 1 or a.shape[1] < 1 or a.shape[2] < 1:
             raise ContractViolation(f"feature map dimensions must be >= 1, got {a.shape}")
-        if not np.isfinite(a).all():
+        if not linalg._all_finite(a):
             raise ContractViolation("feature map contains non-finite values")
         if (a < 0.0).any():
             raise ContractViolation("feature map contains negative values")
@@ -79,7 +79,8 @@ class FeatureMap:
     def __eq__(self, other):
         if not isinstance(other, FeatureMap):
             return NotImplemented
-        return self.data.shape == other.data.shape and self.data.tobytes() == other.data.tobytes()
+        # in place, as uint64, so the bytes compare: -0.0 is not 0.0
+        return np.array_equal(self.data.view(np.uint64), other.data.view(np.uint64))
 
 
 def _boxes(rois, fmap: FeatureMap) -> np.ndarray:

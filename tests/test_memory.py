@@ -23,13 +23,14 @@ import weakref
 import numpy as np
 import pytest
 
-from unitprune import _jsonio, cli, linalg
+from unitprune import _jsonio, cli, linalg, prune
 from unitprune.model import ActivationKind, DenseLayer, Network, forward, gen_network, load_network
 from unitprune.prune import (
     PruneConfig,
     _narrow,
     channel_drop_bound,
     prune_input_channels,
+    prune_output_topn,
     prune_units,
     select_units,
 )
@@ -273,3 +274,45 @@ def test_probe_prune_holds_less_than_both_models(tmp_path, monkeypatch, cache):
     # models' bytes here, the output layer aside; layer 1's source (2.1 MB)
     # goes before layer 0's kept rows (about 1.5 MB) are built
     assert peak < models - 0.5e6
+
+
+def source_alive_at_report(monkeypatch, source_layer):
+    """Whether source_layer was alive each time a prune built its report, after _narrow.
+
+    The one layer a prune at the input or the output rebuilds goes as soon
+    as its narrowed copy exists, if no one but the prune held its network.
+    """
+    alive, source, build = [], weakref.ref(source_layer), prune.PruneReport
+    del source_layer
+
+    def report(*args):
+        alive.append(source() is not None)
+        return build(*args)
+
+    monkeypatch.setattr(prune, "PruneReport", report)
+    return alive
+
+
+@callee_owns_its_arguments
+def test_prune_input_channels_lets_the_source_layer_go_once_it_is_narrowed(monkeypatch):
+    sc = gen_scene(64, 14, 14, zero_channels=30, n_rois=1, seed=3)
+    net = gen_network((sc.pooled_width, 32, 4), seed=3)
+    alive = source_alive_at_report(monkeypatch, net.layers[0])
+    only = [net]
+    del net
+    pruned, rep = prune_input_channels(
+        only.pop(), channel_sums(sc.fmap), sc.pool_h, sc.pool_w, PruneConfig(0.0)
+    )
+    assert pruned.input_dim == 34 * 49 and rep.kind == "input-channels"
+    assert alive == [False]
+
+
+@callee_owns_its_arguments
+def test_prune_output_topn_lets_the_source_layer_go_once_it_is_narrowed(monkeypatch):
+    net = gen_network((16, 8, 5), seed=4)
+    alive = source_alive_at_report(monkeypatch, net.layers[-1])
+    only = [net]
+    del net
+    pruned, label_map, rep = prune_output_topn(only.pop(), [0.3, 0.9, 0.1, 0.8, 0.5], 2)
+    assert label_map.indices.tolist() == [1, 3] and pruned.output_dim == 2
+    assert rep.kind == "topn" and alive == [False]

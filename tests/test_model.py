@@ -413,3 +413,23 @@ def test_forward_shape_errors_name_forward():
         forward(net, np.zeros((1, 1, 3)))
     with pytest.raises(ContractViolation, match="forward: layer 0 expects 3 inputs, got 4"):
         output(net, np.zeros((2, 4)))
+
+
+def test_a_layer_refuses_an_activation_given_by_name():
+    with pytest.raises(ValidationError) as e:
+        DenseLayer(np.zeros((2, 3)), np.zeros(2), "relu")
+    assert str(e.value) == "unknown activation: 'relu'"
+
+
+def test_a_network_refuses_a_layer_that_is_not_a_dense_layer():
+    with pytest.raises(ValidationError) as e:
+        Network((1,))
+    assert str(e.value) == "layers must be DenseLayer, got int"
+
+
+def test_layers_and_networks_are_unequal_to_other_types():
+    lay = DenseLayer(np.zeros((1, 1)), np.zeros(1))
+    net = Network((lay,))
+    for a, b in ((lay, None), (lay, lay.weights.tolist()), (net, (lay,)), (Network(()), ())):
+        assert a.__eq__(b) is NotImplemented
+        assert not a == b and a != b

@@ -800,3 +800,37 @@ def test_channel_drop_bound_in_blocks_is_the_whole_layer_bound(block, units):
                 got = channel_drop_bound(net, sums, 2, 3, channels)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
     assert units == 0 or want > 0.0
+
+
+def test_a_label_map_refuses_names_that_do_not_match_its_indices():
+    with pytest.raises(ContractViolation) as e:
+        LabelMap(np.array([0, 1]), ("a",))
+    assert str(e.value) == "1 names for 2 kept outputs"
+
+
+def test_channel_columns_refuses_an_empty_pool_grid():
+    with pytest.raises(ContractViolation) as e:
+        channel_columns([0], 2, 0, 1)
+    assert str(e.value) == "pool grid must be at least 1x1, got 0x1"
+
+
+def test_prune_units_refuses_a_layer_past_the_network():
+    net = gen_network([4, 3, 2], seed=0)
+    with pytest.raises(ContractViolation) as e:
+        prune_units(net, 7, PruneSelection.from_pruned([], 3))
+    assert str(e.value) == "layer index 7 out of range for a 2-layer network"
+
+
+def test_prune_input_channels_refuses_an_empty_pool_grid():
+    net = gen_network([4, 3, 2], seed=0)
+    with pytest.raises(ContractViolation) as e:
+        prune_input_channels(net, np.ones(1), 0, 4, PruneConfig(0.0))
+    assert str(e.value) == "pool grid must be at least 1x1, got 0x4"
+
+
+def test_selections_and_label_maps_are_unequal_to_other_types():
+    sel = PruneSelection.from_pruned([0], 2)
+    lm = LabelMap(np.array([0, 2]), ("a", "b"))
+    for a, b in ((sel, None), (sel, (0, [0], [1])), (lm, [0, 2]), (lm, ("a", "b"))):
+        assert a.__eq__(b) is NotImplemented
+        assert not a == b and a != b

@@ -907,3 +907,10 @@ class TestSharedComparePass:
         got = compare_outputs(net, pruned, [np.array(xs)], input_keep=keep)
         assert math.isnan(got.max_abs)
         assert fields(got) == fields(ref_compare(net, pruned, xs, input_keep=keep))
+
+
+def test_empty_networks_agree_on_every_example():
+    got = compare_outputs(Network(()), Network(()), [np.zeros((3, 0))])
+    assert got == DeviationReport(
+        n_examples=3, max_abs=0.0, mean_abs=0.0, argmax_agreement=1.0, bound=None
+    )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitprune.errors import ContractViolation, FormatError
+from unitprune.errors import ContractViolation, FormatError, ValidationError
 from unitprune.scene import (
     FeatureMap,
     Scene,
@@ -405,3 +405,55 @@ class TestPoolRegions:
             pool_regions(fm, ((0, 0, 1, 1), (0, 0, 3, 1)), 1, 1)
         with pytest.raises(ContractViolation, match="1x1"):
             pool_regions(fm, ((0, 0, 1, 1),), 0, 1)
+
+
+def test_a_feature_map_refuses_an_empty_dimension():
+    with pytest.raises(ContractViolation) as e:
+        FeatureMap(np.zeros((0, 1, 1)))
+    assert str(e.value) == "feature map dimensions must be >= 1, got (0, 1, 1)"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_feature_map_refuses_a_non_finite_entry_in_any_channel(bad):
+    data = np.zeros((130, 2, 2))  # more channels than one block of linalg._BLOCK rows
+    data[129, 1, 0] = bad
+    with pytest.raises(ContractViolation) as e:
+        FeatureMap(data)
+    assert str(e.value) == "feature map contains non-finite values"
+
+
+def test_a_scene_refuses_a_map_that_is_not_a_feature_map():
+    with pytest.raises(ValidationError) as e:
+        Scene(np.zeros((1, 1, 1)), [], 1, 1)
+    assert str(e.value) == "scene fmap must be a FeatureMap"
+
+
+def test_pool_regions_refuses_an_empty_pool_grid():
+    with pytest.raises(ContractViolation) as e:
+        pool_regions(FeatureMap(np.ones((1, 2, 2))), [[0, 0, 1, 1]], 0, 1)
+    assert str(e.value) == "pool grid must be at least 1x1, got 0x1"
+
+
+def test_feature_maps_compare_by_bytes():
+    zeros = np.zeros((2, 3, 3))
+    assert FeatureMap(zeros) == FeatureMap(zeros.copy())
+    assert FeatureMap(zeros) != FeatureMap(-zeros)  # -0.0 is not 0.0
+    assert FeatureMap(zeros) != FeatureMap(np.zeros((2, 3, 2)))
+    assert FeatureMap(zeros) != FeatureMap(np.zeros((3, 3, 2)))  # same size, another shape
+    # an ndarray would answer == itself, elementwise; these have no answer
+    for other in (None, 0.0, zeros.tolist()):
+        assert FeatureMap(zeros).__eq__(other) is NotImplemented
+        assert not FeatureMap(zeros) == other and FeatureMap(zeros) != other
+
+
+def test_feature_map_equality_compares_in_place():
+    a, b = FeatureMap(np.ones((64, 64, 64))), FeatureMap(np.ones((64, 64, 64)))
+    tracemalloc.start()
+    try:
+        assert a == b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # tobytes() of both maps would be twice a map's bytes; the uint64 compare
+    # makes a bool array an eighth of one
+    assert peak < a.data.nbytes / 4
