@@ -28,9 +28,10 @@ and "bias", a scene's "data"), and each comes back as a float64 array. The
 writer lays such a field out as a block: a line that is exactly
 "<name>": [, then one row of numbers per line, each but the last ending in
 a comma, then a line that starts with ]. parse_doc first reads the input in
-that layout a line at a time: bytes or text held in memory, or a binary
-file from where it stands to its end (an unbuffered one through a buffer of
-its own). Bytes are decoded as UTF-8 a line at a time, never through json's
+that layout a line at a time: text held in memory, or a binary file from
+where it stands to its end (an unbuffered one through a buffer of its own);
+bytes held in memory are read as a file, with the same line loop and size
+count. Bytes are decoded as UTF-8 a line at a time, never through json's
 own encoding detection; byte 0x0A occurs in no multi-byte sequence, so no
 character spans two lines. A block's row lines are parsed with the same
 strict json decoder once they hold _CHUNK_BYTES of text and the last ends
@@ -300,51 +301,43 @@ class _Block:
         return self.out
 
 
-def _in_memory(data) -> bool:
-    return isinstance(data, (bytes, bytearray, str))
-
-
-def _split(data, newline):
-    """Each line of data with its newline; the last may have none."""
+def _split(text: str) -> Iterator[str]:
+    """Each line of text with its newline; the last may have none."""
     start = 0
-    while start < len(data):
-        end = data.find(newline, start) + 1 or len(data)
-        yield data[start:end]
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
         start = end
-
-
-def _text_lines(data) -> Iterator[str]:
-    """data's lines as text; bytes, held or read, are decoded as UTF-8 a line at a time."""
-    if isinstance(data, str):
-        return _split(data, "\n")
-    if _in_memory(data):
-        data = _split(data, b"\n")
-    return (line.decode("utf-8") for line in data)
 
 
 def _block_doc(data, arrays: tuple[str, ...]):
     """parse_doc's document read in the writer's block layout, or None on any doubt.
 
     data is bytes, text, or a seekable binary file, read a line at a time from
-    where it stands to its end. An unbuffered file (the CLI's FileIO) is read
-    through a buffer of _CHUNK_BYTES that is detached before this returns, so
-    it stays open, a read is not a system call per byte, and a row of a wide
-    layer (about 66 KB of text in the README head's layer 0) takes one or two.
-    A block's row lines go to _Block.add about _CHUNK_BYTES at a time, a whole
-    row with its comma last.
+    where it stands to its end; bytes are read as a file, through io.BytesIO.
+    An unbuffered file (the CLI's FileIO) is read through a buffer of
+    _CHUNK_BYTES that is detached before this returns, so it stays open, a
+    read is not a system call per byte, and a row of a wide layer (about 66
+    KB of text in the README head's layer 0) takes one or two. A block's row
+    lines go to _Block.add about _CHUNK_BYTES at a time, a whole row with its
+    comma last.
     """
     openers = {json.dumps(name) + ": [\n" for name in arrays}
-    if _in_memory(data):
-        unread = len(data)
+    buffered = None
+    if isinstance(data, str):
+        unread, lines = len(data), _split(data)
     else:
+        data = io.BytesIO(data) if isinstance(data, (bytes, bytearray)) else data
         here = data.tell()
         unread = data.seek(0, os.SEEK_END) - here
         data.seek(here)
-    buffered = io.BufferedReader(data, _CHUNK_BYTES) if isinstance(data, io.RawIOBase) else None
+        if isinstance(data, io.RawIOBase):
+            data = buffered = io.BufferedReader(data, _CHUNK_BYTES)
+        lines = (line.decode("utf-8") for line in data)
     outside, blocks = [], []  # the text outside the blocks, a sentinel for each; the arrays
     rows, size, block = [], 0, None  # the open block's row lines not parsed yet, their length
     try:
-        for line in _text_lines(data if buffered is None else buffered):
+        for line in lines:
             unread -= len(line)
             if block is None:
                 if line in openers:
@@ -398,9 +391,10 @@ def parse_doc(data, what: str, arrays: tuple[str, ...] = ()) -> dict:
     line at a time in the writer's block layout (_block_doc); on any doubt it
     is parsed whole, a file read again from where it stood.
     """
-    if not _in_memory(data) and not data.seekable():
-        data = data.read()
-    start = None if _in_memory(data) else data.tell()
+    held = isinstance(data, (bytes, bytearray, str))
+    if not held and not data.seekable():
+        data, held = data.read(), True
+    start = None if held else data.tell()
     doc = _block_doc(data, arrays) if arrays else None
     if doc is None:
         if start is not None:
@@ -434,7 +428,7 @@ def parse_vector(data: bytes | str, what: str) -> np.ndarray:
     if not isinstance(doc, list) or not _numbers(doc):
         raise FormatError(f"{what} file must be a JSON array of numbers")
     v = _floats(doc, f"{what} file")
-    if not np.isfinite(v).all():  # json reads a float literal past the range as ±inf
+    if not linalg._all_finite(v):  # json reads a float literal past the range as ±inf
         raise FormatError(f"{what} file: number too large for a float")
     return v
 

@@ -62,6 +62,9 @@ Python or numpy integers, never a bool or a float, so no entry is cast: the
 entries become an integer array, or an object array of Python ints when no
 one integer dtype holds them all. The same vectorized comparisons then check
 every form, so all accept the same sets and raise the same messages.
+
+Rows are walked _BLOCK at a time by _row_blocks alone, and float arrays are
+compared by their bytes (as uint64, so -0.0 is not 0.0) by _same_bytes alone.
 """
 
 from __future__ import annotations
@@ -85,24 +88,27 @@ __all__ = [
     "fmt_float",
 ]
 
-# Columns or rows of a layer an exact pass takes at a time: matvec's live
-# columns, a column pass's windows of live rows of xs.T and m.T, the row
-# blocks of prune._inf_op_norm, and the rows a finiteness check reads at once
-# (_all_finite). No pass copies a whole layer.
+# Columns or rows of a layer an exact pass takes at a time: matvec's live columns,
+# a column pass's windows and _row_blocks' rows. No pass copies a whole layer.
 _BLOCK = 64
 
 
-def _all_finite(a) -> bool:
-    """Whether every entry of a is finite, read _BLOCK rows at a time when a has rows.
+def _row_blocks(a: np.ndarray):
+    """Views of a's rows, _BLOCK at a time; a vector or a scalar whole."""
+    return (a,) if a.ndim < 2 else (a[lo : lo + _BLOCK] for lo in range(0, len(a), _BLOCK))
 
-    np.isfinite(a).all() would build a bool array an eighth of a's bytes (a
-    layer as it loads); a block's is an eighth of one block. A scalar or a
-    vector is checked at once.
-    """
-    a = np.asarray(a)
-    if a.ndim < 2:
-        return bool(np.isfinite(a).all())
-    return all(np.isfinite(a[lo : lo + _BLOCK]).all() for lo in range(0, a.shape[0], _BLOCK))
+
+def _all_finite(a) -> bool:
+    """Whether every entry of a is finite: a bool array of one block of rows at a time, not of a."""
+    return all(np.isfinite(rows).all() for rows in _row_blocks(np.asarray(a)))
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bytes, each block of rows compared as uint64 in place, uncopied."""
+    return a.shape == b.shape and all(
+        np.array_equal(x.view(np.uint64), y.view(np.uint64))
+        for x, y in zip(_row_blocks(a), _row_blocks(b))
+    )
 
 
 def vector(data) -> np.ndarray:

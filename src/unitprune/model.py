@@ -86,22 +86,13 @@ class DenseLayer:
         return self.weights.shape[1]
 
     def __eq__(self, other):
-        """Same activation, shapes and bytes (-0.0 is not 0.0).
-
-        The weights compare in place, linalg._BLOCK rows at a time as uint64,
-        so no copy of either layer is made.
-        """
+        """Same activation, shapes and bytes, compared in place (linalg._same_bytes)."""
         if not isinstance(other, DenseLayer):
             return NotImplemented
-        a, b, rows = self.weights, other.weights, linalg._BLOCK
         return (
             self.activation is other.activation
-            and a.shape == b.shape
-            and self.bias.tobytes() == other.bias.tobytes()
-            and all(
-                np.array_equal(a[lo : lo + rows].view(np.uint64), b[lo : lo + rows].view(np.uint64))
-                for lo in range(0, a.shape[0], rows)
-            )
+            and linalg._same_bytes(self.bias, other.bias)
+            and linalg._same_bytes(self.weights, other.weights)
         )
 
 
@@ -218,7 +209,7 @@ def check_finite(profile: tuple[np.ndarray, ...]) -> None:
     activation fails |a| <= tau and would be kept without a word.
     """
     for k, h in enumerate(profile):
-        if not np.isfinite(h).all():
+        if not linalg._all_finite(h):
             raise ContractViolation(f"layer {k} activations on the probe are not finite")
 
 

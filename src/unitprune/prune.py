@@ -422,19 +422,17 @@ def prune_input_channels(
     outputs are bit-identical for every region.
     """
     s = linalg.vector(sums)
-    cells = int(pool_h) * int(pool_w)
-    if pool_h < 1 or pool_w < 1:
-        raise ContractViolation(f"pool grid must be at least 1x1, got {pool_h}x{pool_w}")
+    csel = select_channels(s, config)
+    # channel_columns refuses an empty grid before any width is compared
+    cols = channel_columns(csel.pruned, s.shape[0], pool_h, pool_w)
     if not net.layers:
         raise ContractViolation("cannot prune the input of an empty network")
-    n_cols = s.shape[0] * cells
+    n_cols = s.shape[0] * int(pool_h) * int(pool_w)
     if net.input_dim != n_cols:
         raise ContractViolation(
             f"layer 0 expects {net.input_dim} inputs but {s.shape[0]} channels "
             f"pooled {pool_h}x{pool_w} give {n_cols}"
         )
-    csel = select_channels(s, config)
-    cols = channel_columns(csel.pruned, s.shape[0], pool_h, pool_w)
     colsel = PruneSelection.from_pruned(cols, n_cols, layer=0)
     # the bound's gather of dropped columns is freed before the new layer 0 is built
     bound = channel_drop_bound(net, s, pool_h, pool_w, csel.pruned)
@@ -478,16 +476,15 @@ def prune_output_topn(
 
 
 def _inf_op_norm(w: np.ndarray) -> float:
-    """Operator norm for the infinity norm: max absolute row sum.
+    """Operator norm for the infinity norm: max absolute row sum, 0.0 for no rows.
 
-    The rows are taken linalg._BLOCK at a time, so no |w| of the whole layer
-    is made. numpy sums each row on its own, pairwise along the row, so a
-    row's sum does not depend on how many rows are reduced together.
+    The rows are taken a block at a time (linalg._row_blocks), so no |w| of
+    the whole layer is made. numpy sums each row on its own, pairwise along
+    the row, so a row's sum does not depend on how many rows are reduced together.
     """
-    norm = 0.0
-    for lo in range(0, w.shape[0], linalg._BLOCK):
-        norm = max(norm, float(np.abs(w[lo : lo + linalg._BLOCK]).sum(axis=1).max()))
-    return norm
+    return max(
+        (float(np.abs(rows).sum(axis=1).max()) for rows in linalg._row_blocks(w)), default=0.0
+    )
 
 
 def column_drop_bound(net: Network, layer: int, magnitudes, cols: Sequence[int]) -> float:

@@ -93,33 +93,27 @@ def _outputs(net: Network, xs, keep: np.ndarray | None) -> np.ndarray:
 def _same_first_layer(original: Network, pruned: Network, keep: np.ndarray | None) -> bool:
     """Whether pruned's first layer is original's on the keep columns, byte for byte.
 
-    Activation, shape and bias bytes compare as DenseLayer.__eq__ compares
-    them; the weights compare in place, one row at a time, so what the check
-    holds is one row's keep columns of the original and not a narrowed copy
-    of any block of it.
+    With keep None that is DenseLayer.__eq__. Otherwise activation, shape and
+    bias compare as it compares them, and the weights one row at a time
+    (linalg._same_bytes), so what the check holds is one row's keep columns
+    of the original and not a narrowed copy of any block of it.
     """
     a, b = original.layers[0], pruned.layers[0]
-    width = a.inputs if keep is None else keep.size
-    if not (
+    if keep is None:
+        return a == b
+    return (
         a.activation is b.activation
-        and b.weights.shape == (a.units, width)
-        and a.bias.tobytes() == b.bias.tobytes()
-    ):
-        return False
-    for row_a, row_b in zip(a.weights, b.weights):
-        if keep is not None:
-            row_a = row_a[keep]
-        # as uint64, so the bytes compare: -0.0 is not 0.0
-        if not np.array_equal(row_a.view(np.uint64), row_b.view(np.uint64)):
-            return False
-    return True
+        and b.weights.shape == (a.units, keep.size)
+        and linalg._same_bytes(a.bias, b.bias)
+        and all(linalg._same_bytes(ra[keep], rb) for ra, rb in zip(a.weights, b.weights))
+    )
 
 
 def _region_blocks(scene: Scene) -> Iterator[_PooledBlock]:
     """The scene's regions, _BLOCK_ROWS at a time, as blocks max-pooled from its map when read.
 
-    Each block is a scene._PooledBlock: nothing is pooled until a column pass
-    reads it, a few live channels at a time; a dead channel is never pooled.
+    Each block is a scene._PooledBlock of rows of the scene's checked rois, pooled
+    when a column pass reads it, a few live channels at a time; dead ones never.
     """
     rois = scene.rois
     for lo in range(0, len(rois), _BLOCK_ROWS):

@@ -4,9 +4,10 @@ A scene stands in for one image as seen by a convolutional trunk: a (C, H, W)
 feature map that is nonnegative because it sits after a relu, and its
 regions of interest: one read-only (n, 4) intp array of [x0, y0, x1, y1]
 rows, each the half-open box of columns [x0, x1) and rows [y0, y1). Scene
-and pool_regions check regions the same way, all at once. Each region is
-max-pooled per channel onto a fixed pool_h x pool_w grid and flattened
-channel-major, giving the fixed-width vectors a dense head network consumes.
+checks them once, with the map and grid; pooling takes a scene's checked
+arrays. Each region is max-pooled per channel onto a fixed pool_h x pool_w
+grid and flattened channel-major, giving the fixed-width vectors a dense
+head network consumes. A map is checked a block of (C*H, W) rows at a time.
 
 The property everything downstream leans on: max over a sub-rectangle never
 exceeds max over the whole channel, and a channel that is zero everywhere
@@ -52,14 +53,15 @@ class FeatureMap:
         return fmap
 
     def _settle(self, a: np.ndarray) -> None:
-        """Check a C-ordered float64 array and keep it, read-only."""
+        """Check a C-ordered float64 array, as its (C*H, W) rows, and keep it, read-only."""
         if a.ndim != 3:
             raise ContractViolation(f"feature map must be 3-dimensional, got shape {a.shape}")
         if a.shape[0] < 1 or a.shape[1] < 1 or a.shape[2] < 1:
             raise ContractViolation(f"feature map dimensions must be >= 1, got {a.shape}")
-        if not linalg._all_finite(a):
+        rows = a.reshape(-1, a.shape[2])
+        if not linalg._all_finite(rows):
             raise ContractViolation("feature map contains non-finite values")
-        if (a < 0.0).any():
+        if any((block < 0.0).any() for block in linalg._row_blocks(rows)):
             raise ContractViolation("feature map contains negative values")
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
@@ -79,8 +81,8 @@ class FeatureMap:
     def __eq__(self, other):
         if not isinstance(other, FeatureMap):
             return NotImplemented
-        # in place, as uint64, so the bytes compare: -0.0 is not 0.0
-        return np.array_equal(self.data.view(np.uint64), other.data.view(np.uint64))
+        a, b = (m.data.reshape(-1, m.width) for m in (self, other))
+        return self.data.shape == other.data.shape and linalg._same_bytes(a, b)
 
 
 def _boxes(rois, fmap: FeatureMap) -> np.ndarray:
@@ -180,7 +182,8 @@ def pool_regions(fmap: FeatureMap, rois, pool_h: int, pool_w: int) -> np.ndarray
     The result is filled over +0.0 one group at a time from _PooledBlock,
     the one pooling routine, so pooling holds the result and two buffers.
     """
-    block = _PooledBlock(fmap, rois, pool_h, pool_w)
+    scene = Scene(fmap, rois, pool_h, pool_w)
+    block = _PooledBlock(scene.fmap, scene.rois, scene.pool_h, scene.pool_w)
     out = np.zeros(block.shape[::-1])
     for cols, rows in block:
         out[cols] = rows
@@ -190,10 +193,11 @@ def pool_regions(fmap: FeatureMap, rois, pool_h: int, pool_w: int) -> np.ndarray
 class _PooledBlock:
     """pool_regions' (n, d) batch, pooled a few channels at a time as it is read, never whole.
 
-    linalg.matmat and nested_matmat take it in place of an array. Iterating
-    pools anew and yields (cols, rows) per channel group: the ascending intp
-    array of the group's columns, and those columns as rows of the
-    transposed batch, in a buffer the next group overwrites. A dead channel,
+    linalg.matmat and nested_matmat take it in place of an array. It checks
+    nothing: its arguments are a Scene's, rois perhaps a block of its rows.
+    Iterating pools anew and yields (cols, rows) per channel group: the
+    ascending intp array of the group's columns, and those columns as rows of
+    the transposed batch, in a buffer the next group overwrites. A dead channel,
     +0.0 throughout by bit pattern, pools to +0.0 and is left out.
 
     Each group's rows are its gather at the first (row, column) offset into
@@ -206,11 +210,8 @@ class _PooledBlock:
 
     ndim = 2
 
-    def __init__(self, fmap: FeatureMap, rois, pool_h: int, pool_w: int):
-        if pool_h < 1 or pool_w < 1:
-            raise ContractViolation(f"pool grid must be at least 1x1, got {pool_h}x{pool_w}")
-        self.fmap, self.rois = fmap, _boxes(rois, fmap)
-        self.pool_h, self.pool_w = pool_h, pool_w
+    def __init__(self, fmap: FeatureMap, rois: np.ndarray, pool_h: int, pool_w: int):
+        self.fmap, self.rois, self.pool_h, self.pool_w = fmap, rois, pool_h, pool_w
         self.shape = (len(self.rois), fmap.channels * pool_h * pool_w)
 
     def group_channels(self) -> int:

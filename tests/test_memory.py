@@ -35,7 +35,7 @@ from unitprune.prune import (
     select_units,
 )
 from unitprune.report import _region_blocks, _same_first_layer, compare_outputs, sweep
-from unitprune.scene import channel_sums, gen_scene
+from unitprune.scene import FeatureMap, channel_sums, gen_scene
 
 UNITS, INPUTS = 256, 64 * 49
 LAYER_BYTES = UNITS * INPUTS * 8
@@ -123,6 +123,16 @@ def test_dense_layer_equality_compares_in_place():
     # tobytes() of both would be two whole layers; comparing 64 rows at a time
     # makes a bool array of 64 rows, a 32nd of the layer's bytes
     assert peak_fraction(lambda: a == b) < 1 / 16
+
+
+def test_feature_maps_are_checked_and_compared_a_block_of_rows_at_a_time():
+    data = np.random.default_rng(0).uniform(0.0, 1.0, (64, 64, 64))
+    a, b = FeatureMap(data), FeatureMap(data)
+    layers_per_map = LAYER_BYTES / data.nbytes  # peak_fraction is over a layer's bytes
+    # 64 channels are one block of channels: a bool array of it would be an
+    # eighth of the map; one of 64 of its (C*H, W) rows is a 512th
+    assert peak_fraction(lambda: FeatureMap._adopt(data)) * layers_per_map < 1 / 16
+    assert peak_fraction(lambda: a == b) * layers_per_map < 1 / 16
 
 
 def test_sweep_holds_one_block_of_sums():

@@ -32,6 +32,7 @@ from unitprune.report import (
 from unitprune.scene import (
     FeatureMap,
     Scene,
+    _boxes,
     _PooledBlock,
     channel_sums,
     gen_scene,
@@ -776,6 +777,26 @@ def record_nested(monkeypatch):
 
     monkeypatch.setattr(linalg, "nested_matmat", recording)
     return calls
+
+
+def test_a_scenes_regions_are_checked_once(monkeypatch):
+    sc = gen_scene(64, 14, 14, zero_channels=30, n_rois=2000, seed=3)
+    net = gen_network([3136, 32, 20], seed=0)
+    calls = []
+
+    def counted(rois, fmap):
+        calls.append(len(rois))
+        return _boxes(rois, fmap)
+
+    monkeypatch.setattr("unitprune.scene._boxes", counted)
+    # the scene checked its 2000 regions when it was made; its 8 blocks check nothing
+    sweep(net, sc, [0.0, 1.0])
+    assert calls == []
+    compare_outputs(net, net, _region_blocks(sc))
+    assert calls == []
+    # pool_regions checks its regions once, as a Scene
+    pool_regions(sc.fmap, sc.rois, 7, 7)
+    assert calls == [2000]
 
 
 def record_groups(monkeypatch):

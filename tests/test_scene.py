@@ -428,6 +428,18 @@ def test_a_scene_refuses_a_map_that_is_not_a_feature_map():
     assert str(e.value) == "scene fmap must be a FeatureMap"
 
 
+@pytest.mark.parametrize(
+    "pool",
+    [lambda m: pool_regions(m, [[0, 0, 1, 1]], 1, 1), lambda m: roi_pool(m, [0, 0, 1, 1], 1, 1)],
+    ids=["pool_regions", "roi_pool"],
+)
+def test_pooling_refuses_a_map_that_is_not_a_feature_map(pool):
+    # pooling checks its arguments as a Scene does, so a plain array is refused, not a traceback
+    with pytest.raises(ValidationError) as e:
+        pool(np.ones((1, 2, 2)))
+    assert str(e.value) == "scene fmap must be a FeatureMap"
+
+
 def test_pool_regions_refuses_an_empty_pool_grid():
     with pytest.raises(ContractViolation) as e:
         pool_regions(FeatureMap(np.ones((1, 2, 2))), [[0, 0, 1, 1]], 0, 1)
